@@ -15,7 +15,9 @@ the euclidean |H|^2 of the composed immersion.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from .catalog import ModelManifold, model_constants
 from .coefficients import paneitz_coefficients
 from .discrete import CurvatureBundle, apply_laplacian, inner
 from .errors import GateError, InvalidDimensionError, PositivityError
+from .fourier import unit_sphere_deviation
 
 #: relative equality tolerance for closed-form inputs
 TOL_EQ_ANALYTIC = 1e-8
@@ -86,7 +89,6 @@ SPHERE_DEVIATION_TOL = 1e-9
 
 
 def summarize_bundle(bundle: CurvatureBundle, label: str | None = None) -> GeometrySummary:
-    dev = bundle.immersion.sphere_deviation(bundle.grid)
     return GeometrySummary(
         n=bundle.n,
         volume=bundle.volume,
@@ -94,7 +96,7 @@ def summarize_bundle(bundle: CurvatureBundle, label: str | None = None) -> Geome
         s_norm=bundle.curv.s_norm,
         scalar=bundle.curv.scalar,
         q=bundle.q_field if bundle.q_field is not None else 0.0,
-        ambient_unit_sphere=dev <= SPHERE_DEVIATION_TOL,
+        ambient_unit_sphere=unit_sphere_deviation(bundle.y) <= SPHERE_DEVIATION_TOL,
         numerical=True,
         label=label or f"immersion on grid {'x'.join(map(str, bundle.grid.shape))}",
         weights=bundle.weights,
@@ -182,14 +184,13 @@ def snap_kernel(values, rtol: float = KERNEL_SNAP_RTOL) -> np.ndarray:
     return values
 
 
-def _positive_index(values, n, need, flags):
+def _positive_index(values, need, flags):
     """Count eigenvalues from lambda_1: on 4-manifolds the operator kills
     constants, so the leading lambda_0 = 0 is dropped before indexing."""
     values = snap_kernel(values)
-    if n == 4:
-        if values.size == 0 or values[0] != 0.0:
-            flags.append("kernel_not_found_n4")
-        values = values[1:]
+    if values.size == 0 or values[0] != 0.0:
+        flags.append("kernel_not_found_n4")
+    values = values[1:]
     if values.size < need:
         raise GateError(f"need {need} eigenvalues past the kernel, have {values.size}")
     return values
@@ -206,41 +207,41 @@ def _sqrt_clamped(vals, flags):
 # the bounds
 # --------------------------------------------------------------------------
 
+def _require_unit_sphere(geo: GeometrySummary) -> None:
+    if not geo.ambient_unit_sphere:
+        raise GateError("manifold is not contained in a unit sphere")
+
+
+def _sum_bound(bound_id, eigenvalues, geo, tol_eq, in_sphere=False):
+    if geo.n != 4:
+        raise InvalidDimensionError(f"four-dimensional bound, got n = {geo.n}")
+    if in_sphere:
+        _require_unit_sphere(geo)
+    flags: list[str] = []
+    lam = _positive_index(eigenvalues, 4, flags)[:4]
+    lhs = float(np.sum(_sqrt_clamped(lam, flags)))
+    p = geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
+    h = geo.integrate(geo.mean_sq)
+    rhs = 4.0 * math.sqrt(max(p * h, 0.0)) / geo.volume
+    rep = _report(bound_id, lhs, rhs, geo, len(np.asarray(eigenvalues)), flags, tol_eq=tol_eq)
+    return _flag_off_case_equality(rep, geo)
+
+
 def verify_thm_1_1(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
     """Sum of the four root eigenvalues of a 4-manifold against the
     curvature-integral bound; equality on round spheres and minimal
     constant-R submanifolds of spheres."""
-    if geo.n != 4:
-        raise InvalidDimensionError(f"four-dimensional bound, got n = {geo.n}")
-    flags: list[str] = []
-    lam = _positive_index(eigenvalues, 4, 4, flags)[:4]
-    lhs = float(np.sum(_sqrt_clamped(lam, flags)))
-    p = geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
-    h = geo.integrate(geo.mean_sq)
-    rhs = 4.0 * math.sqrt(max(p * h, 0.0)) / geo.volume
-    rep = _report("thm_1_1", lhs, rhs, geo, len(np.asarray(eigenvalues)), flags, tol_eq=tol_eq)
-    return _flag_off_case_equality(rep, geo)
+    return _sum_bound("thm_1_1", eigenvalues, geo, tol_eq)
 
 
 def verify_cor_1_1(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
     """Ambient-unit-sphere version: substitute |H|^2 + 1 (in-sphere mean
-    curvature plus the sphere's own contribution) in both integrals."""
-    if geo.n != 4:
-        raise InvalidDimensionError(f"four-dimensional bound, got n = {geo.n}")
-    if not geo.ambient_unit_sphere:
-        raise GateError("manifold is not contained in a unit sphere")
-    flags: list[str] = []
-    lam = _positive_index(eigenvalues, 4, 4, flags)[:4]
-    lhs = float(np.sum(_sqrt_clamped(lam, flags)))
-    # euclidean mean_sq already equals in-sphere |H|^2 + 1
-    p = geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
-    h = geo.integrate(geo.mean_sq)
-    rhs = 4.0 * math.sqrt(max(p * h, 0.0)) / geo.volume
-    rep = _report("cor_1_1", lhs, rhs, geo, len(np.asarray(eigenvalues)), flags, tol_eq=tol_eq)
-    return _flag_off_case_equality(rep, geo)
+    curvature plus the sphere's own contribution) in both integrals.  The
+    euclidean mean_sq already equals that sum, so the body is thm_1_1's."""
+    return _sum_bound("cor_1_1", eigenvalues, geo, tol_eq, in_sphere=True)
 
 
-def _gap_bound(bound_id, eigenvalues, geo, u1, tol_eq, mean_field):
+def _gap_bound(bound_id, eigenvalues, geo, u1, tol_eq):
     n = geo.n
     if n <= 4:
         raise InvalidDimensionError(f"gap bound needs n > 4, got {n}")
@@ -256,14 +257,13 @@ def _gap_bound(bound_id, eigenvalues, geo, u1, tol_eq, mean_field):
         flags.append("negative_gap_clamped")
     lhs = float(np.sum(_sqrt_clamped(np.maximum(gaps, 0.0), flags)))
 
-    def weighted(fld):
-        if u1.u1_sq is None:  # constant ground state, u_1^2 = 1/vol
-            return geo.integrate(fld) / geo.volume
-        return geo.integrate(fld * u1.u1_sq)
-
+    if u1.u1_sq is None:  # constant ground state, u_1^2 = 1/vol
+        h = geo.integrate(geo.mean_sq) / geo.volume
+    else:
+        h = geo.integrate(geo.mean_sq * u1.u1_sq)
     grad = u1.grad_energy
-    p = 0.5 * n * (n * n - 4.0) * weighted(mean_field) + 2.0 * (n + 2.0) * grad
-    q = n * n * weighted(mean_field) + 4.0 * grad
+    p = 0.5 * n * (n * n - 4.0) * h + 2.0 * (n + 2.0) * grad
+    q = n * n * h + 4.0 * grad
     rhs = math.sqrt(max(p, 0.0)) * math.sqrt(max(q, 0.0))
     return _report(bound_id, lhs, rhs, geo, len(values), flags, tol_eq=tol_eq)
 
@@ -272,15 +272,15 @@ def verify_thm_1_2(eigenvalues, geo: GeometrySummary, u1: U1Data | None = None,
                    tol_eq: float | None = None) -> BoundReport:
     """Gap bound: sum of root gaps (lambda_{j+1} - lambda_1), j = 1..n,
     weighted by the ground eigenfunction.  No positivity assumption."""
-    return _gap_bound("thm_1_2", eigenvalues, geo, u1, tol_eq, geo.mean_sq)
+    return _gap_bound("thm_1_2", eigenvalues, geo, u1, tol_eq)
 
 
 def verify_cor_3_1(eigenvalues, geo: GeometrySummary, u1: U1Data | None = None,
                    tol_eq: float | None = None) -> BoundReport:
-    """Gap bound for submanifolds of the unit sphere: |H|^2 -> |H|^2 + 1."""
-    if not geo.ambient_unit_sphere:
-        raise GateError("manifold is not contained in a unit sphere")
-    return _gap_bound("cor_3_1", eigenvalues, geo, u1, tol_eq, geo.mean_sq)
+    """Gap bound for submanifolds of the unit sphere: |H|^2 -> |H|^2 + 1,
+    which the euclidean mean_sq already is, so the body is thm_1_2's."""
+    _require_unit_sphere(geo)
+    return _gap_bound("cor_3_1", eigenvalues, geo, u1, tol_eq)
 
 
 def verify_thm_1_3(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
@@ -289,8 +289,7 @@ def verify_thm_1_3(eigenvalues, geo: GeometrySummary, tol_eq: float | None = Non
     n = geo.n
     if n == 4:
         raise InvalidDimensionError("bound excludes n = 4 (conformally covariant case)")
-    if not geo.ambient_unit_sphere:
-        raise GateError("manifold is not contained in a unit sphere")
+    _require_unit_sphere(geo)
     flags: list[str] = []
     values = snap_kernel(eigenvalues)
     if values.size < n:
@@ -317,7 +316,7 @@ def verify_intro_bounds(eigenvalues, geo: GeometrySummary,
     reports: list[BoundReport] = []
     if geo.n == 4:
         flags: list[str] = []
-        lam = _positive_index(eigenvalues, 4, 1, flags)
+        lam = _positive_index(eigenvalues, 1, flags)
         lhs = float(lam[0])
         rhs = (geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
                * geo.integrate(geo.mean_sq)) / geo.volume**2
@@ -337,6 +336,70 @@ def verify_intro_bounds(eigenvalues, geo: GeometrySummary,
     if not reports:
         raise InvalidDimensionError(f"no introductory bound applies to n = {geo.n}")
     return reports
+
+
+# --------------------------------------------------------------------------
+# the bound registry
+# --------------------------------------------------------------------------
+
+#: the dimensions a bound is stated for, by the words that state them
+DIMENSION_RULES = {
+    "4-manifolds": lambda n: n == 4,
+    "n > 4": lambda n: n > 4,
+    "n >= 7": lambda n: n >= 7,
+    "n != 4": lambda n: n != 4,
+}
+
+
+@dataclass(frozen=True)
+class BoundRule:
+    """One bound, its hypotheses, and check(values, geo, u1, tol_eq), which
+    runs the bound's verifier (the verifier keeps its own gates)."""
+
+    bound_id: str
+    dims: str                     # a key of DIMENSION_RULES
+    check: Callable
+    unit_sphere: bool = False     # needs the unit-sphere ambient
+    needs_u1: bool = False        # reads the ground eigenfunction
+    refusable: bool = False       # a PositivityError is a refusal while others apply
+    replayable: bool = False      # replay.py re-runs its proof chain
+
+    def applies(self, n: int, unit_sphere: bool = True) -> bool:
+        """Hypotheses hold in dimension n (and, if given, in that ambient)."""
+        return DIMENSION_RULES[self.dims](n) and (unit_sphere or not self.unit_sphere)
+
+    @property
+    def lowest_dim(self) -> int:
+        """The smallest n >= 3 (where the operator exists) the bound covers."""
+        return next(n for n in itertools.count(3) if self.applies(n))
+
+
+def _intro_check(bound_id: str) -> Callable:
+    def check(values, geo, u1, tol_eq):
+        for rep in verify_intro_bounds(values, geo, tol_eq):
+            if rep.bound_id == bound_id:
+                return rep
+        raise InvalidDimensionError(f"{bound_id} does not apply to n = {geo.n}")
+    return check
+
+
+# checkers look the verifiers up by name at call time, so a verifier
+# replaced in this module (a tracer, a test) is the one the table calls
+#: every bound, in report order
+BOUNDS = {rule.bound_id: rule for rule in (
+    BoundRule("thm_1_1", "4-manifolds", replayable=True,
+              check=lambda values, geo, u1, tol_eq: verify_thm_1_1(values, geo, tol_eq)),
+    BoundRule("chenli_l1", "4-manifolds", check=_intro_check("chenli_l1")),
+    BoundRule("cor_1_1", "4-manifolds", unit_sphere=True,
+              check=lambda values, geo, u1, tol_eq: verify_cor_1_1(values, geo, tol_eq)),
+    BoundRule("thm_1_2", "n > 4", needs_u1=True, replayable=True,
+              check=lambda values, geo, u1, tol_eq: verify_thm_1_2(values, geo, u1, tol_eq)),
+    BoundRule("cor_3_1", "n > 4", unit_sphere=True, needs_u1=True,
+              check=lambda values, geo, u1, tol_eq: verify_cor_3_1(values, geo, u1, tol_eq)),
+    BoundRule("chenli_l2", "n >= 7", check=_intro_check("chenli_l2")),
+    BoundRule("thm_1_3", "n != 4", unit_sphere=True, refusable=True,
+              check=lambda values, geo, u1, tol_eq: verify_thm_1_3(values, geo, tol_eq)),
+)}
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ paths given by --out/--csv, and error diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -21,19 +22,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .bounds import (
+    BOUNDS,
     U1Data,
     diagnose_equality,
+    snap_kernel,
     summarize_bundle,
     summarize_model,
     u1_from_result,
-    verify_cor_1_1,
-    verify_cor_3_1,
-    verify_intro_bounds,
-    verify_thm_1_1,
-    verify_thm_1_2,
-    verify_thm_1_3,
 )
-from .bounds import snap_kernel
 from .catalog import (
     expand_lines,
     first_eigenfunction_info,
@@ -59,6 +55,7 @@ from .replay import (
     REPLAY_TOL_NUMERICAL,
     replay_proof,
     replay_proof_analytic,
+    replay_theorem,
 )
 from .report import (
     bound_block,
@@ -73,13 +70,6 @@ from .report import (
 from .specfile import ManifoldSpec, load_manifold_spec
 
 EXIT_OK, EXIT_VIOLATION, EXIT_INVALID, EXIT_SOLVER = 0, 1, 2, 3
-
-BOUND_IDS = ("thm_1_1", "cor_1_1", "thm_1_2", "cor_3_1", "thm_1_3",
-             "chenli_l1", "chenli_l2")
-
-#: intrinsic dimension a sweep uses when the bound does not pin one itself
-SWEEP_DIMS = {"thm_1_1": 4, "cor_1_1": 4, "chenli_l1": 4,
-              "thm_1_2": 5, "cor_3_1": 5, "thm_1_3": 5, "chenli_l2": 7}
 
 
 def _say(args, text: str):
@@ -138,57 +128,28 @@ def _analytic_u1(model) -> U1Data:
 
 def _run_bounds(requested: str, values, geo, u1, tol_eq):
     """Evaluate one bound or every applicable one; returns (reports, refusals)."""
-    n = geo.n
-    reports, refusals = [], []
-
-    def intro(which):
-        return [r for r in verify_intro_bounds(values, geo, tol_eq)
-                if r.bound_id == which]
-
     if requested != "all":
-        if requested == "thm_1_1":
-            reports.append(verify_thm_1_1(values, geo, tol_eq))
-        elif requested == "cor_1_1":
-            reports.append(verify_cor_1_1(values, geo, tol_eq))
-        elif requested == "thm_1_2":
-            reports.append(verify_thm_1_2(values, geo, u1, tol_eq))
-        elif requested == "cor_3_1":
-            reports.append(verify_cor_3_1(values, geo, u1, tol_eq))
-        elif requested == "thm_1_3":
-            reports.append(verify_thm_1_3(values, geo, tol_eq))
-        elif requested in ("chenli_l1", "chenli_l2"):
-            got = intro(requested)
-            if not got:
-                raise InvalidDimensionError(
-                    f"{requested} does not apply to n = {n}")
-            reports.extend(got)
-        else:
+        if requested not in BOUNDS:
             raise GateError(f"unknown bound id {requested!r}; "
-                            f"known: {', '.join(BOUND_IDS)} or 'all'")
-        return reports, refusals
+                            f"known: {', '.join(BOUNDS)} or 'all'")
+        return [BOUNDS[requested].check(values, geo, u1, tol_eq)], []
 
-    if n == 4:
-        reports.append(verify_thm_1_1(values, geo, tol_eq))
-        reports.extend(intro("chenli_l1"))
-        if geo.ambient_unit_sphere:
-            reports.append(verify_cor_1_1(values, geo, tol_eq))
-    if n > 4:
-        reports.append(verify_thm_1_2(values, geo, u1, tol_eq))
-        if geo.ambient_unit_sphere:
-            reports.append(verify_cor_3_1(values, geo, u1, tol_eq))
-    if n >= 7:
-        reports.extend(intro("chenli_l2"))
-    if n != 4 and geo.ambient_unit_sphere:
+    reports, refusals, refused = [], [], None
+    for rule in BOUNDS.values():
+        if not rule.applies(geo.n, geo.ambient_unit_sphere):
+            continue
         try:
-            reports.append(verify_thm_1_3(values, geo, tol_eq))
+            reports.append(rule.check(values, geo, u1, tol_eq))
         except PositivityError as exc:
-            if reports:
-                refusals.append({"bound_id": "thm_1_3", "refused": str(exc)})
-            else:
-                raise               # the only applicable bound: a real gate
+            if not rule.refusable:
+                raise
+            refusals.append({"bound_id": rule.bound_id, "refused": str(exc)})
+            refused = exc
     if not reports:
+        if refused is not None:
+            raise refused           # the only applicable bound: a real gate
         raise InvalidDimensionError(
-            f"no bound applies to n = {n} with this ambient")
+            f"no bound applies to n = {geo.n} with this ambient")
     return reports, refusals
 
 
@@ -242,15 +203,16 @@ def cmd_spectrum(args) -> int:
 
 def _verify_inputs(spec: ManifoldSpec, count: int, seed: int):
     """(values, geo, u1, bundle, result, spectrum_block) for either route."""
+    want_u1 = any(rule.needs_u1 and rule.applies(spec.dim) for rule in BOUNDS.values())
     if spec.analytic:
         model = spec.to_model()
         values, block = _analytic_spectrum_block(model, count)
         geo = summarize_model(model)
-        u1 = _analytic_u1(model) if spec.dim > 4 else None
+        u1 = _analytic_u1(model) if want_u1 else None
         return values, geo, u1, None, None, block
     bundle, result = _numerical_solution(spec, count, seed)
     geo = summarize_bundle(bundle)
-    u1 = u1_from_result(bundle, result) if spec.dim > 4 else None
+    u1 = u1_from_result(bundle, result) if want_u1 else None
     return result.eigenvalues, geo, u1, bundle, result, spectrum_block(result)
 
 
@@ -309,17 +271,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _default_theorem(n: int) -> str:
-    if n == 4:
-        return "thm_1_1"
-    if n > 4:
-        return "thm_1_2"
-    raise InvalidDimensionError(f"no replayable chain for n = {n}")
-
-
 def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
                 bundle=None, result=None):
-    theorem = _default_theorem(spec.dim)
+    theorem = replay_theorem(spec.dim)
     if spec.kind == "sphere":
         return replay_proof_analytic(theorem, spec.to_model(),
                                      tol=tol if tol is not None else REPLAY_TOL_ANALYTIC)
@@ -386,13 +340,13 @@ def _eigen_row(values, n: int) -> list[float]:
 
 
 def _sweep_sphere_radius(param: float, bound: str, tol):
-    n = SWEEP_DIMS[bound]
+    rule = BOUNDS[bound]
+    n = rule.lowest_dim
     model = round_sphere(n, float(param))
     values, _ = _analytic_spectrum_block(model, n + 3)
     geo = summarize_model(model)
-    u1 = _analytic_u1(model) if n > 4 else None
-    rep, _ = _run_bounds(bound, values, geo, u1, tol)
-    return rep[0], values, n
+    u1 = _analytic_u1(model) if rule.needs_u1 else None
+    return rule.check(values, geo, u1, tol), values, n
 
 
 def _sweep_clifford_ratio(param: float, bound: str, tol):
@@ -403,12 +357,12 @@ def _sweep_clifford_ratio(param: float, bound: str, tol):
     model = sphere_product(((2, r1), (2, r2)), ambient="unit_sphere")
     values, _ = _analytic_spectrum_block(model, 8)
     geo = summarize_model(model)
-    rep, _ = _run_bounds(bound, values, geo, None, tol)
-    return rep[0], values, 4
+    return BOUNDS[bound].check(values, geo, None, tol), values, 4
 
 
 def _sweep_fourier_perturbation(param: float, bound: str, tol, seed: int):
-    n = SWEEP_DIMS[bound]
+    rule = BOUNDS[bound]
+    n = rule.lowest_dim
     base = clifford_torus((1.0,) * n)
     mode = FourierTerm(k=(1, 1) + (0,) * (n - 2),
                        cos=(float(param),) + (0.0,) * (2 * n - 1),
@@ -419,17 +373,25 @@ def _sweep_fourier_perturbation(param: float, bound: str, tol, seed: int):
     result = solve_spectrum(imm, grid, paneitz_coefficients(n), n + 3,
                             bundle=bundle, solver="lanczos", seed=seed)
     geo = summarize_bundle(bundle)
-    u1 = u1_from_result(bundle, result) if n > 4 else None
-    rep, _ = _run_bounds(bound, result.eigenvalues, geo, u1, tol)
-    return rep[0], result.eigenvalues, n
+    u1 = u1_from_result(bundle, result) if rule.needs_u1 else None
+    return rule.check(result.eigenvalues, geo, u1, tol), result.eigenvalues, n
 
 
-_SWEEP_BOUNDS = {
-    "sphere_radius": ("thm_1_1", "chenli_l1", "thm_1_2", "chenli_l2"),
-    "clifford_ratio": ("thm_1_1", "cor_1_1", "chenli_l1"),
+#: sweep family -> (its dimension, None for any; whether it lies in the unit
+#: sphere).  A family sweeps the bounds that apply there, each at the lowest
+#: dimension the bound covers.
+_FAMILIES = {
+    "sphere_radius": (None, False),
+    "clifford_ratio": (4, True),
     # n = 4 only: curved 8^5 grids push each sample past desk scale
-    "fourier_perturbation": ("thm_1_1", "chenli_l1"),
+    "fourier_perturbation": (4, False),
 }
+
+
+def _family_bounds(family: str) -> list[str]:
+    dim, unit_sphere = _FAMILIES[family]
+    return [rule.bound_id for rule in BOUNDS.values()
+            if rule.applies(dim or rule.lowest_dim, unit_sphere)]
 
 
 def cmd_sweep(args) -> int:
@@ -438,12 +400,13 @@ def cmd_sweep(args) -> int:
     bound = args.bound
     if bound in (None, "all"):
         raise GateError("sweep needs a single --bound id")
-    if family not in _SWEEP_BOUNDS:
+    if family not in _FAMILIES:
         raise GateError(f"unknown family {family!r}; "
-                        f"known: {', '.join(_SWEEP_BOUNDS)}")
-    if bound not in _SWEEP_BOUNDS[family]:
+                        f"known: {', '.join(_FAMILIES)}")
+    supported = _family_bounds(family)
+    if bound not in supported:
         raise GateError(f"family {family} supports bounds "
-                        f"{', '.join(_SWEEP_BOUNDS[family])}, not {bound}")
+                        f"{', '.join(supported)}, not {bound}")
     if not args.csv:
         raise GateError("sweep needs --csv PATH for its output table")
     params = _parse_range(args.range)
@@ -483,7 +446,9 @@ def cmd_sweep(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="paneitz-lab",
         description="fourth-order spectra of immersed manifolds and sharp "
@@ -510,15 +475,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="evaluate eigenvalue bounds against the spectrum")
     common(p)
     p.add_argument("--bound", default="all",
-                   help=f"one of {', '.join(BOUND_IDS)}, or 'all'")
+                   help=f"one of {', '.join(BOUNDS)}, or 'all'")
     p.add_argument("--replay", action="store_true",
                    help="also replay the proof chain step by step")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="evaluate one bound across a parameter family")
     common(p, spec_required=False)
-    p.add_argument("--family", required=True,
-                   help="sphere_radius | clifford_ratio | fourier_perturbation")
+    p.add_argument("--family", required=True, help=" | ".join(_FAMILIES))
     p.add_argument("--range", required=True, help="start:stop[:samples]")
     p.add_argument("--bound", required=True, help="bound id to sweep")
     p.add_argument("--csv", required=True, help="output table path")

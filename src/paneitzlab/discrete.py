@@ -67,6 +67,7 @@ class CurvatureBundle:
     immersion: FourierImmersion
     grid: TorusGrid
     fine: TorusGrid
+    y: np.ndarray                # coarse immersion values (*shape, N)
     metric: MetricData
     curv: CurvaturePoint
     weights: np.ndarray          # sqrt(g) dx per coarse point
@@ -154,6 +155,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
         immersion=imm,
         grid=grid,
         fine=fine,
+        y=jet_c.y,
         metric=metric,
         curv=curv,
         weights=weights,

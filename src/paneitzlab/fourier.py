@@ -198,12 +198,16 @@ class FourierImmersion:
 
     def sphere_deviation(self, grid: TorusGrid) -> float:
         """max | |y|^2 - 1 | over the grid; ~0 means the image lies on S^{N-1}(1)."""
-        y = self.jet(grid.points()).y
-        return float(np.max(np.abs(np.sum(y * y, axis=-1) - 1.0)))
+        return unit_sphere_deviation(self.jet(grid.points()).y)
 
     def perturbed(self, terms) -> "FourierImmersion":
         """A new immersion with extra modes added on top of this one."""
         return FourierImmersion(self.n, self.terms + tuple(terms))
+
+
+def unit_sphere_deviation(y: np.ndarray) -> float:
+    """max | |y|^2 - 1 | over sampled ambient points y (..., N)."""
+    return float(np.max(np.abs(np.sum(y * y, axis=-1) - 1.0)))
 
 
 def clifford_torus(radii) -> FourierImmersion:

@@ -112,11 +112,14 @@ def curvature_point(jet: ImmersionJet, metric: MetricData) -> CurvaturePoint:
     h = jet.d2y - np.einsum("...ak,...kij->...aij", jet.dy, gamma)
     mean = np.einsum("...ij,...aij->...a", metric.g_inv, h) / n
     mean_sq = np.einsum("...a,...a->...", mean, mean)
-    s_norm = np.einsum("...ik,...jl,...aij,...akl->...", metric.g_inv, metric.g_inv, h, h)
+    # optimize=True: unoptimized four-operand einsums dominate large grids
+    s_norm = np.einsum("...ik,...jl,...aij,...akl->...", metric.g_inv, metric.g_inv, h, h,
+                       optimize=True)
     ric = n * np.einsum("...a,...aij->...ij", mean, h) - np.einsum(
         "...kl,...akj,...ail->...ij", metric.g_inv, h, h
     )
-    ric_norm_sq = np.einsum("...ik,...jl,...ij,...kl->...", metric.g_inv, metric.g_inv, ric, ric)
+    ric_norm_sq = np.einsum("...ik,...jl,...ij,...kl->...", metric.g_inv, metric.g_inv, ric, ric,
+                            optimize=True)
     scalar = np.einsum("...ij,...ij->...", metric.g_inv, ric)
     return CurvaturePoint(
         gamma=gamma,

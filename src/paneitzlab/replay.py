@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import optimal_delta, snap_kernel
+from .bounds import BOUNDS, optimal_delta, snap_kernel
 from .catalog import ModelManifold, model_constants, paneitz_form
 from .coefficients import paneitz_coefficients
 from .discrete import CurvatureBundle, apply_laplacian, apply_paneitz
@@ -38,9 +38,6 @@ from .fourier import spectral_derivative
 REPLAY_TOL_ANALYTIC = 1e-9
 #: slack floor for discretized chains (quadrature + solver residuals)
 REPLAY_TOL_NUMERICAL = 1e-6
-
-_THEOREMS = ("thm_1_1", "thm_1_2")
-
 
 @dataclass(frozen=True)
 class ProofStep:
@@ -95,12 +92,20 @@ def _ident(steps, name, lhs, rhs, note=""):
 
 
 def _check_theorem(theorem_id: str, n: int):
-    if theorem_id not in _THEOREMS:
-        raise ValueError(f"replayable theorems are {_THEOREMS}, got {theorem_id!r}")
-    if theorem_id == "thm_1_1" and n != 4:
-        raise InvalidDimensionError(f"thm_1_1 is a 4-manifold statement, got n = {n}")
-    if theorem_id == "thm_1_2" and n <= 4:
-        raise InvalidDimensionError(f"thm_1_2 needs n > 4, got n = {n}")
+    rule = BOUNDS.get(theorem_id)
+    if rule is None or not rule.replayable:
+        known = tuple(r.bound_id for r in BOUNDS.values() if r.replayable)
+        raise ValueError(f"replayable theorems are {known}, got {theorem_id!r}")
+    if not rule.applies(n):
+        raise InvalidDimensionError(f"{theorem_id} is stated for {rule.dims}, got n = {n}")
+
+
+def replay_theorem(n: int) -> str:
+    """The bound whose proof chain replays on an n-manifold."""
+    for rule in BOUNDS.values():
+        if rule.replayable and rule.applies(n):
+            return rule.bound_id
+    raise InvalidDimensionError(f"no replayable chain for n = {n}")
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +278,7 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     grad_w_energy = -float(integ(w * lw))
 
     # ---- rotated coordinates
-    y = bundle.immersion.jet(grid.points()).y          # (*shape, N)
+    y = bundle.y                                       # (*shape, N)
     big_n = y.shape[-1]
     b_avail = min(k - 1, big_n)
     partners = result.eigenfunctions[1:1 + b_avail]    # u after the weight

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import yaml
 
+from .bounds import SPHERE_DEVIATION_TOL
 from .catalog import ModelManifold, flat_torus, round_sphere, sphere_product
 from .errors import SpecFileError
 from .fourier import FourierImmersion, FourierTerm, TorusGrid, clifford_torus
@@ -284,19 +285,24 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
     spec = ManifoldSpec(kind=kind, dim=dim, ambient=ambient, r=r, radii=radii,
                         factors=factors, fourier=tuple(fourier), grid=grid,
                         solver=solver, k=count, seed=seed, source=source, text=text)
-    _cross_validate(spec, root)
+    _cross_validate(spec, root, top.get("ambient"))
     return spec
 
 
-def _cross_validate(spec: ManifoldSpec, root) -> None:
-    """Geometry-level checks routed through the catalog constructors."""
+def _cross_validate(spec: ManifoldSpec, root, ambient_node) -> None:
+    """Geometry-level checks routed through the catalog constructors; an
+    immersion declared in the unit sphere must lie on it at every grid point."""
     try:
-        if spec.analytic:
-            spec.to_model()
-        else:
-            spec.to_immersion()
+        geometry = spec.to_model() if spec.analytic else spec.to_immersion()
     except ValueError as exc:
         raise _err(root, str(exc)) from None
+    if spec.ambient == "unit_sphere" and not spec.analytic:
+        dev = geometry.sphere_deviation(spec.to_grid())
+        if dev > SPHERE_DEVIATION_TOL:
+            raise _err(ambient_node,
+                       f"ambient unit_sphere declared, but the immersion leaves the unit "
+                       f"sphere: max | |y|^2 - 1 | = {dev:.3g} on the grid "
+                       f"(tolerance {SPHERE_DEVIATION_TOL:g})")
 
 
 def load_manifold_spec(path) -> ManifoldSpec:

@@ -206,6 +206,14 @@ def test_verify_with_numerical_replay(spec_file, capsys):
     assert "replay thm_1_1 [numerical]:" in out and "(ok)" in out
 
 
+def test_verify_off_sphere_immersion_declared_in_sphere_is_exit_2(spec_file, capsys):
+    off_sphere = BUMP_DENSE.replace("dim: 3\n", "dim: 3\nambient: unit_sphere\n")
+    assert main(["verify", "--spec", spec_file(off_sphere)]) == 2
+    err = capsys.readouterr().err
+    assert "paneitz-lab: spec error: ambient unit_sphere declared" in err
+    assert "(line 3, column 10)" in err
+
+
 def test_verify_replay_needs_grid(spec_file, capsys):
     no_grid = "kind: flat_torus\ndim: 4\nparams:\n  radii: [1.0, 1.0, 1.0, 1.0]\n"
     assert main(["verify", "--spec", spec_file(no_grid), "--replay"]) == 2

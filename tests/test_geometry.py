@@ -160,3 +160,17 @@ def test_asymmetric_second_derivatives_rejected():
     d2y[0, 0, 0, 1] = 1.0  # no matching [0,0,1,0] entry
     with pytest.raises(ValueError):
         ImmersionJet(y=y, dy=dy, d2y=d2y)
+
+
+def test_optimized_contractions_match_the_plain_einsum():
+    # curvature_point contracts s_norm and |Ric|^2 along an optimized path;
+    # the one-loop einsum is the reference, equal up to summation order
+    base = clifford_torus((1.0, 1.0, 1.0, 1.0))
+    bump = FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)
+    jet = base.perturbed([bump]).jet(RNG.uniform(0, 2 * np.pi, (6, 5, 4)))
+    metric, curv = fields(jet)
+    g_inv = metric.g_inv
+    s_norm = np.einsum("...ik,...jl,...aij,...akl->...", g_inv, g_inv, curv.h, curv.h)
+    ric_sq = np.einsum("...ik,...jl,...ij,...kl->...", g_inv, g_inv, curv.ric, curv.ric)
+    assert np.allclose(curv.s_norm, s_norm, rtol=1e-13, atol=0)
+    assert np.allclose(curv.ric_norm_sq, ric_sq, rtol=1e-13, atol=0)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from paneitzlab import (
+    FourierImmersion,
     GateError,
     InvalidDimensionError,
     TorusGrid,
@@ -15,6 +16,7 @@ from paneitzlab import (
     replay_proof_analytic,
     round_sphere,
     sphere_product,
+    summarize_bundle,
 )
 from paneitzlab.discrete import build_bundle
 from paneitzlab.eigensolve import spectrum
@@ -151,3 +153,21 @@ def test_replay_needs_resolved_kernel(torus_run):
     shifted = replace(result, eigenvalues=result.eigenvalues + 1.0)
     with pytest.raises(GateError, match="kernel"):
         replay_proof("thm_1_1", shifted, bundle)
+
+
+def test_grid_replay_reuses_the_bundle_jet(torus_run, monkeypatch):
+    # build_bundle evaluates the coarse jet; the ambient test and the
+    # replayed coordinates read it back from the bundle
+    bundle, solve = torus_run
+    result = solve(9)
+    calls = []
+    jet = FourierImmersion.jet
+
+    def counted(self, points):
+        calls.append(points.shape)
+        return jet(self, points)
+
+    monkeypatch.setattr(FourierImmersion, "jet", counted)
+    assert summarize_bundle(bundle).ambient_unit_sphere is False
+    assert replay_proof("thm_1_1", result, bundle).ok
+    assert calls == []

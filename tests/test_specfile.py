@@ -221,3 +221,23 @@ def test_grid_only_through_spec():
         spec.to_grid()
     with pytest.raises(ValueError, match="not realized"):
         spec.to_immersion()
+
+
+def test_declared_unit_sphere_ambient_must_hold_on_the_grid():
+    text = (
+        "kind: fourier_immersion\n"
+        "dim: 3\n"
+        "ambient: unit_sphere\n"
+        "params:\n"
+        "  radii: [1.0, 1.0, 1.0]\n"
+        "fourier:\n"
+        "  - {k: [1, 1, 0], amp: [0, 0, 0, 0, 0, 0]}\n"
+        "grid: 8\n"
+    )
+    err = parse_error(text)   # |y|^2 = 3 everywhere
+    assert "leaves the unit sphere" in str(err) and "= 2 on the grid" in str(err)
+    assert (err.line, err.column) == (3, 10)
+    r = repr(3 ** -0.5)
+    spec = parse_manifold_spec(text.replace("[1.0, 1.0, 1.0]", f"[{r}, {r}, {r}]"))
+    assert spec.ambient == "unit_sphere"
+    assert parse_manifold_spec(text.replace("unit_sphere", "euclidean")).ambient == "euclidean"
