@@ -29,12 +29,12 @@ def main() -> None:
     exact = expand_lines(paneitz_spectrum(flat_torus(radii), args.count + 4).lines,
                          args.count)
 
-    print(f"flat T^3, radii {radii}, grid {args.grid}^3, lanczos")
+    print(f"flat T^3, radii {radii}, grid {args.grid}^3, LOBPCG")
     print(f"{'computed':>18}  {'lattice mu^2':>18}  {'error':>10}")
     for lam, mu2 in zip(result.eigenvalues, exact):
         print(f"{lam:18.12f}  {mu2:18.12f}  {abs(lam - mu2):10.2e}")
     print(f"\nmax error {np.abs(result.eigenvalues - exact).max():.2e} "
-          f"after {result.iterations} matvecs")
+          f"after {result.iterations} iterations")
 
 
 if __name__ == "__main__":

@@ -226,14 +226,19 @@ def _merge_lines(entries) -> list[SpectralLine]:
     return lines
 
 
-def _enumerate_products(factor_lines) -> list[tuple[float, int, tuple[int, ...]]]:
-    """All combinations of one line per factor (cartesian product of the given lists)."""
+def _enumerate_products(factor_lines, cap: float) -> list[tuple[float, int, tuple[int, ...]]]:
+    """Combinations of one line per factor whose summed mu stays <= cap.
+
+    Partial sums above the cap are dropped at each factor; Laplace lines are
+    >= 0, so no dropped prefix could come back under it.
+    """
     combos = [(0.0, 1, ())]
     for lines in factor_lines:
         combos = [
             (mu0 + mu, mult0 * mult, label0 + (k,))
             for mu0, mult0, label0 in combos
             for mu, mult, k in lines
+            if mu0 + mu <= cap
         ]
     return combos
 
@@ -248,8 +253,7 @@ def laplace_spectrum(m: ModelManifold, count: int) -> list[SpectralLine]:
         raise ValueError("count must be >= 1")
     cap = max(1.0, max(f.p / f.r**2 for f in m.factors))
     while True:
-        combos = [c for c in _enumerate_products([f.laplace_lines(cap) for f in m.factors])
-                  if c[0] <= cap]
+        combos = _enumerate_products([f.laplace_lines(cap) for f in m.factors], cap)
         lines = _merge_lines(combos)
         if len(lines) >= count and lines[count - 1].value < cap * (1 - 1e-12):
             return lines[:count]
@@ -297,8 +301,7 @@ def paneitz_spectrum(m: ModelManifold, count: int) -> ClosedFormPaneitz:
     neg = max(0.0, -min(form.kappas))
     cap = max(1.0, max(f.p / f.r**2 for f in m.factors), 2.0 * neg)
     while True:
-        combos = [c for c in _enumerate_products([f.laplace_lines(cap) for f in m.factors])
-                  if c[0] <= cap]
+        combos = _enumerate_products([f.laplace_lines(cap) for f in m.factors], cap)
         entries = [(form.value(_factor_mus(m, label)), mult, label)
                    for _mu, mult, label in combos]
         lines = _merge_lines(entries)

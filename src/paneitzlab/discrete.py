@@ -15,23 +15,20 @@ of assembled matrices is therefore pure roundoff.
 
 Even grids carry sawtooth (Nyquist) modes that the band-limited derivative
 cannot see; P annihilates them, so they sit in the kernel of every
-differential term.  Two consequences drive the solver layout:
+differential term.  Both solvers therefore work on the same penalized
+operator, adding the symmetric positive penalty
 
-* dense assembly adds the symmetric positive penalty
-      Pen f = sigma (1/sqrt(g)) (f - Proj f)
-  (Proj = band projection) so the sawtooth junk lands near sigma instead of
-  flooding the bottom of the spectrum;
-* the Lanczos path starts band-projected and needs no penalty: truncate
-  always lands in the band, so on constant-coefficient bundles the band is
-  exactly invariant, and on resolved curved bundles the leakage through
-  1/sqrt(g) is at the metric's spectral tail, entering Ritz values only
-  quadratically.
+    Pen f = sigma (1/sqrt(g)) (f - Proj f)
+
+(Proj = band projection), so the sawtooth junk lands near sigma instead of
+flooding the bottom of the spectrum.  `default_penalty` picks sigma.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +83,12 @@ class CurvatureBundle:
         return self.grid.n
 
 
+def _metric_symbol(grid: TorusGrid, g_inv: np.ndarray) -> np.ndarray:
+    """-Lap symbol g^{ij} k_i k_j of one constant metric, per coarse mode."""
+    kvecs = np.meshgrid(*grid.freqs, indexing="ij")
+    return sum(g_inv[i, j] * kvecs[i] * kvecs[j] for i in range(grid.n) for j in range(grid.n))
+
+
 def _laplace_raw(f, grid, fine, inv_sqrt_det, flux):
     """(1/sqrt(g)) T[d_i(flux^{ij} d_j P f)]; flux carries the sqrt(g)."""
     pf = pad(f, grid, fine)
@@ -120,13 +123,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
         and float(np.max(np.abs(curv.ric))) <= _CONST_TOL * g_scale
         and float(np.max(np.abs(curv.scalar))) <= _CONST_TOL
     )
-    symbol = None
-    if flat:
-        g_inv0 = metric.g_inv.reshape(-1, n, n)[0]
-        kvecs = np.meshgrid(*grid.freqs, indexing="ij")
-        symbol = sum(
-            g_inv0[i, j] * kvecs[i] * kvecs[j] for i in range(n) for j in range(n)
-        )
+    symbol = _metric_symbol(grid, metric.g_inv.reshape(-1, n, n)[0]) if flat else None
 
     laplace_flux = None
     coeffs = coeff_flux = q_field = laplace_r = None
@@ -208,9 +205,12 @@ def _apply_symbol(bundle: CurvatureBundle, f: np.ndarray, symbol: np.ndarray) ->
     Exactly reproduces the padded general path on constant-coefficient
     bundles, including its annihilation of sawtooth modes.
     """
-    grid = bundle.grid
+    return _fourier_multiply(bundle.grid, f, symbol * bundle.grid.full_band_mask())
+
+
+def _fourier_multiply(grid: TorusGrid, f: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     uc = np.fft.fftn(f, axes=range(-grid.n, 0))
-    uc *= symbol * grid.full_band_mask()
+    uc *= multiplier
     return np.fft.ifftn(uc, axes=range(-grid.n, 0)).real
 
 
@@ -258,6 +258,22 @@ class PaneitzOperator:
     def inner(self, f: np.ndarray, h: np.ndarray) -> float:
         return inner(self.bundle, f, h)
 
+    @cached_property
+    def _inverse_symbol(self) -> np.ndarray:
+        bundle = self.bundle
+        mean_g_inv = bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n).mean(axis=0)
+        mu = _metric_symbol(bundle.grid, mean_g_inv)
+        band = mu + 1.0 if self.coeffs is None else mu**2 + 1.0
+        return np.where(bundle.grid.full_band_mask(), 1.0 / band, 1.0 / (self.penalty + 1.0))
+
+    def precondition(self, f: np.ndarray) -> np.ndarray:
+        """Approximate inverse of `apply` by FFT (the iterative solver's preconditioner).
+
+        Divides each mode by the symbol of the grid-mean metric: mu^2 + 1
+        (mu + 1 for -Lap) on band modes, penalty + 1 off the band.
+        """
+        return _fourier_multiply(self.bundle.grid, f, self._inverse_symbol)
+
     def estimate_top(self, iters: int = 25, seed: int = 0x5EED) -> float:
         """Crude largest-eigenvalue estimate by power iteration (weighted norm)."""
         rng = np.random.default_rng(seed)
@@ -270,6 +286,12 @@ class PaneitzOperator:
             est = max(est, abs(self.inner(v, w)))
             v = w
         return est
+
+
+def default_penalty(bundle: CurvatureBundle, coeffs: DimensionCoefficients | None) -> float:
+    """sigma = 10 (1 + top estimate): even-grid sawtooth modes land far above
+    any eigenvalue of interest."""
+    return 10.0 * (1.0 + PaneitzOperator(bundle, coeffs).estimate_top())
 
 
 # --------------------------------------------------------------------------
@@ -292,15 +314,13 @@ def assemble_dense(bundle: CurvatureBundle, coeffs: DimensionCoefficients | None
     """Column-by-column assembly through the matrix-free apply (batched).
 
     coeffs=None assembles -Lap (the only operator available below n = 3).
-    penalty=None picks sigma = 10 (1 + top estimate) so even-grid sawtooth
-    modes land far above any eigenvalue of interest.
+    penalty=None picks `default_penalty`.
     """
     size = bundle.grid.size
     if size > DENSE_CAP:
         raise ValueError(f"grid has {size} points, dense cap is {DENSE_CAP}; use the Lanczos path")
-    op = PaneitzOperator(bundle, coeffs, 0.0)
     if penalty is None:
-        penalty = 10.0 * (1.0 + op.estimate_top())
+        penalty = default_penalty(bundle, coeffs)
     op = PaneitzOperator(bundle, coeffs, penalty)
 
     shape = bundle.grid.shape

@@ -1,22 +1,17 @@
 """Symmetric eigensolvers for the discrete operators.
 
-Two routes to the same answer:
+Two routes to the same answer, both on the same penalized operator
+(`discrete.default_penalty`), so their spectra agree to solver tolerance on
+any metric, flat or not:
 
 * dense: assemble K in the weighted product, solve the generalized problem
   through the diagonal mass matrix (K~ = D^{-1/2} K D^{-1/2}, then eigh);
-  bit-for-bit reproducible.
-* Lanczos: full reorthogonalization against the stored basis, run on the
-  shifted operator sigma I - A so the smallest targets become the extremal
-  Ritz values.  A single Krylov sequence carries one copy per distinct
-  eigenvalue, so exactly degenerate clusters (flat tori) would pass the
-  residual test with their multiplicities silently dropped; the solve
-  therefore proceeds in deflation rounds, each orthogonal to every pair
-  already accepted, until a round certifies that nothing below the current
-  k-th value remains.
-
-Both routes discretize the same penalized operator (the sawtooth penalty of
-the dense assembly is applied matrix-free on the Lanczos path), so their
-spectra agree to solver tolerance on any metric, flat or not.
+  bit-for-bit reproducible.  Kept as the oracle on small grids.
+* iterative: preconditioned block LOBPCG (Knyazev 2001) on K x = lambda W x,
+  matrix-free, with the mean-metric symbol inverted by FFT as preconditioner.
+  Its iteration count does not grow with the grid.  Spec files, reports and
+  the API still call this route `lanczos`, after the Krylov solver it
+  replaced.
 
 Eigenvalue multiplicity is reported by clustering with relative gap 1e-6;
 ties inside a cluster keep solver order.
@@ -26,19 +21,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
 
 from .coefficients import DimensionCoefficients
 from .discrete import (
     CurvatureBundle,
-    DENSE_CAP,
     DenseAssembly,
     PaneitzOperator,
     assemble_dense,
     build_bundle,
+    default_penalty,
     integrate,
 )
 from .errors import SolverFailureError
@@ -46,6 +41,12 @@ from .fourier import FourierImmersion, TorusGrid
 
 DEFAULT_SEED = 0x5EED
 CLUSTER_RTOL = 1e-6
+#: the auto route solves grids up to this many points densely.  Measured
+#: with k = 7 on one core: the routes tie at 256 points (16^2 donut); LOBPCG
+#: is 1.7x faster at 512 (perturbed 8^3), 13x at 1728 (12^3) and 47x at 4096
+#: (8^4).  8^3 stays dense so that the smallest 3-d grid keeps the
+#: reproducible oracle route.
+AUTO_DENSE_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class SpectrumResult:
     clusters: tuple[tuple[float, int], ...]
     method: str
     defect: float | None = None         # dense-path asymmetry defect
-    iterations: int | None = None       # Lanczos steps used
+    iterations: int | None = None       # LOBPCG iterations used
     penalty: float | None = None
 
 
@@ -106,263 +107,112 @@ def dense_spectrum(assembly: DenseAssembly, k: int) -> SpectrumResult:
 
 
 # --------------------------------------------------------------------------
-# Lanczos route
+# iterative route
 # --------------------------------------------------------------------------
 
-def _tridiag_eigh(alphas, betas):
-    """Full eigendecomposition of a symmetric tridiagonal matrix.
+#: LOBPCG iterations per restart
+_CHUNK = 20
+#: block vectors beyond the k wanted
+_EXTRA = 4
+_DEFAULT_MAX_ITER = 500
 
-    The default stemr driver can fail (LAPACK info > 0) on the tightly
-    clustered values the shifted flat-torus operators produce; fall back to
-    bisection, then to a dense solve, before giving up.
+
+def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
+                     seed: int = DEFAULT_SEED, max_iter: int | None = None) -> SpectrumResult:
+    """k smallest eigenpairs of `op` by preconditioned block LOBPCG.
+
+    The name is kept from the Lanczos solver this replaced.  Solves
+    K x = lambda W x with K = W op.apply and W = diag(weights), from a block
+    of k + 4 random vectors (fixed seed) with `op.precondition` as the
+    preconditioner.  scipy's lobpcg stops only once the whole block has
+    converged, so it runs in restarts of _CHUNK iterations and the stop is
+    this function's own test: every wanted pair passes the true-residual
+    check ||op u - lambda u||_w <= 10 tol_eig max(1, |lambda|), lambda the
+    Rayleigh quotient.  lobpcg hands back the iterate with the smallest mean
+    residual over the block, which can be the one it started from while the
+    spare vectors settle; a restart that leaves the worst wanted residual no
+    lower therefore doubles the next one.  Completeness: the block's top
+    Ritz value must sit past the k-th value's cluster (relative gap
+    CLUSTER_RTOL), or the block grows.  max_iter (default 500) bounds the
+    LOBPCG iterations; a breakdown or a spent budget raises
+    SolverFailureError.
     """
-    d, e = np.array(alphas), np.array(betas)
-    try:
-        return eigh_tridiagonal(d, e)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return eigh_tridiagonal(d, e, lapack_driver="stebz")
-    except np.linalg.LinAlgError:
-        return eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    from scipy.sparse.linalg import lobpcg
 
-
-def lanczos_smallest(apply_op, inner, k: int, tol_eig: float = 1e-8, *,
-                     shape, weights=None, seed: int = DEFAULT_SEED,
-                     max_iter: int | None = None, shift: float | None = None,
-                     project=None, check_every: int = 10) -> SpectrumResult:
-    """k smallest eigenpairs of a self-adjoint operator, matrix-free.
-
-    apply_op/inner operate on arrays of the given shape; `weights` (flattened
-    quadrature weights) enables BLAS-level reorthogonalization and must be
-    consistent with `inner`.  `project` (e.g. the band projection) filters
-    every start vector.  Deterministic for a fixed seed.
-
-    Runs in deflation rounds.  Each round builds a Krylov sequence for
-    sigma I - A orthogonal to every accepted pair, then harvests the
-    ascending run of Ritz pairs whose residual bound beta |y_m| passes.
-    Rounds repeat until one certifies completeness: its smallest harvested
-    value sits at or above the k-th accepted value, so the complement holds
-    nothing smaller.  That is what recovers exact multiplicities (a single
-    sequence converges one copy per distinct eigenvalue and its residual
-    test cannot see the missing copies).  max_iter bounds each round's
-    iterations (default max(60 k, 1500), capped by the space dimension); the
-    kept pairs get true residuals at the end.
-
-    `project` is applied to every iterate, not just the starts, because FFT
-    roundoff reseeds ~1e-16 of the complement each step and an invariant
-    subspace only stays invariant if it is re-imposed.  The solve then
-    targets Proj A Proj — only valid when A genuinely preserves the subspace
-    (the final residuals are measured against the raw A).  Operators that
-    merely *damp* the complement should carry a penalty term instead.
-    """
+    shape, size = op.shape, op.size
     if k < 1:
         raise ValueError("k must be >= 1")
-    size = int(np.prod(shape))
     if k > size:
         raise ValueError(f"k = {k} exceeds the {size}-dimensional space")
-    # the sawtooth penalty widens the spectral range ~10x, so variable-
-    # coefficient problems legitimately need O(1000) steps per round
-    budget = min(max_iter if max_iter is not None else max(60 * k, 1500), size)
+    budget = max_iter if max_iter is not None else _DEFAULT_MAX_ITER
+    w = op.bundle.weights.reshape(-1, 1)
+
+    def columns(fn, x):
+        """Apply a batched grid-field map to the columns of a (size, b) block."""
+        b = x.shape[1]
+        return fn(x.T.reshape((b,) + shape)).reshape(b, size).T
+
+    def stiffness(x):
+        return w * columns(op.apply, x)
+
+    def precondition(r):
+        return columns(op.precondition, r / w)
+
     rng = np.random.default_rng(seed)
-    w_flat = None if weights is None else np.asarray(weights, dtype=float).reshape(-1)
-
-    def dot(a, b):
-        if w_flat is None:
-            return inner(a.reshape(shape), b.reshape(shape))
-        return float((a.reshape(-1) * w_flat) @ b.reshape(-1))
-
-    found_rows = np.empty((max(2 * k, 8), size))
-    found_vals: list[float] = []
-
-    def orthogonalize(v, basis=None, m=0):
-        """Two classical Gram-Schmidt passes against accepted pairs and the round basis."""
-        flat = v.reshape(-1)
-        nf = len(found_vals)
-        for _ in range(2):
-            if nf:
-                if w_flat is None:
-                    for j in range(nf):
-                        flat = flat - dot(flat, found_rows[j]) * found_rows[j]
-                else:
-                    flat = flat - found_rows[:nf].T @ (found_rows[:nf] @ (w_flat * flat))
-            if m:
-                if w_flat is None:
-                    for j in range(m):
-                        flat = flat - dot(flat, basis[j]) * basis[j]
-                else:
-                    flat = flat - basis[:m].T @ (basis[:m] @ (w_flat * flat))
-        return flat.reshape(v.shape)
-
-    def fresh_direction():
-        """Random unit start in the complement of the accepted pairs; None if empty."""
-        v = rng.standard_normal(shape)
-        if project is not None:
-            v = project(v)
-        nrm0 = math.sqrt(max(dot(v, v), 1e-300))
-        v = orthogonalize(v)
-        nrm = math.sqrt(max(dot(v, v), 0.0))
-        if nrm <= 1e-8 * nrm0:
-            return None
-        return v / nrm
-
-    if shift is None:
-        probe = fresh_direction()
-        if probe is None:
-            raise SolverFailureError("start vector vanished", residuals=[])
-        est = 1.0
-        for _ in range(20):
-            ap = apply_op(probe)
-            est = max(est, abs(dot(probe, ap)))
-            nrm = math.sqrt(max(dot(ap, ap), 1e-300))
-            probe = ap / nrm
-        shift = 1.1 * est + 1.0
-
-    total_iters = 0
-
-    def run_round(want):
-        """One deflated Lanczos sweep; returns ("pairs", lam, rows), ("empty",)
-        or ("fail", estimates)."""
-        nonlocal total_iters
-        v = fresh_direction()
-        if v is None:
-            return ("empty",)
-        basis = np.empty((min(budget + 1, 128), size))
-        basis[0] = v.reshape(-1)
-        alphas: list[float] = []
-        betas: list[float] = []
-        m = 1
-        beta_prev = 0.0
-        scale = abs(shift) + 1.0
-        best_prefix = 0
-        stall = 0
-        final = None
-
-        while m <= budget:
-            if m + 1 > basis.shape[0]:
-                grow = np.empty((min(basis.shape[0] * 2, budget + 1), size))
-                grow[: basis.shape[0]] = basis
-                basis = grow
-            vm = basis[m - 1].reshape(shape)
-            w = shift * vm - apply_op(vm)
-            if m > 1:
-                w = w - beta_prev * basis[m - 2].reshape(shape)
-            alpha = dot(w, vm)
-            w = w - alpha * vm
-            w = orthogonalize(w, basis, m)
-            if project is not None:
-                w = project(w)
-            alphas.append(alpha)
-            beta = math.sqrt(max(dot(w, w), 0.0))
-            betas.append(beta)
-            scale = max(scale, abs(alpha) + beta)
-            exhausted = beta <= 1e-12 * scale
-            if not exhausted:
-                if m < budget:
-                    basis[m] = (w / beta).reshape(-1)
-                beta_prev = beta
-
-            if exhausted or m == budget or m % check_every == 0:
-                theta, y = _tridiag_eigh(alphas, betas[:-1])
-                lam = shift - theta
-                asc = np.argsort(lam)
-                lam, y = lam[asc], y[:, asc]
-                est = np.abs(betas[-1] * y[-1, :])
-                prefix = 0
-                while prefix < len(lam) and est[prefix] <= tol_eig * max(1.0, abs(lam[prefix])):
-                    prefix += 1
-                final = (lam, y, est, prefix, len(alphas))
-                if prefix >= want or exhausted:
-                    break
-                if prefix > best_prefix:
-                    best_prefix, stall = prefix, 0
-                else:
-                    stall += 1
-                    # partial clusters converge and then sit still while the
-                    # sequence grinds on higher modes; harvest and re-deflate
-                    if stall >= 3 and best_prefix >= 1:
-                        break
-            m += 1
-
-        total_iters += len(alphas)
-        lam, y, est, prefix, steps = final
-        harvest = min(prefix, k)
-        if harvest == 0:
-            return ("fail", est[: max(want, 1)])
-        rows = y[:, :harvest].T @ basis[:steps]
-        return ("pairs", lam[:harvest], rows)
-
-    complement_empty = False
-    certified = False
-    max_rounds = 2 * k + 8
-    for _ in range(max_rounds):
-        want = max(1, k - len(found_vals))
-        outcome = run_round(want)
-        if outcome[0] == "empty":
-            complement_empty = True
-            break
-        if outcome[0] == "fail":
-            est = outcome[1]
+    x = rng.standard_normal((size, min(k + _EXTRA, size)))
+    target = 10.0 * tol_eig
+    # lobpcg measures ||K x - theta W x||_2 >= sqrt(min w) ||op x - theta x||_w,
+    # so a pair it locks also passes the final check
+    lobpcg_tol = target * math.sqrt(float(w.min()))
+    iterations, chunk, best = 0, _CHUNK, math.inf
+    residuals = np.empty(0)
+    while True:
+        if iterations >= budget:
             raise SolverFailureError(
-                f"Lanczos round did not converge within {budget} iterations "
-                f"(best residual estimates {np.array2string(est, precision=2)})",
-                residuals=est.tolist(),
+                f"LOBPCG did not converge within {budget} iterations "
+                f"(residuals {np.array2string(residuals, precision=2)})",
+                residuals=residuals.tolist(),
             )
-        lam_new, rows = outcome[1], outcome[2]
-        for lam_i, row in zip(lam_new, rows):
-            u = orthogonalize(row.reshape(shape))
-            nrm = math.sqrt(max(dot(u, u), 0.0))
-            if nrm <= 1e-6:
-                continue
-            if len(found_vals) == found_rows.shape[0]:
-                grow = np.empty((found_rows.shape[0] * 2, size))
-                grow[: found_rows.shape[0]] = found_rows
-                found_rows = grow
-            found_rows[len(found_vals)] = (u / nrm).reshape(-1)
-            found_vals.append(float(lam_i))
-        if len(found_vals) >= k:
-            lam_k = sorted(found_vals)[k - 1]
-            margin = max(tol_eig, CLUSTER_RTOL) * max(1.0, abs(lam_k))
-            if float(lam_new[0]) >= lam_k - margin:
-                certified = True
+        step = min(chunk, budget - iterations)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "not reaching the tolerance"
+                theta, x = lobpcg(stiffness, x, B=lambda v: w * v, M=precondition,
+                                  tol=lobpcg_tol, maxiter=step, largest=False)
+        except ValueError as exc:  # numpy's LinAlgError included, e.g. a singular Gram block
+            raise SolverFailureError(
+                f"LOBPCG broke down after {iterations} iterations: {exc}",
+                residuals=residuals.tolist(),
+            ) from exc
+        iterations += step
+
+        u = x[:, :k]
+        au = columns(op.apply, u)
+        lam = np.sum(w * u * au, axis=0)  # Rayleigh refinement; x is W-orthonormal
+        r = au - u * lam
+        residuals = np.sqrt(np.sum(w * r * r, axis=0))
+        worst = float(np.max(residuals / (target * np.maximum(1.0, np.abs(lam)))))
+        if worst <= 1.0:
+            edge = lam.max() + CLUSTER_RTOL * max(1.0, abs(lam.max()))
+            if x.shape[1] == size or theta[-1] > edge:
                 break
+            grow = min(x.shape[1] - k, size - x.shape[1])
+            x = np.hstack([x, rng.standard_normal((size, grow))])
+            best = math.inf
+            continue
+        if worst >= best:
+            chunk *= 2
+        best = min(best, worst)
 
-    if len(found_vals) < k:
-        raise SolverFailureError(
-            f"search space exhausted with {len(found_vals)} of {k} pairs after "
-            f"{total_iters} iterations", residuals=[],
-        )
-    if not certified and not complement_empty:
-        raise SolverFailureError(
-            f"could not certify the {k} smallest within {max_rounds} deflation rounds "
-            f"({total_iters} iterations)", residuals=[],
-        )
-
-    order = np.argsort(np.array(found_vals), kind="stable")[:k]
-    lam = np.empty(k)
-    residuals = np.empty(k)
-    funcs = found_rows[order].reshape((k,) + tuple(shape))
-    for i in range(k):
-        au = apply_op(funcs[i])
-        lam[i] = dot(funcs[i], au)  # Rayleigh refinement of the Ritz value
-        r = au - lam[i] * funcs[i]
-        residuals[i] = math.sqrt(max(dot(r, r), 0.0))
-    bad = residuals > 10.0 * tol_eig * np.maximum(1.0, np.abs(lam))
-    if np.any(bad):
-        raise SolverFailureError(
-            f"{int(np.sum(bad))} of {k} pairs failed the final residual check",
-            residuals=residuals.tolist(),
-        )
     asc = np.argsort(lam, kind="stable")
-    lam, funcs, residuals = lam[asc], funcs[asc], residuals[asc]
-
     return SpectrumResult(
-        eigenvalues=lam,
-        eigenfunctions=funcs,
-        residuals=residuals,
-        clusters=cluster_eigenvalues(lam),
+        eigenvalues=lam[asc],
+        eigenfunctions=u.T[asc].reshape((k,) + tuple(shape)),
+        residuals=residuals[asc],
+        clusters=cluster_eigenvalues(lam[asc]),
         method="lanczos",
-        iterations=total_iters,
+        iterations=iterations,
+        penalty=op.penalty,
     )
 
 
@@ -376,36 +226,28 @@ def spectrum(imm: FourierImmersion, grid: TorusGrid, coeffs: DimensionCoefficien
              max_iter: int | None = None, penalty: float | None = None) -> SpectrumResult:
     """Build the bundle, pick a solver by size, and fix eigenfunction signs.
 
-    solver: None (auto: dense up to 4096 points), "dense", or "lanczos".
-    Eigenfunctions are normalized in the weighted product with sign chosen so
-    int u dv >= 0, falling back to a positive largest-magnitude sample.
+    solver: None (auto: dense up to AUTO_DENSE_MAX points), "dense", or
+    "lanczos" (the LOBPCG route).  Both routes get the same penalty,
+    `default_penalty` unless given.  Eigenfunctions are normalized in the
+    weighted product with sign chosen so int u dv >= 0, falling back to a
+    positive largest-magnitude sample.
     """
+    if solver not in (None, "dense", "lanczos"):
+        raise ValueError(f"unknown solver {solver!r}")
     if bundle is None:
         bundle = build_bundle(imm, grid)
     if any(s & (s - 1) for s in grid.shape):
         warnings.warn(f"grid sizes {grid.shape} are not powers of two; FFTs will be slower",
                       RuntimeWarning, stacklevel=2)
     if solver is None:
-        solver = "dense" if grid.size <= DENSE_CAP else "lanczos"
+        solver = "dense" if grid.size <= AUTO_DENSE_MAX else "lanczos"
+    if penalty is None:
+        penalty = default_penalty(bundle, coeffs)
     if solver == "dense":
-        assembly = assemble_dense(bundle, coeffs, penalty=penalty)
-        result = dense_spectrum(assembly, k)
-    elif solver == "lanczos":
-        # Same discrete operator as the dense route: the sawtooth penalty is
-        # part of the discretization, not a dense-only convenience.  Without
-        # it the non-band modes the derivatives annihilate form a junk
-        # near-kernel that Lanczos happily converges to.
-        if penalty is None:
-            penalty = 10.0 * (1.0 + PaneitzOperator(bundle, coeffs, 0.0).estimate_top())
-        op = PaneitzOperator(bundle, coeffs, penalty)
-        result = lanczos_smallest(
-            op.apply, op.inner, k, tol_eig,
-            shape=grid.shape, weights=bundle.weights, seed=seed,
-            max_iter=max_iter,
-        )
-        result = replace(result, penalty=penalty)
+        result = dense_spectrum(assemble_dense(bundle, coeffs, penalty=penalty), k)
     else:
-        raise ValueError(f"unknown solver {solver!r}")
+        result = lanczos_smallest(PaneitzOperator(bundle, coeffs, penalty), k, tol_eig,
+                                  seed=seed, max_iter=max_iter)
 
     funcs = result.eigenfunctions
     vol_scale = math.sqrt(bundle.volume)

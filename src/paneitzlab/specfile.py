@@ -13,7 +13,7 @@ Top-level keys::
     params:  kind-specific geometry, see below
     fourier: list of {k, amp, trig} extra modes  (fourier_immersion only)
     grid:    points per axis, int or list     (gridable kinds only)
-    solver:  dense | lanczos                  (default: auto by size)
+    solver:  dense | lanczos (runs LOBPCG)    (default: auto by size)
     k:       eigenvalue count                 (default 8)
     seed:    RNG seed for the iterative solver
 

@@ -1,5 +1,6 @@
 """Closed-form spectra and model constants for the catalog manifolds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -190,6 +191,31 @@ def test_first_eigenfunction_tie_reported(monkeypatch):
     with pytest.raises(AmbiguityError) as err:
         first_eigenfunction_info(sphere_product(((2, 1.0), (2, 1.0))))
     assert len(err.value.lines) == 2
+
+
+def _full_product(factor_lines, cap):
+    """The whole cartesian product of factor lines, then the sums above the cap dropped."""
+    combos = []
+    for picks in itertools.product(*factor_lines):
+        mu = sum(line[0] for line in picks)
+        if mu <= cap:
+            combos.append((mu, math.prod(line[1] for line in picks),
+                           tuple(line[2] for line in picks)))
+    return combos
+
+
+@pytest.mark.parametrize("model", [flat_torus((1.0,) * n) for n in (5, 6, 7, 8)]
+                         + [sphere_product(((2, 1.0), (3, 1.0)))],
+                         ids=["T5", "T6", "T7", "T8", "S2xS3"])
+def test_pruned_enumeration_matches_full_product(model, monkeypatch):
+    pruned_laplace = laplace_spectrum(model, 10)
+    pruned_paneitz = paneitz_spectrum(model, 10).lines
+    for cap in (1.0, 4.0):
+        factor_lines = [f.laplace_lines(cap) for f in model.factors]
+        assert catalog._enumerate_products(factor_lines, cap) == _full_product(factor_lines, cap)
+    monkeypatch.setattr(catalog, "_enumerate_products", _full_product)
+    assert laplace_spectrum(model, 10) == pruned_laplace
+    assert paneitz_spectrum(model, 10).lines == pruned_paneitz
 
 
 # ------------------------------------------------------------- validation

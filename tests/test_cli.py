@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from paneitzlab.cli import _eigen_row, _sweep_fourier_perturbation, main
@@ -127,6 +128,17 @@ def test_solver_failure_is_exit_3(spec_file, capsys, monkeypatch):
     monkeypatch.setattr("paneitzlab.cli.solve_spectrum", boom)
     assert main(["spectrum", "--spec", spec_file(BUMP_DENSE)]) == 3
     assert "solver failure: synthetic breakdown" in capsys.readouterr().err
+
+
+def test_lobpcg_breakdown_is_exit_3(spec_file, capsys, monkeypatch):
+    def singular(*a, **k):
+        raise np.linalg.LinAlgError("the Gram block is not positive definite")
+
+    monkeypatch.setattr("scipy.sparse.linalg.lobpcg", singular)
+    spec = spec_file(BUMP_DENSE.replace("solver: dense", "solver: lanczos"))
+    assert main(["spectrum", "--spec", spec]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "not positive definite" in err
 
 
 # --------------------------------------------------------------------------

@@ -9,10 +9,11 @@ import pytest
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# flat_torus_grid.py and perturbation_breaks_equality.py solve large grids
-# and are left to manual runs
+# perturbation_breaks_equality.py solves three 8^4 grids (~15 s) and is left
+# to manual runs
 @pytest.mark.parametrize("name", ["clifford_equality.py", "sphere_spectrum.py",
-                                  "proof_replay.py", "donut_curvature.py"])
+                                  "proof_replay.py", "donut_curvature.py",
+                                  "flat_torus_grid.py"])
 def test_demo_runs(name, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name])
     runpy.run_path(str(DEMOS / name), run_name="__main__")

@@ -115,6 +115,18 @@ def test_lanczos_is_deterministic_per_seed():
     assert np.abs(runs[0].eigenvalues - runs[2].eigenvalues).max() <= 1e-8
 
 
+def test_curved_refinement_converges_in_grid_independent_iterations():
+    # refining 8^3 -> 16^3 stretches the penalized spectrum ~16x; the
+    # preconditioned solve must still converge, in about as many iterations
+    imm = perturbed_torus(amp=0.1)
+    runs = {m: spectrum(imm, TorusGrid((m,) * 3), paneitz_coefficients(3), 7,
+                        solver="lanczos") for m in (8, 16)}
+    fine = runs[16]
+    assert np.all(fine.residuals <= 10 * 1e-8 * np.maximum(1.0, np.abs(fine.eigenvalues)))
+    assert fine.iterations <= 2 * runs[8].iterations
+    assert np.abs(fine.eigenvalues - runs[8].eigenvalues).max() <= 1e-4
+
+
 def test_auto_solver_switches_on_size():
     small = spectrum(clifford_torus((1.0, 1.0, 1.0)), TorusGrid((8, 8, 8)),
                      paneitz_coefficients(3), 3)
