@@ -509,6 +509,10 @@ def main(argv=None) -> int:
     except SolverFailureError as exc:
         print(f"paneitz-lab: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:  # spec reads raise SpecFileError, so this is --out/--csv
+        path = exc.filename or getattr(args, "csv", None) or args.out
+        print(f"paneitz-lab: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -15,6 +15,13 @@ Fourier coefficients (all |k| < m/2; the coarse Nyquist line is outside the
 band and is annihilated).  T P = band projection.  Everything downstream
 (discrete.py) leans on that identity for exact symmetry of assembled
 operators.
+
+`SpectralKernel` does this work in coefficient space.  A field enters it
+once, by a forward real FFT on its own grid, and is kept as its band
+coefficients (normalized, real-FFT layout: the last axis holds k >= 0 only).
+P and T are then index copies of those coefficients into and out of the
+other grid's layout, so a derivative is a multiply by ik on the band.  `pad`,
+`truncate` and `band_project` are thin wrappers over the same copies.
 """
 
 from __future__ import annotations
@@ -87,16 +94,87 @@ def _band_indices(m: int, mf: int):
     return np.concatenate([pos, m + neg]), np.concatenate([pos, mf + neg])
 
 
+def _scipy_fft():
+    """scipy.fft, imported on first use: at module level it would add ~0.1 s
+    to every interpreter start, including runs that never build a grid."""
+    import scipy.fft
+
+    return scipy.fft
+
+
+class SpectralKernel:
+    """Band coefficients of coarse fields and their maps to and from a fine grid.
+
+    Band coefficients are the normalized real-FFT coefficients (norm="forward")
+    of the modes |k| < m/2 per axis: 2 ((m-1)//2) + 1 entries on each axis but
+    the last, which holds k = 0..(m-1)//2 only.  Every method transforms the
+    trailing n axes and batches over the leading ones.  The gradient and
+    divergence carry the vector index as the first axis, one component per
+    torus axis.  The instance holds only index arrays and wavenumbers.
+    """
+
+    def __init__(self, coarse: TorusGrid, fine: TorusGrid):
+        if coarse.n != fine.n:
+            raise InvalidDimensionError(f"grids are {coarse.n}- and {fine.n}-dimensional")
+        self.coarse, self.fine = coarse, fine
+        self.n = coarse.n
+        self.axes = tuple(range(-self.n, 0))
+        idx = [_band_indices(m, mf) for m, mf in zip(coarse.shape[:-1], fine.shape[:-1])]
+        last = np.arange((coarse.shape[-1] - 1) // 2 + 1)
+        self._coarse_ix = (Ellipsis,) + np.ix_(*(c for c, _f in idx), last)
+        self._fine_ix = (Ellipsis,) + np.ix_(*(f for _c, f in idx), last)
+        waves = [coarse.freqs[ax][c] for ax, (c, _f) in enumerate(idx)] + [last]
+        #: i k_j on the band, one factor per axis, shaped to broadcast over it
+        self.ik = [1j * k.reshape([-1 if ax == j else 1 for ax in range(self.n)])
+                   for j, k in enumerate(waves)]
+
+    def coefficients(self, u: np.ndarray) -> np.ndarray:
+        """Band coefficients of a coarse-grid field (the one forward FFT)."""
+        return _scipy_fft().rfftn(u, axes=self.axes, norm="forward")[self._coarse_ix]
+
+    def to_coarse(self, c: np.ndarray) -> np.ndarray:
+        """The coarse-grid field with band coefficients c (the band projection)."""
+        return self._synthesize(c, self.coarse, self._coarse_ix)
+
+    def to_fine(self, c: np.ndarray) -> np.ndarray:
+        """The fine-grid field with band coefficients c (P)."""
+        return self._synthesize(c, self.fine, self._fine_ix)
+
+    def from_fine(self, v: np.ndarray) -> np.ndarray:
+        """Band coefficients of a fine-grid field; all other modes dropped (T)."""
+        return _scipy_fft().rfftn(v, axes=self.axes, norm="forward")[self._fine_ix]
+
+    def gradient(self, c: np.ndarray) -> np.ndarray:
+        """Fine-grid gradient (n, *lead, *fine.shape) of the band field c.
+
+        One batched inverse FFT for all n components.
+        """
+        return self.to_fine(np.stack([ik * c for ik in self.ik]))
+
+    def divergence(self, flow: np.ndarray) -> np.ndarray:
+        """Band coefficients of sum_i d_i flow_i for a fine-grid vector field.
+
+        One batched forward FFT for all n components; ik multiplies the
+        coarse band only, so T of the divergence is never formed on the fine
+        grid.
+        """
+        h = self.from_fine(flow)
+        out = self.ik[0] * h[0]
+        for i in range(1, self.n):
+            out += self.ik[i] * h[i]
+        return out
+
+    def _synthesize(self, c, grid, ix):
+        half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+        spec = np.zeros(c.shape[: c.ndim - self.n] + half, dtype=complex)
+        spec[ix] = c
+        return _scipy_fft().irfftn(spec, s=grid.shape, axes=self.axes, norm="forward")
+
+
 def pad(u: np.ndarray, coarse: TorusGrid, fine: TorusGrid) -> np.ndarray:
     """Zero-pad a coarse-grid field to the fine grid (trigonometric upsampling)."""
-    uc = np.fft.fftn(u, axes=range(-coarse.n, 0))
-    idx = [_band_indices(m, mf) for m, mf in zip(coarse.shape, fine.shape)]
-    out_shape = u.shape[: u.ndim - coarse.n] + fine.shape
-    uf = np.zeros(out_shape, dtype=complex)
-    lead = (slice(None),) * (u.ndim - coarse.n)
-    uf[lead + np.ix_(*(f for _c, f in idx))] = uc[lead + np.ix_(*(c for c, _f in idx))]
-    uf *= fine.size / coarse.size
-    return np.fft.ifftn(uf, axes=range(-coarse.n, 0)).real
+    kernel = SpectralKernel(coarse, fine)
+    return kernel.to_fine(kernel.coefficients(u))
 
 
 def truncate(v: np.ndarray, coarse: TorusGrid, fine: TorusGrid) -> np.ndarray:
@@ -105,21 +183,26 @@ def truncate(v: np.ndarray, coarse: TorusGrid, fine: TorusGrid) -> np.ndarray:
     The coarse Nyquist modes come back exactly zero, so truncate(pad(u))
     is the band projection of u.
     """
-    vf = np.fft.fftn(v, axes=range(-fine.n, 0))
-    idx = [_band_indices(m, mf) for m, mf in zip(coarse.shape, fine.shape)]
-    out_shape = v.shape[: v.ndim - fine.n] + coarse.shape
-    uc = np.zeros(out_shape, dtype=complex)
-    lead = (slice(None),) * (v.ndim - fine.n)
-    uc[lead + np.ix_(*(c for c, _f in idx))] = vf[lead + np.ix_(*(f for _c, f in idx))]
-    uc *= coarse.size / fine.size
-    return np.fft.ifftn(uc, axes=range(-coarse.n, 0)).real
+    kernel = SpectralKernel(coarse, fine)
+    return kernel.to_coarse(kernel.from_fine(v))
 
 
 def band_project(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Project onto the band |k| < m/2 per axis (identity on odd grids)."""
-    uc = np.fft.fftn(u, axes=range(-grid.n, 0))
-    uc *= grid.full_band_mask()
-    return np.fft.ifftn(uc, axes=range(-grid.n, 0)).real
+    kernel = SpectralKernel(grid, grid)
+    return kernel.to_coarse(kernel.coefficients(u))
+
+
+def fourier_multiply(u: np.ndarray, grid: TorusGrid, multiplier: np.ndarray) -> np.ndarray:
+    """Multiply the Fourier modes of a grid field by a multiplier even in k.
+
+    multiplier is in real-FFT layout: the grid's shape with the last axis
+    cut to m // 2 + 1 (k >= 0).
+    """
+    fft = _scipy_fft()
+    axes = tuple(range(-grid.n, 0))
+    return fft.irfftn(fft.rfftn(u, axes=axes) * multiplier, s=grid.shape, axes=axes)
+
 
 def spectral_derivative(u: np.ndarray, axis: int, grid: TorusGrid) -> np.ndarray:
     """d/dx along one torus axis; even-grid Nyquist modes are annihilated.

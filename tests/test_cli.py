@@ -115,6 +115,15 @@ def test_spectrum_bad_spec_is_exit_2(spec_file, capsys):
     assert "(line 4, column 3)" in err
 
 
+def test_spectrum_unwritable_out_is_exit_2(spec_file, tmp_path, capsys):
+    out_path = tmp_path / "no" / "such" / "x.json"
+    assert main(["spectrum", "--spec", spec_file(S4), "--quiet",
+                 "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"paneitz-lab: cannot write {out_path}: ")
+    assert "Traceback" not in err
+
+
 def test_spectrum_count_beyond_grid_is_exit_2(spec_file, capsys):
     assert main(["spectrum", "--spec", spec_file(BUMP_DENSE),
                  "--count", "600"]) == 2
@@ -313,6 +322,14 @@ def test_sweep_rejects_bad_requests(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown family" in err and "stop > start" in err
     assert "at least 2 samples" in err and "needs (0,1)" in err
+
+
+def test_sweep_unwritable_csv_is_exit_2(tmp_path, capsys):
+    csv_path = tmp_path / "no" / "such" / "x.csv"
+    assert main(["sweep", "--family", "sphere_radius", "--bound", "thm_1_2",
+                 "--range", "0.8:1.2:3", "--quiet", "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"paneitz-lab: cannot write {csv_path}: No such file or directory\n")
 
 
 def test_sweep_thread_cap(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,9 @@ from paneitzlab import (
 )
 from paneitzlab.discrete import inner, integrate
 from paneitzlab.fourier import band_project, spectral_derivative
+from paneitzlab.discrete import penalty_apply
+from paneitzlab.fourier import pad, truncate
+from paneitzlab.geometry import curvature_point, induced_metric
 
 TAU = 2.0 * math.pi
 
@@ -284,3 +287,92 @@ def test_top_estimate_brackets_symbol_maximum():
     top = float((mu**2).max())
     est = PaneitzOperator(bundle, paneitz_coefficients(3), 0.0).estimate_top()
     assert 0.5 * top <= est <= top * (1.0 + 1e-9)
+
+
+# --------------------------------------------------------------------------
+# the coefficient-space kernel against the real-space composition
+# --------------------------------------------------------------------------
+
+def reference_fluxes(bundle):
+    """Fine-grid flux matrices (..., n, n) sampled afresh from the immersion."""
+    jet = bundle.immersion.jet(bundle.fine.points())
+    metric = induced_metric(jet)
+    laplace_flux = metric.sqrt_det[..., None, None] * metric.g_inv
+    if bundle.coeffs is None:
+        return laplace_flux, None
+    curv = curvature_point(jet, metric)
+    a, b = float(bundle.coeffs.a), float(bundle.coeffs.b)
+    a_mat = a * curv.scalar[..., None, None] * metric.g + b * curv.ric
+    coeff_flux = metric.sqrt_det[..., None, None] * (metric.g_inv @ a_mat @ metric.g_inv)
+    return laplace_flux, coeff_flux
+
+
+def reference_laplace(bundle, flux, f):
+    """(1/sqrt(g)) T[d_i(flux^{ij} d_j P f)], one real-space derivative per axis."""
+    grid, fine = bundle.grid, bundle.fine
+    pf = pad(f, grid, fine)
+    grad = np.stack([spectral_derivative(pf, i, fine) for i in range(grid.n)], axis=-1)
+    flow = np.einsum("...ij,...j->...i", flux, grad)
+    div = sum(spectral_derivative(flow[..., i], i, fine) for i in range(grid.n))
+    return bundle.inv_sqrt_det * truncate(div, grid, fine)
+
+
+def reference_paneitz(bundle, fluxes, f):
+    laplace_flux, coeff_flux = fluxes
+    lap2 = reference_laplace(bundle, laplace_flux, reference_laplace(bundle, laplace_flux, f))
+    diva = reference_laplace(bundle, coeff_flux, f)
+    return lap2 - diva + float(bundle.coeffs.q_factor) * bundle.q_field * f
+
+
+def assert_matches(got, want, rtol):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("factory,shape,columns", [
+    (lambda: perturbed_torus(0.1), (8, 8, 8), 3),
+    (lambda: perturbed_torus(0.1), (9, 9, 9), 2),      # odd: fine grid 14
+    (lambda: clifford_torus((1.0,) * 4).perturbed(
+        [FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)]),
+     (8, 8, 8, 8), None),                               # one unbatched column
+    (lambda: donut_torus(2.0, 1.0), (16, 16), 3),
+])
+def test_fused_kernel_matches_real_space_composition(factory, shape, columns):
+    grid = TorusGrid(shape)
+    bundle = build_bundle(factory(), grid)
+    assert not bundle.constant_coefficient
+    fluxes = reference_fluxes(bundle)
+    rng = np.random.default_rng(23)
+    f = rng.standard_normal(shape if columns is None else (columns,) + shape)
+    assert_matches(apply_laplacian(bundle, f), reference_laplace(bundle, fluxes[0], f), 1e-13)
+    if bundle.coeffs is None:
+        return
+    assert_matches(bundle.laplace_r,
+                   reference_laplace(bundle, fluxes[0], bundle.curv.scalar), 1e-13)
+    assert_matches(apply_paneitz(bundle, bundle.coeffs, f),
+                   reference_paneitz(bundle, fluxes, f), 1e-13)
+
+
+@pytest.mark.parametrize("factory,coeffs", [
+    (lambda: perturbed_torus(0.1), paneitz_coefficients(3)),
+    (lambda: perturbed_torus(0.1), None),
+    (lambda: clifford_torus((1.0, 0.5, 1.0)), paneitz_coefficients(3)),
+])
+def test_batched_apply_equals_column_by_column(factory, coeffs):
+    grid = TorusGrid((8, 8, 8))
+    op = PaneitzOperator(build_bundle(factory(), grid), coeffs, penalty=37.0)
+    block = np.random.default_rng(29).standard_normal((5,) + grid.shape)
+    batched = op.apply(block)
+    single = np.stack([op.apply(column) for column in block])
+    assert_matches(batched, single, 1e-15)
+
+
+@pytest.mark.parametrize("coeffs", [paneitz_coefficients(3), None])
+def test_flat_apply_is_symbol_plus_penalty(coeffs):
+    grid = TorusGrid((8, 8, 8))
+    bundle = build_bundle(clifford_torus((1.0, 0.5, 2.0)), grid)
+    assert bundle.constant_coefficient
+    op = PaneitzOperator(bundle, coeffs, penalty=37.0)
+    f = np.random.default_rng(31).standard_normal((3,) + grid.shape)
+    plain = (-apply_laplacian(bundle, f) if coeffs is None
+             else apply_paneitz(bundle, coeffs, f))
+    assert_matches(op.apply(f), plain + penalty_apply(bundle, 37.0, f), 1e-13)
