@@ -76,6 +76,7 @@ from .fourier import (
     donut_torus,
 )
 from .geometry import (
+    CurvatureFields,
     CurvaturePoint,
     ImmersionJet,
     MetricData,
@@ -96,7 +97,7 @@ __all__ = [
     # coefficients
     "DimensionCoefficients", "paneitz_coefficients", "q_curvature",
     # geometry
-    "ImmersionJet", "MetricData", "CurvaturePoint", "induced_metric",
+    "ImmersionJet", "MetricData", "CurvatureFields", "CurvaturePoint", "induced_metric",
     "curvature_point", "gauss_identity_residual",
     # catalog
     "ModelManifold", "SphereFactor", "SpectralLine", "round_sphere",

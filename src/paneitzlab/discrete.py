@@ -35,20 +35,20 @@ flooding the bottom of the spectrum.  `default_penalty` picks sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .coefficients import DimensionCoefficients, paneitz_coefficients, q_curvature
-from .errors import InvalidDimensionError
+from .errors import DegenerateImmersionError, InvalidDimensionError
 from .fourier import (
     FourierImmersion,
     SpectralKernel,
     TorusGrid,
     fourier_multiply,
 )
-from .geometry import CurvaturePoint, MetricData, curvature_point, induced_metric
+from .geometry import CurvatureFields, MetricData, curvature_point, induced_metric
 
 #: dense assembly refuses above this many grid points
 DENSE_CAP = 4096
@@ -60,17 +60,24 @@ _CONST_TOL = 1e-12
 #: on perturbed 8^3 at under half the peak memory
 _ASSEMBLY_BATCH = 64
 
+#: grid points per block when build_bundle samples jet, metric and curvature:
+#: the 2-jet and curvature temporaries of one block (~4 MB each for N = 10,
+#: n = 5) bound the sampling memory whatever the grid size
+_SAMPLE_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class CurvatureBundle:
     """Everything sampled once per (immersion, grid) pair.
 
-    Coarse-grid members feed integrals and the zero-order term; the fine-grid
-    flux fields feed the differentiated terms.  A flux field is a symmetric
-    matrix field stored as its upper triangle, row by row: shape
-    (n(n+1)/2, *fine.shape).  `coeffs`, `q_field` and `coeff_flux` are None
-    when n < 3 (the fourth-order coefficients are singular there; the
-    Laplacian still works).
+    Coarse-grid members feed integrals and the zero-order term: y, the
+    metric and the curvature fields that integrals, bounds and replays read
+    (no Christoffel symbols, no second fundamental form).  The fine-grid
+    flux fields feed the differentiated terms; no other fine-grid field is
+    kept.  A flux field is a symmetric matrix field stored as its upper
+    triangle, row by row: shape (n(n+1)/2, *fine.shape).  `coeffs`,
+    `q_field` and `coeff_flux` are None when n < 3 (the fourth-order
+    coefficients are singular there; the Laplacian still works).
     """
 
     immersion: FourierImmersion
@@ -78,8 +85,8 @@ class CurvatureBundle:
     fine: TorusGrid
     kernel: SpectralKernel       # band coefficients, pad/truncate, grad/div
     y: np.ndarray                # coarse immersion values (*shape, N)
-    metric: MetricData
-    curv: CurvaturePoint
+    metric: MetricData           # coarse g, g^{-1}, sqrt(g)
+    curv: CurvatureFields        # coarse H, |H|^2, S, Ric, |Ric|^2, R
     weights: np.ndarray          # sqrt(g) dx per coarse point
     volume: float
     inv_sqrt_det: np.ndarray     # coarse 1/sqrt(g)
@@ -131,9 +138,75 @@ def _divergence(kernel: SpectralKernel, inv_sqrt_det: np.ndarray, flow: np.ndarr
     return inv_sqrt_det * kernel.to_coarse(kernel.divergence(flow))
 
 
+def _blocks(size: int):
+    """(start, stop) of consecutive _SAMPLE_BLOCK-point blocks covering range(size)."""
+    for start in range(0, size, _SAMPLE_BLOCK):
+        yield start, min(start + _SAMPLE_BLOCK, size)
+
+
+def _sample_block(imm: FourierImmersion, grid: TorusGrid, start: int, stop: int):
+    """Jet and metric at grid points start..stop-1 (C order).
+
+    A degenerate point is reported by its grid multi-index, as whole-grid
+    sampling would report it, not by its position in the block.
+    """
+    jet = imm.jet(grid.point_block(start, stop))
+    try:
+        return jet, induced_metric(jet)
+    except DegenerateImmersionError as exc:
+        where = tuple(int(i) for i in np.unravel_index(start + exc.where[0], grid.shape))
+        raise DegenerateImmersionError.at(where, exc.det) from None
+
+
+def _sample_coarse(imm: FourierImmersion, grid: TorusGrid):
+    """y, the metric and the CurvatureFields on the coarse grid, block by block,
+    written into arrays allocated once."""
+    out: dict[str, np.ndarray] = {}
+    for start, stop in _blocks(grid.size):
+        jet, metric = _sample_block(imm, grid, start, stop)
+        curv = curvature_point(jet, metric)
+        block = {"y": jet.y, **vars(metric),
+                 **{f.name: getattr(curv, f.name) for f in fields(CurvatureFields)}}
+        for name, value in block.items():
+            if name not in out:
+                out[name] = np.empty((grid.size,) + value.shape[1:])
+            out[name][start:stop] = value
+    out = {name: value.reshape(grid.shape + value.shape[1:]) for name, value in out.items()}
+    y = out.pop("y")
+    metric = MetricData(**{f.name: out.pop(f.name) for f in fields(MetricData)})
+    return y, metric, CurvatureFields(**out)
+
+
+def _sample_fluxes(imm: FourierImmersion, fine: TorusGrid, coeffs: DimensionCoefficients | None):
+    """Packed laplace_flux and coeff_flux (None without coeffs) on the fine grid,
+    block by block; no other fine-grid field outlives its block."""
+    pairs = len(_upper_pairs(fine.n))
+    laplace_flux = np.empty((pairs, fine.size))
+    coeff_flux = None
+    if coeffs is not None:
+        coeff_flux = np.empty((pairs, fine.size))
+        a, b = float(coeffs.a), float(coeffs.b)
+    for start, stop in _blocks(fine.size):
+        jet, metric = _sample_block(imm, fine, start, stop)
+        root = metric.sqrt_det[..., None, None]
+        laplace_flux[:, start:stop] = _pack(root * metric.g_inv)
+        if coeff_flux is not None:
+            curv = curvature_point(jet, metric)
+            a_mat = a * curv.scalar[..., None, None] * metric.g + b * curv.ric
+            coeff_flux[:, start:stop] = _pack(root * (metric.g_inv @ a_mat @ metric.g_inv))
+    shape = (pairs,) + fine.shape
+    return (laplace_flux.reshape(shape),
+            None if coeff_flux is None else coeff_flux.reshape(shape))
+
+
 def build_bundle(imm: FourierImmersion, grid: TorusGrid,
                  force_general: bool = False) -> CurvatureBundle:
     """Sample geometry on coarse and fine grids and precompute flux fields.
+
+    Both grids are sampled in blocks of _SAMPLE_BLOCK points: each block's
+    jet, metric and curvature are evaluated, the fields the bundle keeps are
+    written into preallocated arrays, and the block's temporaries are
+    dropped.  Peak memory is then the stored fields plus one block.
 
     Constant-coefficient (flat) immersions skip the fine-grid sampling: the
     operators reduce to Fourier symbols there and never touch the flux
@@ -145,9 +218,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     fine = grid.fine()
     kernel = SpectralKernel(grid, fine)
 
-    jet_c = imm.jet(grid.points())
-    metric = induced_metric(jet_c)
-    curv = curvature_point(jet_c, metric)
+    y, metric, curv = _sample_coarse(imm, grid)
     weights = metric.sqrt_det * grid.dx
     inv_sqrt_det = 1.0 / metric.sqrt_det
 
@@ -159,21 +230,10 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     )
     symbol = _metric_symbol(grid, metric.g_inv.reshape(-1, n, n)[0]) if flat else None
 
-    laplace_flux = None
-    coeffs = coeff_flux = q_field = laplace_r = None
-    if n >= 3:
-        coeffs = paneitz_coefficients(n)
+    coeffs = paneitz_coefficients(n) if n >= 3 else None
+    laplace_flux = coeff_flux = q_field = laplace_r = None
     if not flat or force_general:
-        jet_f = imm.jet(fine.points())
-        metric_f = induced_metric(jet_f)
-        laplace_flux = _pack(metric_f.sqrt_det[..., None, None] * metric_f.g_inv)
-        if n >= 3:
-            a, b = float(coeffs.a), float(coeffs.b)
-            curv_f = curvature_point(jet_f, metric_f)
-            a_mat = a * curv_f.scalar[..., None, None] * metric_f.g + b * curv_f.ric
-            coeff_flux = _pack(metric_f.sqrt_det[..., None, None] * np.einsum(
-                "...ij,...jk,...kl->...il", metric_f.g_inv, a_mat, metric_f.g_inv
-            ))
+        laplace_flux, coeff_flux = _sample_fluxes(imm, fine, coeffs)
     if n >= 3:
         if flat:
             laplace_r = np.zeros(grid.shape)
@@ -188,7 +248,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
         grid=grid,
         fine=fine,
         kernel=kernel,
-        y=jet_c.y,
+        y=y,
         metric=metric,
         curv=curv,
         weights=weights,

@@ -236,9 +236,6 @@ def spectrum(imm: FourierImmersion, grid: TorusGrid, coeffs: DimensionCoefficien
         raise ValueError(f"unknown solver {solver!r}")
     if bundle is None:
         bundle = build_bundle(imm, grid)
-    if any(s & (s - 1) for s in grid.shape):
-        warnings.warn(f"grid sizes {grid.shape} are not powers of two; FFTs will be slower",
-                      RuntimeWarning, stacklevel=2)
     if solver is None:
         solver = "dense" if grid.size <= AUTO_DENSE_MAX else "lanczos"
     if penalty is None:

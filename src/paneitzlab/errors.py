@@ -19,9 +19,16 @@ class InvalidDimensionError(PaneitzLabError):
 class DegenerateImmersionError(PaneitzLabError):
     """The pulled-back metric dropped rank (det g below threshold) somewhere."""
 
-    def __init__(self, message: str, where=None):
+    def __init__(self, message: str, where=None, det=None):
         super().__init__(message)
         self.where = where
+        self.det = det
+
+    @classmethod
+    def at(cls, where, det: float) -> "DegenerateImmersionError":
+        """The error for a first degenerate point: its index and det g there."""
+        return cls(f"immersion is degenerate: det g = {det:.3e} at index {where}",
+                   where=where, det=det)
 
 
 class GateError(PaneitzLabError):

@@ -58,6 +58,12 @@ class TorusGrid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def point_block(self, start: int, stop: int) -> np.ndarray:
+        """Grid points start..stop-1 in C order, shape (stop - start, n): a
+        slice of points().reshape(-1, n), value for value, without forming it."""
+        index = np.unravel_index(np.arange(start, stop), self.shape)
+        return np.stack([i * (2.0 * math.pi / m) for i, m in zip(index, self.shape)], axis=-1)
+
     def band_mask(self, axis: int) -> np.ndarray:
         """True on modes strictly inside the axis band |k| < m/2.
 
@@ -279,9 +285,19 @@ class FourierImmersion:
             d2y += hess
         return ImmersionJet(y=y, dy=dy, d2y=d2y)
 
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """y alone at parameter points (..., n): the jet's y without its derivatives."""
+        points = np.asarray(points, dtype=float)
+        y = np.zeros(points.shape[:-1] + (self.ambient_dim,))
+        for t in self.terms:
+            phase = points @ np.array(t.k, dtype=float)
+            y += (np.cos(phase)[..., None] * np.array(t.cos, dtype=float)
+                  + np.sin(phase)[..., None] * np.array(t.sin, dtype=float))
+        return y
+
     def sphere_deviation(self, grid: TorusGrid) -> float:
         """max | |y|^2 - 1 | over the grid; ~0 means the image lies on S^{N-1}(1)."""
-        return unit_sphere_deviation(self.jet(grid.points()).y)
+        return unit_sphere_deviation(self.values(grid.points()))
 
     def perturbed(self, terms) -> "FourierImmersion":
         """A new immersion with extra modes added on top of this one."""

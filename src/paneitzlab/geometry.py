@@ -70,11 +70,9 @@ class MetricData:
 
 
 @dataclass
-class CurvaturePoint:
-    """Connection and curvature data derived from one (batched) jet."""
+class CurvatureFields:
+    """The curvature fields that integrals, bounds and replays read."""
 
-    gamma: np.ndarray  # (..., n, n, n), Gam^k_ij indexed [k, i, j]
-    h: np.ndarray      # (..., N, n, n), second fundamental form (normal valued)
     mean: np.ndarray   # (..., N), mean curvature vector H
     mean_sq: np.ndarray  # (...,), |H|^2
     s_norm: np.ndarray   # (...,), S = |h|^2
@@ -83,21 +81,26 @@ class CurvaturePoint:
     scalar: np.ndarray       # (...,), R
 
 
+@dataclass
+class CurvaturePoint(CurvatureFields):
+    """Connection and curvature data derived from one (batched) jet."""
+
+    gamma: np.ndarray  # (..., n, n, n), Gam^k_ij indexed [k, i, j]
+    h: np.ndarray      # (..., N, n, n), second fundamental form (normal valued)
+
+
 def induced_metric(jet: ImmersionJet, det_eps: float = IMMERSION_DET_EPS) -> MetricData:
     """Pull back the Euclidean metric through the jet.
 
     Raises DegenerateImmersionError if det g <= det_eps anywhere, reporting the
-    batch index of the first offending point.
+    batch index of the first offending point and det g there.
     """
     g = np.einsum("...ai,...aj->...ij", jet.dy, jet.dy)
     det = np.linalg.det(g)
     bad = det <= det_eps
     if np.any(bad):
-        where = tuple(np.argwhere(bad)[0]) if det.ndim else ()
-        raise DegenerateImmersionError(
-            f"immersion is degenerate: det g = {float(np.min(det)):.3e} at index {where}",
-            where=where,
-        )
+        where = tuple(int(i) for i in np.argwhere(bad)[0]) if det.ndim else ()
+        raise DegenerateImmersionError.at(where, float(det[where]))
     return MetricData(g=g, g_inv=np.linalg.inv(g), sqrt_det=np.sqrt(det))
 
 
@@ -112,11 +115,11 @@ def curvature_point(jet: ImmersionJet, metric: MetricData) -> CurvaturePoint:
     h = jet.d2y - np.einsum("...ak,...kij->...aij", jet.dy, gamma)
     mean = np.einsum("...ij,...aij->...a", metric.g_inv, h) / n
     mean_sq = np.einsum("...a,...a->...", mean, mean)
-    # optimize=True: unoptimized four-operand einsums dominate large grids
+    # optimize=True: unoptimized three- and four-operand einsums dominate large grids
     s_norm = np.einsum("...ik,...jl,...aij,...akl->...", metric.g_inv, metric.g_inv, h, h,
                        optimize=True)
     ric = n * np.einsum("...a,...aij->...ij", mean, h) - np.einsum(
-        "...kl,...akj,...ail->...ij", metric.g_inv, h, h
+        "...kl,...akj,...ail->...ij", metric.g_inv, h, h, optimize=True
     )
     ric_norm_sq = np.einsum("...ik,...jl,...ij,...kl->...", metric.g_inv, metric.g_inv, ric, ric,
                             optimize=True)
@@ -133,7 +136,7 @@ def curvature_point(jet: ImmersionJet, metric: MetricData) -> CurvaturePoint:
     )
 
 
-def gauss_identity_residual(curv: CurvaturePoint, n: int) -> float:
+def gauss_identity_residual(curv: CurvatureFields, n: int) -> float:
     """max |R - (n(n-1)|H|^2 - (S - n|H|^2))|.
 
     The scalar curvature is contracted from the Gauss equation along a

@@ -1,6 +1,8 @@
 """Discretization layer: bundles, matrix-free operators, dense assembly."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,11 @@ from paneitzlab.discrete import inner, integrate
 from paneitzlab.fourier import band_project, spectral_derivative
 from paneitzlab.discrete import penalty_apply
 from paneitzlab.fourier import pad, truncate
-from paneitzlab.geometry import curvature_point, induced_metric
+from paneitzlab.geometry import CurvatureFields, curvature_point, induced_metric
+from paneitzlab import discrete
+from paneitzlab.coefficients import q_curvature
+from paneitzlab.errors import DegenerateImmersionError
+from paneitzlab.fourier import FourierImmersion
 
 TAU = 2.0 * math.pi
 
@@ -376,3 +382,82 @@ def test_flat_apply_is_symbol_plus_penalty(coeffs):
     plain = (-apply_laplacian(bundle, f) if coeffs is None
              else apply_paneitz(bundle, coeffs, f))
     assert_matches(op.apply(f), plain + penalty_apply(bundle, 37.0, f), 1e-13)
+
+
+# --------------------------------------------------------------------------
+# block-by-block sampling against whole-grid sampling
+# --------------------------------------------------------------------------
+
+def pack(field):
+    """Upper triangle of a symmetric matrix field, component axis first."""
+    n = field.shape[-1]
+    return np.stack([field[..., i, j] for i in range(n) for j in range(i, n)])
+
+
+@pytest.mark.parametrize("factory,shape", [
+    (lambda: perturbed_torus(0.1), (8, 8, 8)),
+    (lambda: perturbed_torus(0.1), (9, 9, 9)),         # odd: fine grid 14
+    (lambda: clifford_torus((1.0,) * 4).perturbed(
+        [FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)]),
+     (8, 8, 8, 8)),
+    (lambda: clifford_torus((1.0,) * 5), (8, 8, 8, 8, 8)),
+])
+def test_blocked_sampling_matches_whole_grid(monkeypatch, factory, shape):
+    # 100 divides none of the grids, so every grid ends on a partial block
+    monkeypatch.setattr(discrete, "_SAMPLE_BLOCK", 100)
+    imm, grid = factory(), TorusGrid(shape)
+    bundle = build_bundle(imm, grid)
+    jet = imm.jet(grid.points())
+    metric = induced_metric(jet)
+    curv = curvature_point(jet, metric)
+    assert np.array_equal(bundle.y, jet.y)
+    for name in ("g", "g_inv", "sqrt_det"):
+        assert np.array_equal(getattr(bundle.metric, name), getattr(metric, name)), name
+    for field in dataclasses.fields(CurvatureFields):
+        assert np.array_equal(getattr(bundle.curv, field.name),
+                              getattr(curv, field.name)), field.name
+    assert not hasattr(bundle.curv, "h") and not hasattr(bundle.curv, "gamma")
+    if bundle.constant_coefficient:
+        assert bundle.laplace_flux is None
+        laplace_r = np.zeros(shape)
+    else:
+        fluxes = reference_fluxes(bundle)
+        assert_matches(bundle.laplace_flux, pack(fluxes[0]), 1e-13)
+        assert_matches(bundle.coeff_flux, pack(fluxes[1]), 1e-13)
+        laplace_r = reference_laplace(bundle, fluxes[0], curv.scalar)
+        assert_matches(bundle.laplace_r, laplace_r, 1e-13)
+    q_field = q_curvature(bundle.coeffs, curv.ric_norm_sq, curv.scalar, laplace_r)
+    assert_matches(bundle.q_field, q_field, 1e-13)
+
+
+def test_degenerate_point_keeps_its_grid_index(monkeypatch):
+    # a circle times a curve whose speed cos(u) vanishes at u = pi/2: the first
+    # degenerate grid point is (2, 0), flat index 16, in the fourth block of 5
+    imm = FourierImmersion(2, [
+        FourierTerm(k=(0, 1), cos=(1.0, 0.0, 0.0), sin=(0.0, 1.0, 0.0)),
+        FourierTerm(k=(1, 0), cos=(0.0, 0.0, 0.0), sin=(0.0, 0.0, 1.0)),
+    ])
+    grid = TorusGrid((8, 8))
+    with pytest.raises(DegenerateImmersionError) as whole:
+        induced_metric(imm.jet(grid.points()))
+    monkeypatch.setattr(discrete, "_SAMPLE_BLOCK", 5)
+    with pytest.raises(DegenerateImmersionError) as blocked:
+        build_bundle(imm, grid)
+    assert whole.value.where == (2, 0)
+    assert blocked.value.where == whole.value.where
+    assert str(blocked.value) == str(whole.value)
+
+
+def test_flat_five_torus_bundle_memory_is_bounded():
+    # whole-grid sampling peaked at 412 MB here; blocks keep the peak to the
+    # stored coarse fields (~26 MB) plus one block's temporaries
+    grid = TorusGrid((8,) * 5)
+    imm = clifford_torus((1.0,) * 5)
+    tracemalloc.start()
+    try:
+        bundle = build_bundle(imm, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.constant_coefficient
+    assert peak < 100e6, f"tracemalloc peak {peak / 1e6:.0f} MB"

@@ -172,11 +172,6 @@ def test_unknown_solver_is_refused():
                  solver="qr")
 
 
-def test_non_power_of_two_grid_warns():
-    with pytest.warns(RuntimeWarning, match="powers of two"):
-        spectrum(donut_torus(2.0, 1.0), TorusGrid((12, 12)), None, 2)
-
-
 def test_starved_iteration_budget_raises():
     with pytest.raises(SolverFailureError, match="did not converge"):
         spectrum(perturbed_torus(), TorusGrid((8, 8, 8)), paneitz_coefficients(3),

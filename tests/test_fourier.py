@@ -33,6 +33,14 @@ def test_grid_shapes_and_points():
     assert pts[0, 3, 1] == pytest.approx(3 * 2 * math.pi / 12)
 
 
+@pytest.mark.parametrize("shape", [(8, 12), (9, 8, 10)])
+def test_point_blocks_are_slices_of_the_grid(shape):
+    grid = TorusGrid(shape)
+    flat = grid.points().reshape(-1, grid.n)
+    for start, stop in [(0, 7), (5, 61), (grid.size - 3, grid.size)]:
+        assert np.array_equal(grid.point_block(start, stop), flat[start:stop])
+
+
 @pytest.mark.parametrize("bad", [(4,), (8, 6), (0, 8)])
 def test_small_grids_refused(bad):
     with pytest.raises(ValueError):
@@ -138,6 +146,13 @@ def test_sphere_deviation_zero_only_on_unit_products():
     off_sphere = clifford_torus((1.0, 1.0))
     assert on_sphere.sphere_deviation(grid) <= 1e-12
     assert off_sphere.sphere_deviation(grid) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_values_are_the_jet_without_derivatives():
+    imm = clifford_torus((1.0, 0.5, 2.0)).perturbed(
+        [FourierTerm(k=(1, 2, 0), cos=(0.1,) + (0.0,) * 5, sin=(0.0, 0.2) + (0.0,) * 4)])
+    points = TorusGrid((8, 9, 8)).points()
+    assert np.array_equal(imm.values(points), imm.jet(points).y)
 
 
 def test_perturbed_leaves_base_untouched():

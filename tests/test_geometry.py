@@ -163,8 +163,8 @@ def test_asymmetric_second_derivatives_rejected():
 
 
 def test_optimized_contractions_match_the_plain_einsum():
-    # curvature_point contracts s_norm and |Ric|^2 along an optimized path;
-    # the one-loop einsum is the reference, equal up to summation order
+    # curvature_point contracts s_norm, Ric and |Ric|^2 along an optimized
+    # path; the one-loop einsum is the reference, equal up to summation order
     base = clifford_torus((1.0, 1.0, 1.0, 1.0))
     bump = FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)
     jet = base.perturbed([bump]).jet(RNG.uniform(0, 2 * np.pi, (6, 5, 4)))
@@ -174,3 +174,7 @@ def test_optimized_contractions_match_the_plain_einsum():
     ric_sq = np.einsum("...ik,...jl,...ij,...kl->...", g_inv, g_inv, curv.ric, curv.ric)
     assert np.allclose(curv.s_norm, s_norm, rtol=1e-13, atol=0)
     assert np.allclose(curv.ric_norm_sq, ric_sq, rtol=1e-13, atol=0)
+    # some Ricci entries vanish, so compare on the scale of the largest
+    ric = 4 * np.einsum("...a,...aij->...ij", curv.mean, curv.h) - np.einsum(
+        "...kl,...akj,...ail->...ij", g_inv, curv.h, curv.h)
+    assert np.abs(curv.ric - ric).max() <= 1e-13 * np.abs(ric).max()
