@@ -23,6 +23,7 @@ from .bounds import (
     EqualityDiagnosis,
     GeometrySummary,
     diagnose_equality,
+    evaluate,
     optimal_delta,
     summarize_bundle,
     summarize_model,
@@ -112,7 +113,7 @@ __all__ = [
     # bounds / replay
     "GeometrySummary", "summarize_model", "summarize_bundle", "BoundReport",
     "EqualityDiagnosis", "diagnose_equality", "DeltaChoice", "optimal_delta",
-    "u1_from_result", "verify_thm_1_1", "verify_cor_1_1", "verify_thm_1_2",
+    "u1_from_result", "evaluate", "verify_thm_1_1", "verify_cor_1_1", "verify_thm_1_2",
     "verify_thm_1_3", "verify_cor_3_1", "verify_intro_bounds",
     "ProofStep", "ProofChainReport", "replay_proof", "replay_proof_analytic",
 ]

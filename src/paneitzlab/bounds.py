@@ -1,6 +1,15 @@
 """Eigenvalue-bound evaluation and equality diagnosis.
 
-Every checker takes a multiplicity-expanded ascending spectrum plus a
+`BOUNDS` is the one table of bounds: each row holds a bound's hypotheses,
+the number of eigenvalues it reads and a formula that computes only its two
+sides.  `evaluate` is the one way in.  It checks a row's hypotheses in a
+fixed order and raises each refusal from one line, in one form:
+dimension (``{id} is stated for {dims}, got n = {n}``), unit-sphere ambient
+(``{id} needs a manifold in the unit sphere``), eigenvalue count
+(``{id}: need {k} eigenvalues, have {m}``), then lambda_1 > 0 for the
+refusable row (``operator is not positive on ...``).
+
+Formulas take a multiplicity-expanded ascending spectrum plus a
 GeometrySummary — the small bridge type that lets closed-form catalog
 constants and sampled curvature bundles feed the same formulas.  Reports
 carry both sides, the slack, and flags for anything that pushed the input
@@ -10,7 +19,7 @@ snapping, equality showing up off the classified cases).
 Sign conventions: slack = rhs - lhs, so valid inputs keep slack >= -tol;
 `ok` records that gate.  Ambient-sphere variants measure the mean curvature
 inside the unit sphere, which enters the integrands as |H|^2 + 1 — exactly
-the euclidean |H|^2 of the composed immersion.
+the euclidean |H|^2 of the composed immersion, so they share the formulas.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ TOL_EQ_NUMERICAL = 1e-4
 KERNEL_SNAP_RTOL = 1e-9
 #: relative field variation allowed in equality diagnosis
 DIAGNOSIS_RTOL = 1e-6
+#: |y|^2 may deviate from 1 by at most this for sphere-ambient bounds
+SPHERE_DEVIATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,10 +93,6 @@ def summarize_model(m: ModelManifold) -> GeometrySummary:
         numerical=False,
         label=m.describe(),
     )
-
-
-#: |y|^2 may deviate from 1 by at most this for sphere-ambient bounds
-SPHERE_DEVIATION_TOL = 1e-9
 
 
 def summarize_bundle(bundle: CurvatureBundle, label: str | None = None) -> GeometrySummary:
@@ -173,7 +180,7 @@ def u1_from_result(bundle: CurvatureBundle, result) -> U1Data:
 
 
 # --------------------------------------------------------------------------
-# spectrum indexing
+# the formulas: (snapped spectrum, geo, u1, flags) -> (lhs, rhs)
 # --------------------------------------------------------------------------
 
 def snap_kernel(values, rtol: float = KERNEL_SNAP_RTOL) -> np.ndarray:
@@ -184,18 +191,6 @@ def snap_kernel(values, rtol: float = KERNEL_SNAP_RTOL) -> np.ndarray:
     return values
 
 
-def _positive_index(values, need, flags):
-    """Count eigenvalues from lambda_1: on 4-manifolds the operator kills
-    constants, so the leading lambda_0 = 0 is dropped before indexing."""
-    values = snap_kernel(values)
-    if values.size == 0 or values[0] != 0.0:
-        flags.append("kernel_not_found_n4")
-    values = values[1:]
-    if values.size < need:
-        raise GateError(f"need {need} eigenvalues past the kernel, have {values.size}")
-    return values
-
-
 def _sqrt_clamped(vals, flags):
     vals = np.asarray(vals, dtype=float)
     if np.any(vals < 0):
@@ -203,60 +198,25 @@ def _sqrt_clamped(vals, flags):
     return np.sqrt(np.maximum(vals, 0.0))
 
 
-# --------------------------------------------------------------------------
-# the bounds
-# --------------------------------------------------------------------------
-
-def _require_unit_sphere(geo: GeometrySummary) -> None:
-    if not geo.ambient_unit_sphere:
-        raise GateError("manifold is not contained in a unit sphere")
-
-
-def _sum_bound(bound_id, eigenvalues, geo, tol_eq, in_sphere=False):
-    if geo.n != 4:
-        raise InvalidDimensionError(f"four-dimensional bound, got n = {geo.n}")
-    if in_sphere:
-        _require_unit_sphere(geo)
-    flags: list[str] = []
-    lam = _positive_index(eigenvalues, 4, flags)[:4]
-    lhs = float(np.sum(_sqrt_clamped(lam, flags)))
+def _sum_formula(values, geo, u1, flags):
+    """Sum of the four root eigenvalues of a 4-manifold against the
+    curvature-integral bound."""
+    lhs = float(np.sum(_sqrt_clamped(values[:4], flags)))
     p = geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
     h = geo.integrate(geo.mean_sq)
-    rhs = 4.0 * math.sqrt(max(p * h, 0.0)) / geo.volume
-    rep = _report(bound_id, lhs, rhs, geo, len(np.asarray(eigenvalues)), flags, tol_eq=tol_eq)
-    return _flag_off_case_equality(rep, geo)
+    return lhs, 4.0 * math.sqrt(max(p * h, 0.0)) / geo.volume
 
 
-def verify_thm_1_1(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
-    """Sum of the four root eigenvalues of a 4-manifold against the
-    curvature-integral bound; equality on round spheres and minimal
-    constant-R submanifolds of spheres."""
-    return _sum_bound("thm_1_1", eigenvalues, geo, tol_eq)
-
-
-def verify_cor_1_1(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
-    """Ambient-unit-sphere version: substitute |H|^2 + 1 (in-sphere mean
-    curvature plus the sphere's own contribution) in both integrals.  The
-    euclidean mean_sq already equals that sum, so the body is thm_1_1's."""
-    return _sum_bound("cor_1_1", eigenvalues, geo, tol_eq, in_sphere=True)
-
-
-def _gap_bound(bound_id, eigenvalues, geo, u1, tol_eq):
+def _gap_formula(values, geo, u1, flags):
+    """Sum of root gaps (lambda_{j+1} - lambda_1), j = 1..n, weighted by the
+    ground eigenfunction."""
     n = geo.n
-    if n <= 4:
-        raise InvalidDimensionError(f"gap bound needs n > 4, got {n}")
-    flags: list[str] = []
-    values = snap_kernel(eigenvalues)
-    if values.size < n + 1:
-        raise GateError(f"need {n + 1} eigenvalues, have {values.size}")
-    if u1 is None:
-        u1 = U1Data()
+    u1 = u1 or U1Data()
     flags.extend(u1.flags)
     gaps = values[1 : n + 1] - values[0]
     if np.any(gaps < -geo.tol_eq):
         flags.append("negative_gap_clamped")
     lhs = float(np.sum(_sqrt_clamped(np.maximum(gaps, 0.0), flags)))
-
     if u1.u1_sq is None:  # constant ground state, u_1^2 = 1/vol
         h = geo.integrate(geo.mean_sq) / geo.volume
     else:
@@ -264,78 +224,34 @@ def _gap_bound(bound_id, eigenvalues, geo, u1, tol_eq):
     grad = u1.grad_energy
     p = 0.5 * n * (n * n - 4.0) * h + 2.0 * (n + 2.0) * grad
     q = n * n * h + 4.0 * grad
-    rhs = math.sqrt(max(p, 0.0)) * math.sqrt(max(q, 0.0))
-    return _report(bound_id, lhs, rhs, geo, len(values), flags, tol_eq=tol_eq)
+    return lhs, math.sqrt(max(p, 0.0)) * math.sqrt(max(q, 0.0))
 
 
-def verify_thm_1_2(eigenvalues, geo: GeometrySummary, u1: U1Data | None = None,
-                   tol_eq: float | None = None) -> BoundReport:
-    """Gap bound: sum of root gaps (lambda_{j+1} - lambda_1), j = 1..n,
-    weighted by the ground eigenfunction.  No positivity assumption."""
-    return _gap_bound("thm_1_2", eigenvalues, geo, u1, tol_eq)
-
-
-def verify_cor_3_1(eigenvalues, geo: GeometrySummary, u1: U1Data | None = None,
-                   tol_eq: float | None = None) -> BoundReport:
-    """Gap bound for submanifolds of the unit sphere: |H|^2 -> |H|^2 + 1,
-    which the euclidean mean_sq already is, so the body is thm_1_2's."""
-    _require_unit_sphere(geo)
-    return _gap_bound("cor_3_1", eigenvalues, geo, u1, tol_eq)
-
-
-def verify_thm_1_3(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
-    """Strict bound on the first n root eigenvalues for unit-sphere
-    submanifolds, n != 4; requires a positive bottom eigenvalue."""
+def _strict_formula(values, geo, u1, flags):
+    """The first n root eigenvalues of a unit-sphere submanifold, n != 4."""
     n = geo.n
-    if n == 4:
-        raise InvalidDimensionError("bound excludes n = 4 (conformally covariant case)")
-    _require_unit_sphere(geo)
-    flags: list[str] = []
-    values = snap_kernel(eigenvalues)
-    if values.size < n:
-        raise GateError(f"need {n} eigenvalues, have {values.size}")
-    lam1 = float(values[0])
-    if lam1 <= 0.0:
-        raise PositivityError(
-            f"operator is not positive on {geo.label}: lambda_1 = {lam1:.6g} <= 0"
-        )
     lhs = float(np.sum(_sqrt_clamped(values[:n], flags)))
-    coeffs = paneitz_coefficients(n)
-    trace = float(coeffs.trace_coefficient)
-    qfac = float(coeffs.q_factor)
-    p = geo.integrate(n * n * geo.mean_sq + trace * geo.scalar + qfac * geo.q)
+    c = paneitz_coefficients(n)
+    p = geo.integrate(n * n * geo.mean_sq + float(c.trace_coefficient) * geo.scalar
+                      + float(c.q_factor) * geo.q)
     h = geo.integrate(geo.mean_sq)
-    rhs = n * math.sqrt(max(p * h, 0.0)) / geo.volume
-    return _report("thm_1_3", lhs, rhs, geo, len(values), flags, strict=True, tol_eq=tol_eq)
+    return lhs, n * math.sqrt(max(p * h, 0.0)) / geo.volume
 
 
-def verify_intro_bounds(eigenvalues, geo: GeometrySummary,
-                        tol_eq: float | None = None) -> list[BoundReport]:
-    """The two earlier first/second-eigenvalue bounds quoted in the
-    introduction: lambda_1 for n = 4 and lambda_2 for n >= 7."""
-    reports: list[BoundReport] = []
-    if geo.n == 4:
-        flags: list[str] = []
-        lam = _positive_index(eigenvalues, 1, flags)
-        lhs = float(lam[0])
-        rhs = (geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
-               * geo.integrate(geo.mean_sq)) / geo.volume**2
-        rep = _report("chenli_l1", lhs, rhs, geo, len(np.asarray(eigenvalues)), flags, tol_eq=tol_eq)
-        reports.append(_flag_off_case_equality(rep, geo))
-    if geo.n >= 7:
-        flags = []
-        values = snap_kernel(eigenvalues)
-        if values.size < 2:
-            raise GateError(f"need 2 eigenvalues, have {values.size}")
-        lhs = float(values[1])
-        n = geo.n
-        qfac = float(paneitz_coefficients(n).q_factor)
-        rhs = (0.5 * n * (n * n - 4.0) * geo.integrate(geo.mean_sq**2)
-               + qfac * geo.integrate(geo.q)) / geo.volume
-        reports.append(_report("chenli_l2", lhs, rhs, geo, len(values), flags, tol_eq=tol_eq))
-    if not reports:
-        raise InvalidDimensionError(f"no introductory bound applies to n = {geo.n}")
-    return reports
+def _first_formula(values, geo, u1, flags):
+    """The introduction's lambda_1 bound on 4-manifolds."""
+    rhs = (geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
+           * geo.integrate(geo.mean_sq)) / geo.volume**2
+    return float(values[0]), rhs
+
+
+def _second_formula(values, geo, u1, flags):
+    """The introduction's lambda_2 bound for n >= 7."""
+    n = geo.n
+    qfac = float(paneitz_coefficients(n).q_factor)
+    rhs = (0.5 * n * (n * n - 4.0) * geo.integrate(geo.mean_sq**2)
+           + qfac * geo.integrate(geo.q)) / geo.volume
+    return float(values[1]), rhs
 
 
 # --------------------------------------------------------------------------
@@ -353,12 +269,14 @@ DIMENSION_RULES = {
 
 @dataclass(frozen=True)
 class BoundRule:
-    """One bound, its hypotheses, and check(values, geo, u1, tol_eq), which
-    runs the bound's verifier (the verifier keeps its own gates)."""
+    """One bound: its hypotheses, formula(values, geo, u1, flags) -> (lhs,
+    rhs), and count(n), the eigenvalues it reads (the n = 4 kernel slot
+    included).  A refusable bound also needs lambda_1 > 0 and is strict."""
 
     bound_id: str
     dims: str                     # a key of DIMENSION_RULES
-    check: Callable
+    formula: Callable
+    count: Callable
     unit_sphere: bool = False     # needs the unit-sphere ambient
     needs_u1: bool = False        # reads the ground eigenfunction
     refusable: bool = False       # a PositivityError is a refusal while others apply
@@ -368,38 +286,92 @@ class BoundRule:
         """Hypotheses hold in dimension n (and, if given, in that ambient)."""
         return DIMENSION_RULES[self.dims](n) and (unit_sphere or not self.unit_sphere)
 
+    def require(self, n: int) -> None:
+        """Refuse a dimension the bound is not stated for."""
+        if not self.applies(n):
+            raise InvalidDimensionError(f"{self.bound_id} is stated for {self.dims}, got n = {n}")
+
     @property
     def lowest_dim(self) -> int:
         """The smallest n >= 3 (where the operator exists) the bound covers."""
         return next(n for n in itertools.count(3) if self.applies(n))
 
 
-def _intro_check(bound_id: str) -> Callable:
-    def check(values, geo, u1, tol_eq):
-        for rep in verify_intro_bounds(values, geo, tol_eq):
-            if rep.bound_id == bound_id:
-                return rep
-        raise InvalidDimensionError(f"{bound_id} does not apply to n = {geo.n}")
-    return check
-
-
-# checkers look the verifiers up by name at call time, so a verifier
-# replaced in this module (a tracer, a test) is the one the table calls
 #: every bound, in report order
 BOUNDS = {rule.bound_id: rule for rule in (
-    BoundRule("thm_1_1", "4-manifolds", replayable=True,
-              check=lambda values, geo, u1, tol_eq: verify_thm_1_1(values, geo, tol_eq)),
-    BoundRule("chenli_l1", "4-manifolds", check=_intro_check("chenli_l1")),
-    BoundRule("cor_1_1", "4-manifolds", unit_sphere=True,
-              check=lambda values, geo, u1, tol_eq: verify_cor_1_1(values, geo, tol_eq)),
-    BoundRule("thm_1_2", "n > 4", needs_u1=True, replayable=True,
-              check=lambda values, geo, u1, tol_eq: verify_thm_1_2(values, geo, u1, tol_eq)),
-    BoundRule("cor_3_1", "n > 4", unit_sphere=True, needs_u1=True,
-              check=lambda values, geo, u1, tol_eq: verify_cor_3_1(values, geo, u1, tol_eq)),
-    BoundRule("chenli_l2", "n >= 7", check=_intro_check("chenli_l2")),
-    BoundRule("thm_1_3", "n != 4", unit_sphere=True, refusable=True,
-              check=lambda values, geo, u1, tol_eq: verify_thm_1_3(values, geo, tol_eq)),
+    BoundRule("thm_1_1", "4-manifolds", _sum_formula, lambda n: 5, replayable=True),
+    BoundRule("chenli_l1", "4-manifolds", _first_formula, lambda n: 2),
+    BoundRule("cor_1_1", "4-manifolds", _sum_formula, lambda n: 5, unit_sphere=True),
+    BoundRule("thm_1_2", "n > 4", _gap_formula, lambda n: n + 1, needs_u1=True, replayable=True),
+    BoundRule("cor_3_1", "n > 4", _gap_formula, lambda n: n + 1, unit_sphere=True, needs_u1=True),
+    BoundRule("chenli_l2", "n >= 7", _second_formula, lambda n: 2),
+    BoundRule("thm_1_3", "n != 4", _strict_formula, lambda n: n, unit_sphere=True, refusable=True),
 )}
+
+
+def evaluate(bound_id: str, eigenvalues, geo: GeometrySummary, u1: U1Data | None = None,
+             tol_eq: float | None = None) -> BoundReport:
+    """Check a bound's hypotheses in the order dimension, unit-sphere
+    ambient, eigenvalue count, lambda_1 > 0 (refusable bounds), then
+    evaluate its formula.  On 4-manifolds the operator kills constants, so
+    the leading lambda_0 = 0 is dropped before the formula indexes."""
+    rule = BOUNDS[bound_id]
+    rule.require(geo.n)
+    if rule.unit_sphere and not geo.ambient_unit_sphere:
+        raise GateError(f"{bound_id} needs a manifold in the unit sphere")
+    values = snap_kernel(eigenvalues)
+    need, k = rule.count(geo.n), values.size
+    if k < need:
+        raise GateError(f"{bound_id}: need {need} eigenvalues, have {k}")
+    if rule.refusable and values[0] <= 0.0:
+        raise PositivityError(
+            f"operator is not positive on {geo.label}: lambda_1 = {float(values[0]):.6g} <= 0")
+    flags: list[str] = []
+    if geo.n == 4:
+        if values[0] != 0.0:
+            flags.append("kernel_not_found_n4")
+        values = values[1:]
+    lhs, rhs = rule.formula(values, geo, u1, flags)
+    rep = _report(bound_id, lhs, rhs, geo, k, flags, strict=rule.refusable, tol_eq=tol_eq)
+    return _flag_off_case_equality(rep, geo) if geo.n == 4 else rep
+
+
+def verify_thm_1_1(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
+    """Four root eigenvalues of a 4-manifold against curvature integrals."""
+    return evaluate("thm_1_1", eigenvalues, geo, tol_eq=tol_eq)
+
+
+def verify_cor_1_1(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
+    """thm_1_1 for submanifolds of the unit sphere."""
+    return evaluate("cor_1_1", eigenvalues, geo, tol_eq=tol_eq)
+
+
+def verify_thm_1_2(eigenvalues, geo: GeometrySummary, u1: U1Data | None = None,
+                   tol_eq: float | None = None) -> BoundReport:
+    """Gap bound for n > 4; no positivity assumption."""
+    return evaluate("thm_1_2", eigenvalues, geo, u1, tol_eq)
+
+
+def verify_cor_3_1(eigenvalues, geo: GeometrySummary, u1: U1Data | None = None,
+                   tol_eq: float | None = None) -> BoundReport:
+    """thm_1_2 for submanifolds of the unit sphere."""
+    return evaluate("cor_3_1", eigenvalues, geo, u1, tol_eq)
+
+
+def verify_thm_1_3(eigenvalues, geo: GeometrySummary, tol_eq: float | None = None) -> BoundReport:
+    """Strict bound for unit-sphere submanifolds, n != 4, lambda_1 > 0."""
+    return evaluate("thm_1_3", eigenvalues, geo, tol_eq=tol_eq)
+
+
+def verify_intro_bounds(eigenvalues, geo: GeometrySummary,
+                        tol_eq: float | None = None) -> list[BoundReport]:
+    """The two earlier bounds quoted in the introduction that apply in
+    dimension n: chenli_l1 for n = 4, chenli_l2 for n >= 7."""
+    reports = [evaluate(bound_id, eigenvalues, geo, tol_eq=tol_eq)
+               for bound_id in ("chenli_l1", "chenli_l2") if BOUNDS[bound_id].applies(geo.n)]
+    if not reports:
+        raise InvalidDimensionError(f"no introductory bound applies to n = {geo.n}")
+    return reports
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .bounds import (
     BOUNDS,
     U1Data,
     diagnose_equality,
+    evaluate,
     snap_kernel,
     summarize_bundle,
     summarize_model,
@@ -41,10 +42,9 @@ from .coefficients import paneitz_coefficients
 from .discrete import build_bundle
 from .eigensolve import spectrum as solve_spectrum
 from .errors import (
-    AmbiguityError,
-    DegenerateImmersionError,
     GateError,
     InvalidDimensionError,
+    PaneitzLabError,
     PositivityError,
     SolverFailureError,
     SpecFileError,
@@ -132,17 +132,15 @@ def _run_bounds(requested: str, values, geo, u1, tol_eq):
         if requested not in BOUNDS:
             raise GateError(f"unknown bound id {requested!r}; "
                             f"known: {', '.join(BOUNDS)} or 'all'")
-        return [BOUNDS[requested].check(values, geo, u1, tol_eq)], []
+        return [evaluate(requested, values, geo, u1, tol_eq)], []
 
     reports, refusals, refused = [], [], None
     for rule in BOUNDS.values():
         if not rule.applies(geo.n, geo.ambient_unit_sphere):
             continue
         try:
-            reports.append(rule.check(values, geo, u1, tol_eq))
-        except PositivityError as exc:
-            if not rule.refusable:
-                raise
+            reports.append(evaluate(rule.bound_id, values, geo, u1, tol_eq))
+        except PositivityError as exc:      # raised by refusable bounds only
             refusals.append({"bound_id": rule.bound_id, "refused": str(exc)})
             refused = exc
     if not reports:
@@ -346,7 +344,7 @@ def _sweep_sphere_radius(param: float, bound: str, tol):
     values, _ = _analytic_spectrum_block(model, n + 3)
     geo = summarize_model(model)
     u1 = _analytic_u1(model) if rule.needs_u1 else None
-    return rule.check(values, geo, u1, tol), values, n
+    return evaluate(bound, values, geo, u1, tol), values, n
 
 
 def _sweep_clifford_ratio(param: float, bound: str, tol):
@@ -357,7 +355,7 @@ def _sweep_clifford_ratio(param: float, bound: str, tol):
     model = sphere_product(((2, r1), (2, r2)), ambient="unit_sphere")
     values, _ = _analytic_spectrum_block(model, 8)
     geo = summarize_model(model)
-    return BOUNDS[bound].check(values, geo, None, tol), values, 4
+    return evaluate(bound, values, geo, None, tol), values, 4
 
 
 def _sweep_fourier_perturbation(param: float, bound: str, tol, seed: int):
@@ -374,7 +372,7 @@ def _sweep_fourier_perturbation(param: float, bound: str, tol, seed: int):
                             bundle=bundle, solver="lanczos", seed=seed)
     geo = summarize_bundle(bundle)
     u1 = u1_from_result(bundle, result) if rule.needs_u1 else None
-    return rule.check(result.eigenvalues, geo, u1, tol), result.eigenvalues, n
+    return evaluate(bound, result.eigenvalues, geo, u1, tol), result.eigenvalues, n
 
 
 #: sweep family -> (its dimension, None for any; whether it lies in the unit
@@ -502,13 +500,12 @@ def main(argv=None) -> int:
     except SpecFileError as exc:
         print(f"paneitz-lab: spec error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (GateError, InvalidDimensionError, AmbiguityError,
-            DegenerateImmersionError, ValueError) as exc:
-        print(f"paneitz-lab: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except SolverFailureError as exc:
         print(f"paneitz-lab: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (PaneitzLabError, ValueError) as exc:
+        print(f"paneitz-lab: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except OSError as exc:  # spec reads raise SpecFileError, so this is --out/--csv
         path = exc.filename or getattr(args, "csv", None) or args.out
         print(f"paneitz-lab: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)

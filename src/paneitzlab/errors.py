@@ -32,7 +32,7 @@ class DegenerateImmersionError(PaneitzLabError):
 
 
 class GateError(PaneitzLabError):
-    """A bound's hypotheses (dimension, ambient, positivity) are not met."""
+    """A bound's hypotheses (ambient, eigenvalue count, positivity) are not met."""
 
 
 class PositivityError(GateError):

@@ -1,6 +1,6 @@
 """Step-by-step replay of the trial-function derivations behind the bounds.
 
-``verify_*`` in bounds.py checks only the endpoints of each eigenvalue bound.
+``bounds.evaluate`` checks only the endpoints of each eigenvalue bound.
 This module re-runs the derivation itself: rotate the ambient coordinates
 against computed (or closed-form) eigenfunctions, build the trial functions,
 and record the slack of every intermediate inequality and the residual of
@@ -96,8 +96,7 @@ def _check_theorem(theorem_id: str, n: int):
     if rule is None or not rule.replayable:
         known = tuple(r.bound_id for r in BOUNDS.values() if r.replayable)
         raise ValueError(f"replayable theorems are {known}, got {theorem_id!r}")
-    if not rule.applies(n):
-        raise InvalidDimensionError(f"{theorem_id} is stated for {rule.dims}, got n = {n}")
+    rule.require(n)
 
 
 def replay_theorem(n: int) -> str:

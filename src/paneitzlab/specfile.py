@@ -22,10 +22,13 @@ a list of ``{p, r}``; ``flat_torus`` and ``fourier_immersion`` take
 ``radii``.  A ``fourier`` entry adds ``amp[j] * trig(k . x)`` to ambient
 coordinate j on top of the block torus; ``trig`` is ``cos`` (default) or
 ``sin``, and ``amp`` must have one entry per ambient coordinate (2 dim).
+Each wavevector needs |k_i| < m_i / 2 on every grid axis of m_i points, and
+every number must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,9 +159,12 @@ def _int(node, what: str) -> int:
 def _float(node, what: str) -> float:
     raw = _scalar(node, what)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise _err(node, f"{what} must be a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise _err(node, f"{what} must be a finite number, got {raw!r}")
+    return value
 
 
 def _choice(node, what: str, allowed: tuple[str, ...]) -> str:
@@ -241,6 +247,7 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
             raise _err(params["radii"], "radii must all be positive")
 
     fourier: list[SpecModeTerm] = []
+    k_nodes = []
     if "fourier" in top:
         if kind != "fourier_immersion":
             raise _err(top["fourier"], "fourier modes only apply to kind fourier_immersion")
@@ -257,6 +264,7 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
                 raise _err(entry["amp"],
                            f"amp length {len(amp)} != ambient dimension {2 * dim}")
             fourier.append(SpecModeTerm(k=kvec, amp=amp, trig=trig))
+            k_nodes.append(entry["k"])
     elif kind == "fourier_immersion":
         raise _err(root, "fourier_immersion needs a 'fourier' list (may perturb by zero)")
 
@@ -275,6 +283,10 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
             raise _err(node, f"grid sizes must be >= 8 per axis, got {grid}")
     elif kind == "fourier_immersion":
         raise _err(root, "fourier_immersion needs a 'grid' (no closed form exists)")
+    for term, node in zip(fourier, k_nodes):   # the coarse grid must resolve each mode
+        if any(2 * abs(k) >= m for k, m in zip(term.k, grid)):
+            raise _err(node, f"wavevector {list(term.k)} aliases on grid {grid}: "
+                             f"need |k_i| < m_i / 2 on every axis")
 
     solver = _choice(top["solver"], "solver", SOLVERS) if "solver" in top else None
     count = _int(top["k"], "k") if "k" in top else DEFAULT_COUNT

@@ -5,19 +5,22 @@ euclidean space and in the unit sphere.  Every case runs `verify` once with
 `--bound all` and once per bound id, and checks the reported ids and their
 order, the recorded refusals, the exit code and the exact stderr text.
 The registry in `bounds.BOUNDS` decides all of it; the later tests hold the
-registry to the verifiers' own gates, the sweep families and the README.
+registry to its one gate, `bounds.evaluate`, the sweep families and the README.
 """
 
+import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paneitzlab.bounds import BOUNDS, GeometrySummary
+from paneitzlab.bounds import BOUNDS, GeometrySummary, evaluate
 from paneitzlab.cli import _family_bounds, main
-from paneitzlab.errors import InvalidDimensionError
+from paneitzlab.errors import (GateError, InvalidDimensionError, PaneitzLabError,
+                               PositivityError)
 from paneitzlab.replay import replay_theorem
 from paneitzlab.specfile import parse_manifold_spec
 
@@ -25,16 +28,12 @@ COLUMNS = ("all", "thm_1_1", "chenli_l1", "cor_1_1", "thm_1_2", "cor_3_1",
            "chenli_l2", "thm_1_3")
 
 # rejections (exit 2), by their stderr text
-DIM4 = "four-dimensional bound, got n = {n}"
-GAP = "gap bound needs n > 4, got {n}"
-SPHERE = "manifold is not contained in a unit sphere"
-INTRO = "no introductory bound applies to n = {n}"
-OTHER = "{bound} does not apply to n = {n}"
-NOT4 = "bound excludes n = 4 (conformally covariant case)"
+DIM = "{bound} is stated for {dims}, got n = {n}"
+SPHERE = "{bound} needs a manifold in the unit sphere"
 NONE = "no bound applies to n = {n} with this ambient"
 POS_NEG = "operator is not positive on {label}: lambda_1 = -0.9375 <= 0"
 POS_ZERO = "operator is not positive on {label}: lambda_1 = 0 <= 0"
-REJECTIONS = (DIM4, GAP, SPHERE, INTRO, OTHER, NOT4, NONE, POS_NEG, POS_ZERO)
+REJECTIONS = (DIM, SPHERE, NONE, POS_NEG, POS_ZERO)
 
 
 def _sphere(ambient):
@@ -72,56 +71,56 @@ SPECS = {
 # one cell per column of COLUMNS: the reported ids in order, "!" marking a
 # refusal, or the stderr text of a rejection
 EXPECTED = {
-    ("sphere", 3): (NONE, DIM4, INTRO, DIM4, GAP, SPHERE, INTRO, SPHERE),
-    ("sphere", 4): ("thm_1_1 chenli_l1", "thm_1_1", "chenli_l1", SPHERE, GAP, SPHERE, OTHER, NOT4),
-    ("sphere", 5): ("thm_1_2", DIM4, INTRO, DIM4, "thm_1_2", SPHERE, INTRO, SPHERE),
-    ("sphere", 6): ("thm_1_2", DIM4, INTRO, DIM4, "thm_1_2", SPHERE, INTRO, SPHERE),
-    ("sphere", 7): ("thm_1_2 chenli_l2", DIM4, OTHER, DIM4, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
-    ("sphere", 8): ("thm_1_2 chenli_l2", DIM4, OTHER, DIM4, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
-    ("equator", 3): (POS_NEG, DIM4, INTRO, DIM4, GAP, GAP, INTRO, POS_NEG),
-    ("equator", 4): ("thm_1_1 chenli_l1 cor_1_1", "thm_1_1", "chenli_l1", "cor_1_1", GAP, GAP,
-                     OTHER, NOT4),
-    ("equator", 5): ("thm_1_2 cor_3_1 thm_1_3", DIM4, INTRO, DIM4, "thm_1_2", "cor_3_1", INTRO,
+    ("sphere", 3): (NONE, DIM, DIM, DIM, DIM, DIM, DIM, SPHERE),
+    ("sphere", 4): ("thm_1_1 chenli_l1", "thm_1_1", "chenli_l1", SPHERE, DIM, DIM, DIM, DIM),
+    ("sphere", 5): ("thm_1_2", DIM, DIM, DIM, "thm_1_2", SPHERE, DIM, SPHERE),
+    ("sphere", 6): ("thm_1_2", DIM, DIM, DIM, "thm_1_2", SPHERE, DIM, SPHERE),
+    ("sphere", 7): ("thm_1_2 chenli_l2", DIM, DIM, DIM, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
+    ("sphere", 8): ("thm_1_2 chenli_l2", DIM, DIM, DIM, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
+    ("equator", 3): (POS_NEG, DIM, DIM, DIM, DIM, DIM, DIM, POS_NEG),
+    ("equator", 4): ("thm_1_1 chenli_l1 cor_1_1", "thm_1_1", "chenli_l1", "cor_1_1", DIM, DIM, DIM,
+                     DIM),
+    ("equator", 5): ("thm_1_2 cor_3_1 thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1", DIM,
                      "thm_1_3"),
-    ("equator", 6): ("thm_1_2 cor_3_1 thm_1_3", DIM4, INTRO, DIM4, "thm_1_2", "cor_3_1", INTRO,
+    ("equator", 6): ("thm_1_2 cor_3_1 thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1", DIM,
                      "thm_1_3"),
-    ("equator", 7): ("thm_1_2 cor_3_1 chenli_l2 thm_1_3", DIM4, OTHER, DIM4, "thm_1_2", "cor_3_1",
+    ("equator", 7): ("thm_1_2 cor_3_1 chenli_l2 thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1",
                      "chenli_l2", "thm_1_3"),
-    ("equator", 8): ("thm_1_2 cor_3_1 chenli_l2 thm_1_3", DIM4, OTHER, DIM4, "thm_1_2", "cor_3_1",
+    ("equator", 8): ("thm_1_2 cor_3_1 chenli_l2 thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1",
                      "chenli_l2", "thm_1_3"),
-    ("product", 3): (NONE, DIM4, INTRO, DIM4, GAP, SPHERE, INTRO, SPHERE),
-    ("product", 4): ("thm_1_1 chenli_l1", "thm_1_1", "chenli_l1", SPHERE, GAP, SPHERE, OTHER, NOT4),
-    ("product", 5): ("thm_1_2", DIM4, INTRO, DIM4, "thm_1_2", SPHERE, INTRO, SPHERE),
-    ("product", 6): ("thm_1_2", DIM4, INTRO, DIM4, "thm_1_2", SPHERE, INTRO, SPHERE),
-    ("product", 7): ("thm_1_2 chenli_l2", DIM4, OTHER, DIM4, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
-    ("product", 8): ("thm_1_2 chenli_l2", DIM4, OTHER, DIM4, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
-    ("clifford", 3): ("thm_1_3", DIM4, INTRO, DIM4, GAP, GAP, INTRO, "thm_1_3"),
-    ("clifford", 4): ("thm_1_1 chenli_l1 cor_1_1", "thm_1_1", "chenli_l1", "cor_1_1", GAP, GAP,
-                      OTHER, NOT4),
-    ("clifford", 5): ("thm_1_2 cor_3_1 thm_1_3", DIM4, INTRO, DIM4, "thm_1_2", "cor_3_1", INTRO,
+    ("product", 3): (NONE, DIM, DIM, DIM, DIM, DIM, DIM, SPHERE),
+    ("product", 4): ("thm_1_1 chenli_l1", "thm_1_1", "chenli_l1", SPHERE, DIM, DIM, DIM, DIM),
+    ("product", 5): ("thm_1_2", DIM, DIM, DIM, "thm_1_2", SPHERE, DIM, SPHERE),
+    ("product", 6): ("thm_1_2", DIM, DIM, DIM, "thm_1_2", SPHERE, DIM, SPHERE),
+    ("product", 7): ("thm_1_2 chenli_l2", DIM, DIM, DIM, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
+    ("product", 8): ("thm_1_2 chenli_l2", DIM, DIM, DIM, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
+    ("clifford", 3): ("thm_1_3", DIM, DIM, DIM, DIM, DIM, DIM, "thm_1_3"),
+    ("clifford", 4): ("thm_1_1 chenli_l1 cor_1_1", "thm_1_1", "chenli_l1", "cor_1_1", DIM, DIM,
+                      DIM, DIM),
+    ("clifford", 5): ("thm_1_2 cor_3_1 thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1", DIM,
                       "thm_1_3"),
-    ("clifford", 6): ("thm_1_2 cor_3_1 thm_1_3", DIM4, INTRO, DIM4, "thm_1_2", "cor_3_1", INTRO,
+    ("clifford", 6): ("thm_1_2 cor_3_1 thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1", DIM,
                       "thm_1_3"),
-    ("clifford", 7): ("thm_1_2 cor_3_1 chenli_l2 thm_1_3", DIM4, OTHER, DIM4, "thm_1_2", "cor_3_1",
+    ("clifford", 7): ("thm_1_2 cor_3_1 chenli_l2 thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1",
                       "chenli_l2", "thm_1_3"),
-    ("clifford", 8): ("thm_1_2 cor_3_1 chenli_l2 thm_1_3", DIM4, OTHER, DIM4, "thm_1_2", "cor_3_1",
+    ("clifford", 8): ("thm_1_2 cor_3_1 chenli_l2 thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1",
                       "chenli_l2", "thm_1_3"),
-    ("torus", 3): (NONE, DIM4, INTRO, DIM4, GAP, SPHERE, INTRO, SPHERE),
-    ("torus", 4): ("thm_1_1 chenli_l1", "thm_1_1", "chenli_l1", SPHERE, GAP, SPHERE, OTHER, NOT4),
-    ("torus", 5): ("thm_1_2", DIM4, INTRO, DIM4, "thm_1_2", SPHERE, INTRO, SPHERE),
-    ("torus", 6): ("thm_1_2", DIM4, INTRO, DIM4, "thm_1_2", SPHERE, INTRO, SPHERE),
-    ("torus", 7): ("thm_1_2 chenli_l2", DIM4, OTHER, DIM4, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
-    ("torus", 8): ("thm_1_2 chenli_l2", DIM4, OTHER, DIM4, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
-    ("torus_in_sphere", 3): (POS_ZERO, DIM4, INTRO, DIM4, GAP, GAP, INTRO, POS_ZERO),
-    ("torus_in_sphere", 4): ("thm_1_1 chenli_l1 cor_1_1", "thm_1_1", "chenli_l1", "cor_1_1", GAP,
-                             GAP, OTHER, NOT4),
-    ("torus_in_sphere", 5): ("thm_1_2 cor_3_1 !thm_1_3", DIM4, INTRO, DIM4, "thm_1_2", "cor_3_1",
-                             INTRO, POS_ZERO),
-    ("torus_in_sphere", 6): ("thm_1_2 cor_3_1 !thm_1_3", DIM4, INTRO, DIM4, "thm_1_2", "cor_3_1",
-                             INTRO, POS_ZERO),
-    ("torus_in_sphere", 7): ("thm_1_2 cor_3_1 chenli_l2 !thm_1_3", DIM4, OTHER, DIM4, "thm_1_2",
+    ("torus", 3): (NONE, DIM, DIM, DIM, DIM, DIM, DIM, SPHERE),
+    ("torus", 4): ("thm_1_1 chenli_l1", "thm_1_1", "chenli_l1", SPHERE, DIM, DIM, DIM, DIM),
+    ("torus", 5): ("thm_1_2", DIM, DIM, DIM, "thm_1_2", SPHERE, DIM, SPHERE),
+    ("torus", 6): ("thm_1_2", DIM, DIM, DIM, "thm_1_2", SPHERE, DIM, SPHERE),
+    ("torus", 7): ("thm_1_2 chenli_l2", DIM, DIM, DIM, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
+    ("torus", 8): ("thm_1_2 chenli_l2", DIM, DIM, DIM, "thm_1_2", SPHERE, "chenli_l2", SPHERE),
+    ("torus_in_sphere", 3): (POS_ZERO, DIM, DIM, DIM, DIM, DIM, DIM, POS_ZERO),
+    ("torus_in_sphere", 4): ("thm_1_1 chenli_l1 cor_1_1", "thm_1_1", "chenli_l1", "cor_1_1", DIM,
+                             DIM, DIM, DIM),
+    ("torus_in_sphere", 5): ("thm_1_2 cor_3_1 !thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1", DIM,
+                             POS_ZERO),
+    ("torus_in_sphere", 6): ("thm_1_2 cor_3_1 !thm_1_3", DIM, DIM, DIM, "thm_1_2", "cor_3_1", DIM,
+                             POS_ZERO),
+    ("torus_in_sphere", 7): ("thm_1_2 cor_3_1 chenli_l2 !thm_1_3", DIM, DIM, DIM, "thm_1_2",
                              "cor_3_1", "chenli_l2", POS_ZERO),
-    ("torus_in_sphere", 8): ("thm_1_2 cor_3_1 chenli_l2 !thm_1_3", DIM4, OTHER, DIM4, "thm_1_2",
+    ("torus_in_sphere", 8): ("thm_1_2 cor_3_1 chenli_l2 !thm_1_3", DIM, DIM, DIM, "thm_1_2",
                              "cor_3_1", "chenli_l2", POS_ZERO),
 }
 
@@ -139,7 +138,8 @@ def test_verify_selection_is_pinned(case, n, tmp_path, capsys):
         err = capsys.readouterr().err
         where = f"{case} n = {n} --bound {bound}"
         if cell in REJECTIONS:
-            message = cell.format(n=n, bound=bound, label=label)
+            dims = BOUNDS[bound].dims if bound in BOUNDS else None
+            message = cell.format(n=n, bound=bound, label=label, dims=dims)
             assert (code, err) == (2, f"paneitz-lab: {message}\n"), where
             assert not out.exists(), where
             continue
@@ -153,7 +153,7 @@ def test_verify_selection_is_pinned(case, n, tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# the registry against the verifiers and the README
+# the registry against its gate, the sweeps, replay and the README
 # --------------------------------------------------------------------------
 
 def _synthetic_geometry(n: int) -> GeometrySummary:
@@ -169,12 +169,48 @@ def test_dimension_rule_matches_the_verifier_gate(bound):
     for n in range(3, 10):
         geo = _synthetic_geometry(n)
         if rule.applies(n):
-            assert rule.check(values, geo, None, None).bound_id == bound, n
+            assert evaluate(bound, values, geo).bound_id == bound, n
         else:
             with pytest.raises(InvalidDimensionError):
-                rule.check(values, geo, None, None)
+                evaluate(bound, values, geo)
     assert rule.applies(rule.lowest_dim)
     assert not any(rule.applies(n) for n in range(3, rule.lowest_dim))
+
+
+#: eigenvalues each bound reads, the n = 4 kernel slot included
+NEEDS = {"thm_1_1": lambda n: 5, "chenli_l1": lambda n: 2, "cor_1_1": lambda n: 5,
+         "thm_1_2": lambda n: n + 1, "cor_3_1": lambda n: n + 1, "chenli_l2": lambda n: 2,
+         "thm_1_3": lambda n: n}
+
+
+@pytest.mark.parametrize("bound", list(BOUNDS))
+def test_gate_reports_the_first_failing_hypothesis(bound):
+    """Dimension, then ambient, then count, then positivity: whatever else
+    fails, the first failing hypothesis is reported, in its single form."""
+    rule = BOUNDS[bound]
+    for n, in_sphere, short, negative in itertools.product(
+            range(3, 9), (False, True), (False, True), (False, True)):
+        geo = replace(_synthetic_geometry(n), ambient_unit_sphere=in_sphere)
+        values = np.arange(1.0, 20.0) - (1.5 if negative else 0.0)
+        need = NEEDS[bound](n)
+        if short:
+            values = values[:need - 1]
+        if not rule.applies(n):
+            kind, text = InvalidDimensionError, f"{bound} is stated for {rule.dims}, got n = {n}"
+        elif rule.unit_sphere and not in_sphere:
+            kind, text = GateError, f"{bound} needs a manifold in the unit sphere"
+        elif short:
+            kind, text = GateError, f"{bound}: need {need} eigenvalues, have {need - 1}"
+        elif negative and rule.refusable:
+            kind, text = (PositivityError,
+                          "operator is not positive on synthetic: lambda_1 = -0.5 <= 0")
+        else:
+            assert evaluate(bound, values, geo).bound_id == bound
+            continue
+        where = (n, in_sphere, short, negative)
+        with pytest.raises(PaneitzLabError) as exc:
+            evaluate(bound, values, geo)
+        assert (type(exc.value), str(exc.value)) == (kind, text), where
 
 
 def test_sweep_families_keep_their_bounds():

@@ -109,7 +109,7 @@ def test_first_eigenvalue_bound_on_minimal_clifford():
 
 def test_four_dim_bound_refuses_other_dimensions():
     m = round_sphere(5, 1.0)
-    with pytest.raises(InvalidDimensionError, match="four-dimensional"):
+    with pytest.raises(InvalidDimensionError, match="is stated for 4-manifolds"):
         verify_thm_1_1(closed_form_values(m, 9), summarize_model(m))
 
 

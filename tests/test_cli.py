@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paneitzlab.cli import _eigen_row, _sweep_fourier_perturbation, main
-from paneitzlab.errors import SolverFailureError
+from paneitzlab.errors import PaneitzLabError, SolverFailureError
 
 S4 = "kind: sphere\ndim: 4\nparams:\n  r: 1.0\n"
 S5 = "kind: sphere\ndim: 5\nparams:\n  r: 1.0\n"
@@ -139,6 +139,15 @@ def test_solver_failure_is_exit_3(spec_file, capsys, monkeypatch):
     assert "solver failure: synthetic breakdown" in capsys.readouterr().err
 
 
+def test_any_lab_error_is_exit_2(spec_file, capsys, monkeypatch):
+    def refuse(path):
+        raise PaneitzLabError("synthetic refusal")
+
+    monkeypatch.setattr("paneitzlab.cli.load_manifold_spec", refuse)
+    assert main(["verify", "--spec", spec_file(S4)]) == 2
+    assert capsys.readouterr().err == "paneitz-lab: synthetic refusal\n"
+
+
 def test_lobpcg_breakdown_is_exit_3(spec_file, capsys, monkeypatch):
     def singular(*a, **k):
         raise np.linalg.LinAlgError("the Gram block is not positive definite")
@@ -206,7 +215,7 @@ def test_verify_positivity_gate_when_nothing_else_applies(spec_file, capsys):
 
 def test_verify_explicit_bound_wrong_dimension(spec_file, capsys):
     assert main(["verify", "--spec", spec_file(S5), "--bound", "thm_1_1"]) == 2
-    assert "four-dimensional bound" in capsys.readouterr().err
+    assert "thm_1_1 is stated for 4-manifolds, got n = 5" in capsys.readouterr().err
 
 
 def test_verify_unknown_bound_id(spec_file, capsys):

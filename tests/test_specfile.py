@@ -2,6 +2,7 @@
 
 import pytest
 
+from paneitzlab.cli import main
 from paneitzlab.errors import SpecFileError
 from paneitzlab.specfile import (
     DEFAULT_SEED,
@@ -194,6 +195,48 @@ def test_fourier_restrictions():
     assert "wavevector length 3" in str(parse_error(
         "kind: fourier_immersion\ndim: 2\nparams:\n  radii: [1.0, 1.0]\n"
         "fourier:\n  - {k: [1, 0, 0], amp: [0.1, 0, 0, 0]}\ngrid: 8\n"))
+
+
+BUMP = (
+    "kind: fourier_immersion\n"
+    "dim: 3\n"
+    "params:\n"
+    "  radii: [1.0, 1.0, 1.0]\n"
+    "fourier:\n"
+    "  - {{k: {k}, amp: [{amp}, 0, 0, 0, 0, 0]}}\n"
+    "grid: {grid}\n"
+)
+
+
+@pytest.mark.parametrize("raw", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize("text,where", [
+    ("kind: sphere\ndim: 4\nparams:\n  r: {raw}\n", (4, 6)),
+    ("kind: flat_torus\ndim: 2\nparams:\n  radii: [1.0, {raw}]\n", (4, 16)),
+    (BUMP.format(k="[1, 0, 0]", amp="{raw}", grid=8), (6, 26)),
+], ids=["r", "radii", "amp"])
+def test_non_finite_numbers_are_located(text, where, raw, tmp_path, capsys):
+    # 1e400 overflows to inf, and an infinite radius never ends the catalog's line search
+    text = text.replace("{raw}", raw)
+    err = parse_error(text)
+    assert f"must be a finite number, got {raw!r}" in str(err)
+    assert (err.line, err.column) == where
+    spec = tmp_path / "m.yaml"
+    spec.write_text(text)
+    assert main(["verify", "--spec", str(spec), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"paneitz-lab: spec error: {err}\n"
+
+
+def test_aliased_wavevectors_are_located():
+    # |k_i| < m_i / 2: beyond it the coarse grid samples another mode than
+    # the 3/2 fine grid resolves; m_i / 2 is the sawtooth (Nyquist) mode
+    for k in ("[9, 0, 0]", "[4, 0, 0]"):
+        err = parse_error(BUMP.format(k=k, amp=0.1, grid=8))
+        assert f"wavevector {k} aliases on grid (8, 8, 8)" in str(err)
+        assert (err.line, err.column) == (6, 9)
+    spec = parse_manifold_spec(BUMP.format(k="[3, 0, 0]", amp=0.1, grid=8))
+    assert spec.fourier[0].k == (3, 0, 0)
+    assert "aliases" in str(parse_error(BUMP.format(k="[0, 0, 5]", amp=0.1, grid="[12, 8, 8]")))
+    assert parse_manifold_spec(BUMP.format(k="[5, 0, 0]", amp=0.1, grid="[12, 8, 8]")).grid[0] == 12
 
 
 def test_grid_restrictions():
