@@ -1,10 +1,11 @@
 """Command-line entry points: spectrum, verify, sweep, replay.
 
 Exit codes are part of the contract: 0 success, 1 a bound was violated
-beyond tolerance (a finding, not a crash), 2 invalid input or a
-dimension/ambient/positivity gate, 3 solver failure.  Human-readable
-summaries go to stdout (silenced by --quiet), machine artifacts go to the
-paths given by --out/--csv, and error diagnostics go to stderr.
+beyond tolerance (a finding, not a crash), 2 invalid input, a
+dimension/ambient/positivity gate or a grid too large for memory, 3 solver
+failure.  Human-readable summaries go to stdout (silenced by --quiet),
+machine artifacts go to the paths given by --out/--csv, and error
+diagnostics go to stderr.
 
 ``PANEITZ_LAB_THREADS`` caps how many sweep samples run concurrently.
 """
@@ -505,6 +506,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except (PaneitzLabError, ValueError) as exc:
         print(f"paneitz-lab: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:  # a grid too large for this machine
+        print(f"paneitz-lab: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:  # spec reads raise SpecFileError, so this is --out/--csv
         path = exc.filename or getattr(args, "csv", None) or args.out

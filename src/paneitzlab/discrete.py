@@ -15,6 +15,12 @@ coarse band only.  The Paneitz apply shares the gradient of f between the
 first Laplacian and the curvature term, and sums the fluxes
 sqrt(g) g^{-1} grad(Lap f) - coeff_flux grad f before its single divergence.
 
+A constant metric has no curvature, and every operator on it is a Fourier
+multiplier: the kernel's symbol g^{ij} k_i k_j on the coarse real-FFT layout,
+applied by `SpectralKernel.multiply` (one forward FFT, one multiply, one
+inverse FFT).  The preconditioner is such a multiplier on every bundle.  No
+code here transforms a field itself; every FFT goes through the kernel.
+
 Summation by parts makes every term exactly symmetric in the weighted inner
 product <u, v> = sum u v sqrt(g) dx: the pad/truncate pair is an exact
 adjoint, the masked-ik derivative is exactly antisymmetric, and the
@@ -28,8 +34,17 @@ operator, adding the symmetric positive penalty
 
     Pen f = sigma (1/sqrt(g)) (f - Proj f)
 
-(Proj = band projection), so the sawtooth junk lands near sigma instead of
-flooding the bottom of the spectrum.  `default_penalty` picks sigma.
+(Proj = band projection), so the sawtooth junk lands near sigma / sqrt(g)
+instead of flooding the bottom of the spectrum.  `default_penalty` picks
+sigma.
+
+Scale.  Under y -> c y the operator's eigenvalues scale as c^-4 (c^-2 for
+-Lap) and sqrt(g) as c^n.  The penalty, the preconditioner's shift and the
+iterative solver's residual floor are built on two units that scale the same
+way, `PaneitzOperator.unit` and the grid mean of sqrt(g), so no absolute
+number sets the conditioning.  Both units are rounded to powers of two, which
+multiply without rounding error (as in LAPACK's balancing): near unit scale
+they are exactly 1.
 """
 
 from __future__ import annotations
@@ -42,12 +57,7 @@ import numpy as np
 
 from .coefficients import DimensionCoefficients, paneitz_coefficients, q_curvature
 from .errors import DegenerateImmersionError, InvalidDimensionError
-from .fourier import (
-    FourierImmersion,
-    SpectralKernel,
-    TorusGrid,
-    fourier_multiply,
-)
+from .fourier import FourierImmersion, SpectralKernel, TorusGrid
 from .geometry import CurvatureFields, MetricData, curvature_point, induced_metric
 
 #: dense assembly refuses above this many grid points
@@ -83,7 +93,7 @@ class CurvatureBundle:
     immersion: FourierImmersion
     grid: TorusGrid
     fine: TorusGrid
-    kernel: SpectralKernel       # band coefficients, pad/truncate, grad/div
+    kernel: SpectralKernel       # every FFT: band coefficients, pad/truncate, grad/div, symbols
     y: np.ndarray                # coarse immersion values (*shape, N)
     metric: MetricData           # coarse g, g^{-1}, sqrt(g)
     curv: CurvatureFields        # coarse H, |H|^2, S, Ric, |Ric|^2, R
@@ -96,17 +106,11 @@ class CurvatureBundle:
     q_field: np.ndarray | None      # coarse Q with spectral Laplace of R
     laplace_r: np.ndarray | None
     constant_coefficient: bool
-    laplace_symbol: np.ndarray | None  # -Lap eigenvalue mu(k) per coarse mode
+    laplace_symbol: np.ndarray | None  # -Lap eigenvalue mu(k), coarse real-FFT layout, 0 off band
 
     @property
     def n(self) -> int:
         return self.grid.n
-
-
-def _metric_symbol(grid: TorusGrid, g_inv: np.ndarray) -> np.ndarray:
-    """-Lap symbol g^{ij} k_i k_j of one constant metric, per coarse mode."""
-    kvecs = np.meshgrid(*grid.freqs, indexing="ij")
-    return sum(g_inv[i, j] * kvecs[i] * kvecs[j] for i in range(grid.n) for j in range(grid.n))
 
 
 def _upper_pairs(n: int) -> list[tuple[int, int]]:
@@ -177,6 +181,14 @@ def _sample_coarse(imm: FourierImmersion, grid: TorusGrid):
     return y, metric, CurvatureFields(**out)
 
 
+def raised_curvature_matrix(coeffs: DimensionCoefficients, metric: MetricData,
+                            curv: CurvatureFields) -> np.ndarray:
+    """g^{-1} (a R g + b Ric) g^{-1}: the curvature term's coefficient matrix
+    with both indices raised, pointwise (..., n, n)."""
+    lower = float(coeffs.a) * curv.scalar[..., None, None] * metric.g + float(coeffs.b) * curv.ric
+    return metric.g_inv @ lower @ metric.g_inv
+
+
 def _sample_fluxes(imm: FourierImmersion, fine: TorusGrid, coeffs: DimensionCoefficients | None):
     """Packed laplace_flux and coeff_flux (None without coeffs) on the fine grid,
     block by block; no other fine-grid field outlives its block."""
@@ -185,15 +197,13 @@ def _sample_fluxes(imm: FourierImmersion, fine: TorusGrid, coeffs: DimensionCoef
     coeff_flux = None
     if coeffs is not None:
         coeff_flux = np.empty((pairs, fine.size))
-        a, b = float(coeffs.a), float(coeffs.b)
     for start, stop in _blocks(fine.size):
         jet, metric = _sample_block(imm, fine, start, stop)
         root = metric.sqrt_det[..., None, None]
         laplace_flux[:, start:stop] = _pack(root * metric.g_inv)
         if coeff_flux is not None:
-            curv = curvature_point(jet, metric)
-            a_mat = a * curv.scalar[..., None, None] * metric.g + b * curv.ric
-            coeff_flux[:, start:stop] = _pack(root * (metric.g_inv @ a_mat @ metric.g_inv))
+            raised = raised_curvature_matrix(coeffs, metric, curvature_point(jet, metric))
+            coeff_flux[:, start:stop] = _pack(root * raised)
     shape = (pairs,) + fine.shape
     return (laplace_flux.reshape(shape),
             None if coeff_flux is None else coeff_flux.reshape(shape))
@@ -222,13 +232,11 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     weights = metric.sqrt_det * grid.dx
     inv_sqrt_det = 1.0 / metric.sqrt_det
 
+    # a constant metric has vanishing Christoffel symbols, so it is flat: the
+    # gate needs g alone
     g_scale = float(np.max(np.abs(metric.g)))
-    flat = (
-        float(np.max(np.ptp(metric.g.reshape(-1, n, n), axis=0))) <= _CONST_TOL * g_scale
-        and float(np.max(np.abs(curv.ric))) <= _CONST_TOL * g_scale
-        and float(np.max(np.abs(curv.scalar))) <= _CONST_TOL
-    )
-    symbol = _metric_symbol(grid, metric.g_inv.reshape(-1, n, n)[0]) if flat else None
+    flat = float(np.max(np.ptp(metric.g.reshape(-1, n, n), axis=0))) <= _CONST_TOL * g_scale
+    symbol = kernel.symbol(metric.g_inv.reshape(-1, n, n)[0]) if flat else None
 
     coeffs = paneitz_coefficients(n) if n >= 3 else None
     laplace_flux = coeff_flux = q_field = laplace_r = None
@@ -271,7 +279,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
 def apply_laplacian(bundle: CurvatureBundle, f: np.ndarray) -> np.ndarray:
     """Divergence-form Laplace-Beltrami of a coarse-grid field (trace-of-Hessian sign)."""
     if bundle.constant_coefficient:
-        return _apply_symbol(bundle, f, -bundle.laplace_symbol)
+        return bundle.kernel.multiply(f, -bundle.laplace_symbol)
     return _laplacian(bundle, bundle.kernel.coefficients(f))
 
 
@@ -295,7 +303,7 @@ def apply_paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.
     _require_coeffs(bundle, coeffs)
     if bundle.constant_coefficient:
         # curvature terms vanish identically; see build_bundle's flatness gate
-        return _apply_symbol(bundle, f, bundle.laplace_symbol**2)
+        return bundle.kernel.multiply(f, bundle.laplace_symbol**2)
     return _paneitz(bundle, coeffs, f, bundle.kernel.coefficients(f))
 
 
@@ -315,21 +323,6 @@ def _paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.ndarr
             + float(coeffs.q_factor) * bundle.q_field * f)
 
 
-def _apply_symbol(bundle: CurvatureBundle, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Multiply band coefficients by a Fourier symbol; non-band modes go to zero.
-
-    Exactly reproduces the padded general path on constant-coefficient
-    bundles, including its annihilation of sawtooth modes.
-    """
-    grid = bundle.grid
-    return fourier_multiply(f, grid, _half(grid, symbol * grid.full_band_mask()))
-
-
-def _half(grid: TorusGrid, multiplier: np.ndarray) -> np.ndarray:
-    """A multiplier even in k, from full FFT layout to real-FFT layout."""
-    return np.ascontiguousarray(multiplier[..., : grid.shape[-1] // 2 + 1])
-
-
 def integrate(bundle: CurvatureBundle, f: np.ndarray) -> float:
     return float(np.sum(f * bundle.weights))
 
@@ -337,6 +330,16 @@ def integrate(bundle: CurvatureBundle, f: np.ndarray) -> float:
 def inner(bundle: CurvatureBundle, f: np.ndarray, h: np.ndarray) -> float:
     """Volume-weighted L^2 pairing on the coarse grid."""
     return float(np.sum(f * h * bundle.weights))
+
+
+def _power_of_two(x: float) -> float:
+    """The power of two nearest to x > 0 on a log scale."""
+    return 2.0 ** round(math.log2(x))
+
+
+def _density_unit(bundle: CurvatureBundle) -> float:
+    """The grid mean of sqrt(g), to a power of two."""
+    return _power_of_two(float(np.mean(bundle.metric.sqrt_det)))
 
 
 def penalty_apply(bundle: CurvatureBundle, sigma: float, f: np.ndarray) -> np.ndarray:
@@ -366,7 +369,7 @@ class PaneitzOperator:
     def apply(self, f: np.ndarray) -> np.ndarray:
         bundle = self.bundle
         if bundle.constant_coefficient:
-            return fourier_multiply(f, bundle.grid, self._flat_multiplier)
+            return bundle.kernel.multiply(f, self._flat_multiplier)
         coef = bundle.kernel.coefficients(f)
         if self.coeffs is None:
             out = -_laplacian(bundle, coef)
@@ -388,30 +391,43 @@ class PaneitzOperator:
         mu = bundle.laplace_symbol
         symbol = mu if self.coeffs is None else mu**2
         off_band = self.penalty * float(np.mean(bundle.inv_sqrt_det))
-        return _half(bundle.grid, np.where(bundle.grid.full_band_mask(), symbol, off_band))
+        return np.where(bundle.kernel.band, symbol, off_band)
+
+    @cached_property
+    def _mean_g_inv(self) -> np.ndarray:
+        bundle = self.bundle
+        return bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n).mean(axis=0)
+
+    @cached_property
+    def unit(self) -> float:
+        """The operator's eigenvalue unit, to a power of two: the -Lap symbol
+        tr(g^{-1}) / n of the grid-mean metric at unit wavenumber, squared for
+        the fourth-order operator.  It scales as the eigenvalues do."""
+        mu = float(np.trace(self._mean_g_inv)) / self.bundle.n
+        return _power_of_two(mu if self.coeffs is None else mu**2)
 
     @cached_property
     def _inverse_symbol(self) -> np.ndarray:
         bundle = self.bundle
-        mean_g_inv = bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n).mean(axis=0)
-        mu = _metric_symbol(bundle.grid, mean_g_inv)
-        band = mu + 1.0 if self.coeffs is None else mu**2 + 1.0
-        inverse = np.where(bundle.grid.full_band_mask(), 1.0 / band, 1.0 / (self.penalty + 1.0))
-        return _half(bundle.grid, inverse)
+        mu = bundle.kernel.symbol(self._mean_g_inv)
+        band = mu + self.unit if self.coeffs is None else mu**2 + self.unit
+        off_band = self.penalty / _density_unit(bundle) + self.unit
+        return np.where(bundle.kernel.band, 1.0 / band, 1.0 / off_band)
 
     def precondition(self, f: np.ndarray) -> np.ndarray:
         """Approximate inverse of `apply` by FFT (the iterative solver's preconditioner).
 
-        Divides each mode by the symbol of the grid-mean metric: mu^2 + 1
-        (mu + 1 for -Lap) on band modes, penalty + 1 off the band.
+        Divides each mode by the symbol of the grid-mean metric: mu^2 + unit
+        (mu + unit for -Lap) on band modes, penalty / mean sqrt(g) + unit off
+        the band.
         """
-        return fourier_multiply(f, self.bundle.grid, self._inverse_symbol)
+        return self.bundle.kernel.multiply(f, self._inverse_symbol)
 
     def estimate_top(self, iters: int = 25, seed: int = 0x5EED) -> float:
         """Crude largest-eigenvalue estimate by power iteration (weighted norm)."""
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.shape)
-        est = 1.0
+        est = 0.0
         for _ in range(iters):
             nrm = math.sqrt(max(self.inner(v, v), 1e-300))
             v = v / nrm
@@ -422,9 +438,11 @@ class PaneitzOperator:
 
 
 def default_penalty(bundle: CurvatureBundle, coeffs: DimensionCoefficients | None) -> float:
-    """sigma = 10 (1 + top estimate): even-grid sawtooth modes land far above
-    any eigenvalue of interest."""
-    return 10.0 * (1.0 + PaneitzOperator(bundle, coeffs).estimate_top())
+    """sigma = 10 (unit + top estimate) mean sqrt(g): even-grid sawtooth modes
+    land far above any eigenvalue of interest, and sigma / sqrt(g) scales with
+    the operator's eigenvalues."""
+    op = PaneitzOperator(bundle, coeffs)
+    return 10.0 * (op.unit + op.estimate_top()) * _density_unit(bundle)
 
 
 # --------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
     preconditioner.  scipy's lobpcg stops only once the whole block has
     converged, so it runs in restarts of _CHUNK iterations and the stop is
     this function's own test: every wanted pair passes the true-residual
-    check ||op u - lambda u||_w <= 10 tol_eig max(1, |lambda|), lambda the
+    check ||op u - lambda u||_w <= 10 tol_eig max(op.unit, |lambda|), lambda the
     Rayleigh quotient.  lobpcg hands back the iterate with the smallest mean
     residual over the block, which can be the one it started from while the
     spare vectors settle; a restart that leaves the worst wanted residual no
@@ -160,10 +160,10 @@ def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((size, min(k + _EXTRA, size)))
-    target = 10.0 * tol_eig
+    target, unit = 10.0 * tol_eig, op.unit
     # lobpcg measures ||K x - theta W x||_2 >= sqrt(min w) ||op x - theta x||_w,
     # so a pair it locks also passes the final check
-    lobpcg_tol = target * math.sqrt(float(w.min()))
+    lobpcg_tol = target * unit * math.sqrt(float(w.min()))
     iterations, chunk, best = 0, _CHUNK, math.inf
     residuals = np.empty(0)
     while True:
@@ -191,9 +191,9 @@ def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
         lam = np.sum(w * u * au, axis=0)  # Rayleigh refinement; x is W-orthonormal
         r = au - u * lam
         residuals = np.sqrt(np.sum(w * r * r, axis=0))
-        worst = float(np.max(residuals / (target * np.maximum(1.0, np.abs(lam)))))
+        worst = float(np.max(residuals / (target * np.maximum(unit, np.abs(lam)))))
         if worst <= 1.0:
-            edge = lam.max() + CLUSTER_RTOL * max(1.0, abs(lam.max()))
+            edge = lam.max() + CLUSTER_RTOL * max(unit, abs(lam.max()))
             if x.shape[1] == size or theta[-1] > edge:
                 break
             grow = min(x.shape[1] - k, size - x.shape[1])

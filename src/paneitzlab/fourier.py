@@ -1,10 +1,10 @@
-"""Periodic grids, band-limited calculus, and finite Fourier immersions.
+"""Periodic grids, the spectral kernel, and finite Fourier immersions.
 
 Parameter convention: every gridded manifold is a map from the standard
 torus [0, 2pi)^n; radii and shape live in the immersion, the induced metric
 handles the rest.  Wavenumbers are integers.
 
-The discretization below never differentiates through an even grid's Nyquist
+The discretization never differentiates through an even grid's Nyquist
 mode.  Products of fields and derivatives are formed on a finer grid (3m/2
 per axis) reached by the zero-pad operator P and left by its exact adjoint T:
 
@@ -16,12 +16,14 @@ band and is annihilated).  T P = band projection.  Everything downstream
 (discrete.py) leans on that identity for exact symmetry of assembled
 operators.
 
-`SpectralKernel` does this work in coefficient space.  A field enters it
-once, by a forward real FFT on its own grid, and is kept as its band
-coefficients (normalized, real-FFT layout: the last axis holds k >= 0 only).
-P and T are then index copies of those coefficients into and out of the
-other grid's layout, so a derivative is a multiply by ik on the band.  `pad`,
-`truncate` and `band_project` are thin wrappers over the same copies.
+`SpectralKernel` is the one place that transforms fields, builds wavenumbers
+and applies the band rule.  A field enters it once, by a forward real FFT on
+its own grid, and is kept as its band coefficients (normalized, real-FFT
+layout: the last axis holds k >= 0 only).  P and T are then index copies of
+those coefficients into and out of the other grid's layout, so a derivative
+is a multiply by ik on the band.  Constant-coefficient operators skip the
+band copies: they are one forward FFT, a multiplier on the coarse real-FFT
+layout, and one inverse FFT.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ class TorusGrid:
         #: cell volume of the parameter torus
         self.dx = (2.0 * math.pi) ** self.n / self.size
         self.axes = [np.arange(m) * (2.0 * math.pi / m) for m in shape]
-        #: integer wavenumbers per axis in FFT layout
-        self.freqs = [np.fft.fftfreq(m, d=1.0 / m) for m in shape]
 
     def points(self) -> np.ndarray:
         """All grid points, shape (*shape, n)."""
@@ -64,23 +64,6 @@ class TorusGrid:
         index = np.unravel_index(np.arange(start, stop), self.shape)
         return np.stack([i * (2.0 * math.pi / m) for i, m in zip(index, self.shape)], axis=-1)
 
-    def band_mask(self, axis: int) -> np.ndarray:
-        """True on modes strictly inside the axis band |k| < m/2.
-
-        For even m this drops exactly the Nyquist frequency -m/2; odd grids
-        have no Nyquist and keep everything.
-        """
-        m = self.shape[axis]
-        return np.abs(self.freqs[axis]) < m / 2.0
-
-    def full_band_mask(self) -> np.ndarray:
-        mask = np.ones(self.shape, dtype=bool)
-        for ax in range(self.n):
-            shape1 = [1] * self.n
-            shape1[ax] = self.shape[ax]
-            mask &= self.band_mask(ax).reshape(shape1)
-        return mask
-
     def fine(self, factor: float = 1.5) -> "TorusGrid":
         """The dealiasing companion grid (3m/2 per axis by default)."""
         out = []
@@ -92,31 +75,19 @@ class TorusGrid:
         return TorusGrid(out)
 
 
-def _band_indices(m: int, mf: int):
-    """Positions of the size-m band's modes in FFT layouts of size m and mf."""
-    half = (m - 1) // 2
-    pos = np.arange(0, half + 1)
-    neg = np.arange(-half, 0)
-    return np.concatenate([pos, m + neg]), np.concatenate([pos, mf + neg])
-
-
-def _scipy_fft():
-    """scipy.fft, imported on first use: at module level it would add ~0.1 s
-    to every interpreter start, including runs that never build a grid."""
-    import scipy.fft
-
-    return scipy.fft
-
-
 class SpectralKernel:
-    """Band coefficients of coarse fields and their maps to and from a fine grid.
+    """Band coefficients of coarse fields, their maps to and from a fine grid,
+    and Fourier multipliers on the coarse grid.
 
     Band coefficients are the normalized real-FFT coefficients (norm="forward")
     of the modes |k| < m/2 per axis: 2 ((m-1)//2) + 1 entries on each axis but
-    the last, which holds k = 0..(m-1)//2 only.  Every method transforms the
-    trailing n axes and batches over the leading ones.  The gradient and
-    divergence carry the vector index as the first axis, one component per
-    torus axis.  The instance holds only index arrays and wavenumbers.
+    the last, which holds k = 0..(m-1)//2 only.  Multipliers and symbols live
+    on the whole coarse real-FFT layout, coarse.shape with the last axis cut
+    to m // 2 + 1; `band` marks the band modes there.  Every method transforms
+    the trailing n axes and batches over the leading ones.  The gradient,
+    divergence and partials carry the vector index as the first axis, one
+    component per torus axis.  The instance holds only index arrays,
+    wavenumbers and the band mask.
     """
 
     def __init__(self, coarse: TorusGrid, fine: TorusGrid):
@@ -125,18 +96,33 @@ class SpectralKernel:
         self.coarse, self.fine = coarse, fine
         self.n = coarse.n
         self.axes = tuple(range(-self.n, 0))
-        idx = [_band_indices(m, mf) for m, mf in zip(coarse.shape[:-1], fine.shape[:-1])]
-        last = np.arange((coarse.shape[-1] - 1) // 2 + 1)
-        self._coarse_ix = (Ellipsis,) + np.ix_(*(c for c, _f in idx), last)
-        self._fine_ix = (Ellipsis,) + np.ix_(*(f for _c, f in idx), last)
-        waves = [coarse.freqs[ax][c] for ax, (c, _f) in enumerate(idx)] + [last]
+        # integer wavenumbers of the coarse real-FFT layout, 0, 1, .., then the
+        # negatives on every axis but the last, which keeps k >= 0 only
+        waves = [(np.arange(m) + m // 2) % m - m // 2 for m in coarse.shape[:-1]]
+        waves.append(np.arange(coarse.shape[-1] // 2 + 1))
+        bands = [np.flatnonzero(np.abs(k) < m / 2.0) for k, m in zip(waves, coarse.shape)]
+        self._coarse_ix = (Ellipsis,) + np.ix_(*bands)
+        self._fine_ix = (Ellipsis,) + np.ix_(*(k[b] % mf for k, b, mf in
+                                               zip(waves, bands, fine.shape)))
+        #: True on the band modes of the coarse real-FFT layout
+        self.band = np.zeros([k.size for k in waves], dtype=bool)
+        self.band[self._coarse_ix] = True
+        #: wavenumbers of the coarse real-FFT layout, shaped to broadcast over it
+        self._k = [_along(k, j, self.n) for j, k in enumerate(waves)]
         #: i k_j on the band, one factor per axis, shaped to broadcast over it
-        self.ik = [1j * k.reshape([-1 if ax == j else 1 for ax in range(self.n)])
-                   for j, k in enumerate(waves)]
+        self.ik = [1j * _along(k[b], j, self.n) for j, (k, b) in enumerate(zip(waves, bands))]
+
+    @staticmethod
+    def _fft():
+        """scipy.fft, imported on first use: at module level it would add ~0.1 s
+        to every interpreter start, including runs that never build a grid."""
+        import scipy.fft
+
+        return scipy.fft
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """Band coefficients of a coarse-grid field (the one forward FFT)."""
-        return _scipy_fft().rfftn(u, axes=self.axes, norm="forward")[self._coarse_ix]
+        return self._fft().rfftn(u, axes=self.axes, norm="forward")[self._coarse_ix]
 
     def to_coarse(self, c: np.ndarray) -> np.ndarray:
         """The coarse-grid field with band coefficients c (the band projection)."""
@@ -148,7 +134,7 @@ class SpectralKernel:
 
     def from_fine(self, v: np.ndarray) -> np.ndarray:
         """Band coefficients of a fine-grid field; all other modes dropped (T)."""
-        return _scipy_fft().rfftn(v, axes=self.axes, norm="forward")[self._fine_ix]
+        return self._fft().rfftn(v, axes=self.axes, norm="forward")[self._fine_ix]
 
     def gradient(self, c: np.ndarray) -> np.ndarray:
         """Fine-grid gradient (n, *lead, *fine.shape) of the band field c.
@@ -156,6 +142,15 @@ class SpectralKernel:
         One batched inverse FFT for all n components.
         """
         return self.to_fine(np.stack([ik * c for ik in self.ik]))
+
+    def partials(self, u: np.ndarray) -> np.ndarray:
+        """Coarse-grid partial derivatives (n, *lead, *coarse.shape) of a coarse
+        field; modes off the band are annihilated.
+
+        One forward FFT, then one batched inverse FFT for all n components.
+        """
+        c = self.coefficients(u)
+        return self.to_coarse(np.stack([ik * c for ik in self.ik]))
 
     def divergence(self, flow: np.ndarray) -> np.ndarray:
         """Band coefficients of sum_i d_i flow_i for a fine-grid vector field.
@@ -170,59 +165,31 @@ class SpectralKernel:
             out += self.ik[i] * h[i]
         return out
 
+    def symbol(self, g_inv: np.ndarray) -> np.ndarray:
+        """g^{ij} k_i k_j, the -Lap symbol of one constant metric, per mode of
+        the coarse real-FFT layout; zero off the band."""
+        k = self._k
+        mu = sum(g_inv[i, j] * k[i] * k[j] for i in range(self.n) for j in range(self.n))
+        return np.where(self.band, mu, 0.0)
+
+    def multiply(self, u: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+        """Multiply the Fourier modes of a coarse-grid field by a multiplier even
+        in k, given on the coarse real-FFT layout: one forward and one inverse
+        FFT, no band copies."""
+        fft = self._fft()
+        spec = fft.rfftn(u, axes=self.axes, norm="forward") * multiplier
+        return fft.irfftn(spec, s=self.coarse.shape, axes=self.axes, norm="forward")
+
     def _synthesize(self, c, grid, ix):
         half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
         spec = np.zeros(c.shape[: c.ndim - self.n] + half, dtype=complex)
         spec[ix] = c
-        return _scipy_fft().irfftn(spec, s=grid.shape, axes=self.axes, norm="forward")
+        return self._fft().irfftn(spec, s=grid.shape, axes=self.axes, norm="forward")
 
 
-def pad(u: np.ndarray, coarse: TorusGrid, fine: TorusGrid) -> np.ndarray:
-    """Zero-pad a coarse-grid field to the fine grid (trigonometric upsampling)."""
-    kernel = SpectralKernel(coarse, fine)
-    return kernel.to_fine(kernel.coefficients(u))
-
-
-def truncate(v: np.ndarray, coarse: TorusGrid, fine: TorusGrid) -> np.ndarray:
-    """Adjoint of `pad`: restrict a fine-grid field to the coarse band.
-
-    The coarse Nyquist modes come back exactly zero, so truncate(pad(u))
-    is the band projection of u.
-    """
-    kernel = SpectralKernel(coarse, fine)
-    return kernel.to_coarse(kernel.from_fine(v))
-
-
-def band_project(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Project onto the band |k| < m/2 per axis (identity on odd grids)."""
-    kernel = SpectralKernel(grid, grid)
-    return kernel.to_coarse(kernel.coefficients(u))
-
-
-def fourier_multiply(u: np.ndarray, grid: TorusGrid, multiplier: np.ndarray) -> np.ndarray:
-    """Multiply the Fourier modes of a grid field by a multiplier even in k.
-
-    multiplier is in real-FFT layout: the grid's shape with the last axis
-    cut to m // 2 + 1 (k >= 0).
-    """
-    fft = _scipy_fft()
-    axes = tuple(range(-grid.n, 0))
-    return fft.irfftn(fft.rfftn(u, axes=axes) * multiplier, s=grid.shape, axes=axes)
-
-
-def spectral_derivative(u: np.ndarray, axis: int, grid: TorusGrid) -> np.ndarray:
-    """d/dx along one torus axis; even-grid Nyquist modes are annihilated.
-
-    Zeroing Nyquist keeps the operator real and antisymmetric, which the
-    summation-by-parts argument in discrete.py needs.
-    """
-    fft_axis = u.ndim - grid.n + axis
-    uc = np.fft.fft(u, axis=fft_axis)
-    k = grid.freqs[axis] * grid.band_mask(axis)
-    shape1 = [1] * u.ndim
-    shape1[fft_axis] = grid.shape[axis]
-    uc *= (1j * k).reshape(shape1)
-    return np.fft.ifft(uc, axis=fft_axis).real
+def _along(k: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """k reshaped to vary along one of n trailing axes and broadcast over the rest."""
+    return k.reshape([-1 if ax == axis else 1 for ax in range(n)])
 
 
 # --------------------------------------------------------------------------

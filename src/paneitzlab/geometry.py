@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import DegenerateImmersionError
 
-#: det(g) at or below this is treated as a degenerate (rank-deficient) point.
+#: det g at or below this times (tr g / n)^n is a degenerate (rank-deficient)
+#: point.  The ratio lies in [0, 1] (AM-GM on the eigenvalues of g) and does
+#: not change when the immersion is scaled, y -> c y.
 IMMERSION_DET_EPS = 1e-12
 
 
@@ -89,15 +91,17 @@ class CurvaturePoint(CurvatureFields):
     h: np.ndarray      # (..., N, n, n), second fundamental form (normal valued)
 
 
-def induced_metric(jet: ImmersionJet, det_eps: float = IMMERSION_DET_EPS) -> MetricData:
+def induced_metric(jet: ImmersionJet) -> MetricData:
     """Pull back the Euclidean metric through the jet.
 
-    Raises DegenerateImmersionError if det g <= det_eps anywhere, reporting the
-    batch index of the first offending point and det g there.
+    Raises DegenerateImmersionError if det g <= IMMERSION_DET_EPS (tr g / n)^n
+    anywhere, reporting the batch index of the first offending point and det g
+    there.
     """
     g = np.einsum("...ai,...aj->...ij", jet.dy, jet.dy)
     det = np.linalg.det(g)
-    bad = det <= det_eps
+    n = jet.dim
+    bad = det <= IMMERSION_DET_EPS * (np.trace(g, axis1=-2, axis2=-1) / n) ** n
     if np.any(bad):
         where = tuple(int(i) for i in np.argwhere(bad)[0]) if det.ndim else ()
         raise DegenerateImmersionError.at(where, float(det[where]))
@@ -145,8 +149,3 @@ def gauss_identity_residual(curv: CurvatureFields, n: int) -> float:
     """
     target = n * (n - 1) * curv.mean_sq - (curv.s_norm - n * curv.mean_sq)
     return float(np.max(np.abs(curv.scalar - target)))
-
-
-def normality_residual(jet: ImmersionJet, curv: CurvaturePoint) -> float:
-    """max over points and indices of |<h_ij, dy_k>| (h must be normal-valued)."""
-    return float(np.max(np.abs(np.einsum("...aij,...ak->...ijk", curv.h, jet.dy))))

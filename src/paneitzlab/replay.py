@@ -29,10 +29,9 @@ import numpy as np
 from .bounds import BOUNDS, optimal_delta, snap_kernel
 from .catalog import ModelManifold, model_constants, paneitz_form
 from .coefficients import paneitz_coefficients
-from .discrete import CurvatureBundle, apply_laplacian, apply_paneitz
+from .discrete import CurvatureBundle, apply_laplacian, apply_paneitz, raised_curvature_matrix
 from .eigensolve import SpectrumResult
 from .errors import GateError, InvalidDimensionError
-from .fourier import spectral_derivative
 
 #: slack floor for closed-form chains (pure float roundoff)
 REPLAY_TOL_ANALYTIC = 1e-9
@@ -206,11 +205,6 @@ def replay_proof_analytic(theorem_id: str, model: ModelManifold,
 # grid route
 # --------------------------------------------------------------------------
 
-def _partials(f: np.ndarray, grid) -> np.ndarray:
-    return np.stack([spectral_derivative(f, i, grid) for i in range(grid.n)],
-                    axis=-1)
-
-
 def _worst(steps, name, lhs_vec, rhs_vec, kind, note=""):
     """Collapse a per-alpha family to its worst member."""
     lhs_vec = np.atleast_1d(np.asarray(lhs_vec, dtype=float))
@@ -270,7 +264,7 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
         if float(integ(w)) < 0:
             w = -w                        # fix the sign convention int w dv >= 0
         lam_w = float(vals[0])
-        dw = _partials(w, grid)
+        dw = np.moveaxis(bundle.kernel.partials(w), 0, -1)
         lw = apply_laplacian(bundle, w)
         if result.clusters and result.clusters[0][1] > 1:
             flags.append("first_eigenvalue_multiple")
@@ -318,16 +312,13 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     p_trial = apply_paneitz(bundle, bundle.coeffs, trial)
     quad_rr = integ(trial * p_trial) - lam_w * norms2
     lz = apply_laplacian(bundle, z)
-    dz = _partials(z, grid)
+    dz = np.moveaxis(bundle.kernel.partials(z), 0, -1)
     g_inv = bundle.metric.g_inv
     gz2 = np.einsum("a...i,...ij,a...j->a...", dz, g_inv, dz)
     gzw = np.einsum("a...i,...ij,...j->a...", dz, g_inv, dw)
     gw2 = np.einsum("...i,...ij,...j->...", dw, g_inv, dw)
 
-    a_c, b_c = float(bundle.coeffs.a), float(bundle.coeffs.b)
-    lower_b = (a_c * bundle.curv.scalar[..., None, None] * bundle.metric.g
-               + b_c * bundle.curv.ric)
-    raised_b = np.einsum("...ik,...kl,...lj->...ij", g_inv, lower_b, g_inv)
+    raised_b = raised_curvature_matrix(bundle.coeffs, bundle.metric, bundle.curv)
     quad_b = np.einsum("a...i,...ij,a...j->a...", dz, raised_b, dz)
 
     h2 = bundle.curv.mean_sq

@@ -3,6 +3,10 @@
 The geometry tests need 2-jets whose derivatives were produced by something
 other than the library itself; sympy differentiates explicit chart formulas
 and the lambdified results are evaluated at batches of interior points.
+
+The discretization tests need spectral operations that do not go through
+`SpectralKernel`: `pad`, `truncate`, `band_project` and `derivative` below
+work on full complex numpy FFTs, one axis at a time where they can.
 """
 
 from __future__ import annotations
@@ -82,3 +86,57 @@ def product_chart(factors):
 def interior_points(n: int, count: int, rng, low: float = 0.4, high: float = 2.2):
     """Chart points away from the polar degeneracies of hyperspherical charts."""
     return rng.uniform(low, high, size=(count, n))
+
+
+# --------------------------------------------------------------------------
+# spectral reference: full complex FFTs, independent of SpectralKernel
+# --------------------------------------------------------------------------
+
+def _band_positions(m: int, mf: int):
+    """Positions of the band |k| < m/2 of an m-point axis in the FFT layouts
+    of sizes m and mf."""
+    k = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
+    band = np.flatnonzero(np.abs(k) < m / 2.0)
+    return band, k[band] % mf
+
+
+def _resample(u, shape, new_shape):
+    """The field on new_shape with u's band coefficients (of the shape grid);
+    all other modes zero.  Transforms the trailing axes, batches the rest."""
+    n = len(shape)
+    axes = tuple(range(-n, 0))
+    uc = np.fft.fftn(u, axes=axes, norm="forward")
+    pos = [_band_positions(m, mf) if m <= mf else _band_positions(mf, m)[::-1]
+           for m, mf in zip(shape, new_shape)]
+    spec = np.zeros(u.shape[: u.ndim - n] + tuple(new_shape), dtype=complex)
+    spec[(Ellipsis,) + np.ix_(*(new for _old, new in pos))] = \
+        uc[(Ellipsis,) + np.ix_(*(old for old, _new in pos))]
+    return np.fft.ifftn(spec, axes=axes, norm="forward").real
+
+
+def pad(u, coarse, fine):
+    """Zero-pad a coarse-grid field to the fine grid (P)."""
+    return _resample(u, coarse.shape, fine.shape)
+
+
+def truncate(v, coarse, fine):
+    """The adjoint of pad: the coarse-grid field with v's coarse-band modes (T)."""
+    return _resample(v, fine.shape, coarse.shape)
+
+
+def band_project(u, grid):
+    """Project onto the band |k| < m/2 per axis (identity on odd grids)."""
+    return _resample(u, grid.shape, grid.shape)
+
+
+def derivative(u, axis, grid):
+    """d/dx along one torus axis by a complex FFT along that axis alone; the
+    axis's Nyquist mode is annihilated, the other axes are left as they are."""
+    fft_axis = u.ndim - grid.n + axis
+    m = grid.shape[axis]
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    k[np.abs(k) >= m / 2.0] = 0.0
+    shape1 = [1] * u.ndim
+    shape1[fft_axis] = m
+    uc = np.fft.fft(u, axis=fft_axis) * (1j * k).reshape(shape1)
+    return np.fft.ifft(uc, axis=fft_axis).real

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from paneitzlab import discrete
 from paneitzlab.cli import _eigen_row, _sweep_fourier_perturbation, main
 from paneitzlab.errors import PaneitzLabError, SolverFailureError
 
@@ -234,6 +235,28 @@ def test_verify_with_numerical_replay(spec_file, capsys):
     assert main(["verify", "--spec", spec_file(T4_GRID), "--replay"]) == 0
     out = capsys.readouterr().out
     assert "replay thm_1_1 [numerical]:" in out and "(ok)" in out
+
+
+def test_verify_replay_on_a_small_torus(spec_file, capsys):
+    # radii 0.03 give det g = 0.03^8 = 6.6e-13 at every point, a regular
+    # immersion that a threshold on det g alone would call degenerate
+    small = T4_GRID.replace("[1.0, 1.0, 1.0, 1.0]", "[0.03, 0.03, 0.03, 0.03]")
+    assert main(["verify", "--spec", spec_file(small), "--replay"]) == 0
+    captured = capsys.readouterr()
+    assert "replay thm_1_1 [numerical]:" in captured.out and "(ok)" in captured.out
+    assert captured.err == ""
+
+
+def test_out_of_memory_is_exit_2(spec_file, capsys, monkeypatch):
+    # a grid too large for the machine fails in numpy's allocator; simulated
+    # here, since a real allocation of that size could exhaust the host
+    def exhausted(imm, grid):
+        raise MemoryError("Unable to allocate 80.0 GiB for an array")
+
+    monkeypatch.setattr(discrete, "_sample_coarse", exhausted)
+    assert main(["spectrum", "--spec", spec_file(BUMP_DENSE)]) == 2
+    assert capsys.readouterr().err == (
+        "paneitz-lab: out of memory: Unable to allocate 80.0 GiB for an array\n")
 
 
 def test_verify_off_sphere_immersion_declared_in_sphere_is_exit_2(spec_file, capsys):

@@ -21,14 +21,15 @@ from paneitzlab import (
     paneitz_coefficients,
 )
 from paneitzlab.discrete import inner, integrate
-from paneitzlab.fourier import band_project, spectral_derivative
 from paneitzlab.discrete import penalty_apply
-from paneitzlab.fourier import pad, truncate
+from paneitzlab.eigensolve import spectrum
 from paneitzlab.geometry import CurvatureFields, curvature_point, induced_metric
 from paneitzlab import discrete
 from paneitzlab.coefficients import q_curvature
 from paneitzlab.errors import DegenerateImmersionError
 from paneitzlab.fourier import FourierImmersion
+
+from helpers import band_project, derivative, pad, truncate
 
 TAU = 2.0 * math.pi
 
@@ -190,7 +191,7 @@ def bundle_identity_residuals(imm, grid):
                    axis=-1)
     rng = np.random.default_rng(19)
     u = band_project(rng.standard_normal(grid.shape), grid)
-    du = np.stack([spectral_derivative(u, i, grid) for i in range(n)], axis=-1)
+    du = np.stack([derivative(u, i, grid) for i in range(n)], axis=-1)
     gu = np.einsum("...ij,...j->...i", g_inv, du)
     pair = np.einsum("...ai,...ij,...j->...a", grad, g, gu)
     u_sq = np.einsum("...i,...ij,...j->...", gu, g, gu)
@@ -289,7 +290,7 @@ def test_dense_cap_refuses_large_grids():
 def test_top_estimate_brackets_symbol_maximum():
     grid = TorusGrid((8, 8, 8))
     bundle = build_bundle(clifford_torus((1.0, 1.0, 1.0)), grid)
-    mu = bundle.laplace_symbol[grid.full_band_mask()]
+    mu = bundle.laplace_symbol[bundle.kernel.band]
     top = float((mu**2).max())
     est = PaneitzOperator(bundle, paneitz_coefficients(3), 0.0).estimate_top()
     assert 0.5 * top <= est <= top * (1.0 + 1e-9)
@@ -317,9 +318,9 @@ def reference_laplace(bundle, flux, f):
     """(1/sqrt(g)) T[d_i(flux^{ij} d_j P f)], one real-space derivative per axis."""
     grid, fine = bundle.grid, bundle.fine
     pf = pad(f, grid, fine)
-    grad = np.stack([spectral_derivative(pf, i, fine) for i in range(grid.n)], axis=-1)
+    grad = np.stack([derivative(pf, i, fine) for i in range(grid.n)], axis=-1)
     flow = np.einsum("...ij,...j->...i", flux, grad)
-    div = sum(spectral_derivative(flow[..., i], i, fine) for i in range(grid.n))
+    div = sum(derivative(flow[..., i], i, fine) for i in range(grid.n))
     return bundle.inv_sqrt_det * truncate(div, grid, fine)
 
 
@@ -428,6 +429,41 @@ def test_blocked_sampling_matches_whole_grid(monkeypatch, factory, shape):
         assert_matches(bundle.laplace_r, laplace_r, 1e-13)
     q_field = q_curvature(bundle.coeffs, curv.ric_norm_sq, curv.scalar, laplace_r)
     assert_matches(bundle.q_field, q_field, 1e-13)
+
+
+def scaled(imm, c):
+    """The immersion c y: metric c^2 g, Paneitz eigenvalues c^-4 lambda."""
+    return FourierImmersion(imm.n, [
+        FourierTerm(k=t.k, cos=tuple(c * x for x in t.cos), sin=tuple(c * x for x in t.sin))
+        for t in imm.terms])
+
+
+@pytest.mark.parametrize("c", [0.005, 200.0])
+def test_spectrum_scales_as_inverse_fourth_power(c):
+    # at c = 0.005, det g ~ c^6 = 1.6e-14: far below any fixed threshold on
+    # det g, yet the immersion is exactly as regular as at c = 1; the penalty
+    # must scale with the operator at both ends, or its roundoff swamps the
+    # bottom of the spectrum
+    grid = TorusGrid((8, 8, 8))
+    imm = perturbed_torus(0.1)
+    coeffs = paneitz_coefficients(3)
+    base = spectrum(imm, grid, coeffs, 7, solver="dense").eigenvalues
+    small = spectrum(scaled(imm, c), grid, coeffs, 7, solver="dense").eigenvalues
+    assert_matches(small * c**4, base, 1e-9)
+
+
+@pytest.mark.parametrize("factory,flat", [
+    (lambda: clifford_torus((1.0, 0.5, 2.0)), True),
+    (lambda: scaled(clifford_torus((1.0, 1.0, 1.0)), 0.03), True),
+    (lambda: perturbed_torus(0.0), True),
+    (lambda: perturbed_torus(0.05), False),
+    (lambda: scaled(perturbed_torus(0.05), 0.03), False),
+    (lambda: donut_torus(2.0, 1.0), False),
+])
+def test_flatness_gate_reads_the_metric(factory, flat):
+    imm = factory()
+    bundle = build_bundle(imm, TorusGrid((8,) * imm.n))
+    assert bundle.constant_coefficient is flat
 
 
 def test_degenerate_point_keeps_its_grid_index(monkeypatch):

@@ -1,4 +1,4 @@
-"""Grids, spectral derivatives and trigonometric immersions."""
+"""Grids, the spectral kernel and trigonometric immersions."""
 
 import math
 
@@ -8,15 +8,14 @@ import pytest
 from paneitzlab.fourier import (
     FourierImmersion,
     FourierTerm,
+    SpectralKernel,
     TorusGrid,
-    band_project,
     clifford_torus,
     donut_torus,
-    pad,
-    spectral_derivative,
-    truncate,
 )
 from paneitzlab.geometry import curvature_point, induced_metric
+
+from helpers import band_project, derivative, pad, truncate
 
 RNG = np.random.default_rng(99)
 
@@ -52,13 +51,32 @@ def test_fine_grid_is_three_halves():
     assert grid.fine().shape == (12, 24)
 
 
+# ------------------------------------------------------- the spectral kernel
+
+def kernel_for(shape):
+    coarse = TorusGrid(shape)
+    return SpectralKernel(coarse, coarse.fine())
+
+
+def kernel_pad(kernel, u):
+    return kernel.to_fine(kernel.coefficients(u))
+
+
+def kernel_truncate(kernel, v):
+    return kernel.to_coarse(kernel.from_fine(v))
+
+
+def kernel_project(kernel, u):
+    return kernel.to_coarse(kernel.coefficients(u))
+
+
 def test_pad_truncate_are_adjoint():
-    coarse = TorusGrid((8, 8))
-    fine = coarse.fine()
+    kernel = kernel_for((8, 8))
+    coarse, fine = kernel.coarse, kernel.fine
     u = RNG.standard_normal(coarse.shape)
     v = RNG.standard_normal(fine.shape)
-    pu = pad(u, coarse, fine)
-    tv = truncate(v, coarse, fine)
+    pu = kernel_pad(kernel, u)
+    tv = kernel_truncate(kernel, v)
     # quadrature pairing with each grid's cell volume
     lhs = np.sum(pu * v) * (2 * math.pi) ** 2 / fine.size
     rhs = np.sum(u * tv) * (2 * math.pi) ** 2 / coarse.size
@@ -66,47 +84,90 @@ def test_pad_truncate_are_adjoint():
 
 
 def test_truncate_undoes_pad():
-    coarse = TorusGrid((8, 8, 8))
-    fine = coarse.fine()
-    u = band_project(RNG.standard_normal(coarse.shape), coarse)
-    assert np.allclose(truncate(pad(u, coarse, fine), coarse, fine), u, atol=1e-12)
+    kernel = kernel_for((8, 8, 8))
+    u = kernel_project(kernel, RNG.standard_normal(kernel.coarse.shape))
+    assert np.allclose(kernel_truncate(kernel, kernel_pad(kernel, u)), u, atol=1e-12)
 
 
 def test_band_project_idempotent_and_kills_nyquist():
-    grid = TorusGrid((8, 8))
-    u = RNG.standard_normal(grid.shape)
-    bu = band_project(u, grid)
-    assert np.allclose(band_project(bu, grid), bu, atol=1e-13)
-    theta = grid.points()
+    kernel = kernel_for((8, 8))
+    u = RNG.standard_normal(kernel.coarse.shape)
+    bu = kernel_project(kernel, u)
+    assert np.allclose(kernel_project(kernel, bu), bu, atol=1e-13)
+    theta = kernel.coarse.points()
     sawtooth = np.cos(4 * theta[..., 0])  # Nyquist mode of an 8-grid
-    assert np.max(np.abs(band_project(sawtooth, grid))) <= 1e-12
+    assert np.max(np.abs(kernel_project(kernel, sawtooth))) <= 1e-12
 
 
 def test_spectral_derivative_exact_on_band():
-    grid = TorusGrid((16, 16))
-    theta = grid.points()
+    kernel = kernel_for((16, 16))
+    theta = kernel.coarse.points()
     u = np.sin(3 * theta[..., 0]) * np.cos(2 * theta[..., 1])
-    du0 = spectral_derivative(u, 0, grid)
-    du1 = spectral_derivative(u, 1, grid)
+    du0, du1 = kernel.partials(u)
     assert np.allclose(du0, 3 * np.cos(3 * theta[..., 0]) * np.cos(2 * theta[..., 1]), atol=1e-12)
     assert np.allclose(du1, -2 * np.sin(3 * theta[..., 0]) * np.sin(2 * theta[..., 1]), atol=1e-12)
 
 
 def test_spectral_derivative_batched_axes():
-    grid = TorusGrid((8, 8))
-    theta = grid.points()
+    kernel = kernel_for((8, 8))
+    theta = kernel.coarse.points()
     stack = np.stack([np.sin(theta[..., 0]), np.cos(2 * theta[..., 1])])
-    d = spectral_derivative(stack, 0, grid)
-    assert d.shape == stack.shape
-    assert np.allclose(d[0], np.cos(theta[..., 0]), atol=1e-12)
-    assert np.allclose(d[1], 0.0, atol=1e-12)
+    d = kernel.partials(stack)
+    assert d.shape == (2,) + stack.shape
+    assert np.allclose(d[0, 0], np.cos(theta[..., 0]), atol=1e-12)
+    assert np.allclose(d[0, 1], 0.0, atol=1e-12)
+    assert np.allclose(d[1, 1], -2 * np.sin(2 * theta[..., 1]), atol=1e-12)
 
 
 def test_nyquist_mode_derivative_annihilated():
-    grid = TorusGrid((8,))
-    theta = grid.points()[..., 0]
+    kernel = kernel_for((8,))
+    theta = kernel.coarse.points()[..., 0]
     saw = np.cos(4 * theta)
-    assert np.max(np.abs(spectral_derivative(saw, 0, grid))) <= 1e-12
+    assert np.max(np.abs(kernel.partials(saw))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape,count", [((8, 8), 7 * 4), ((8, 9), 7 * 5), ((9, 8, 10), 9 * 7 * 5)])
+def test_band_follows_the_rule_on_even_and_odd_axes(shape, count):
+    # |k| < m/2 per axis on the real-FFT layout: an even axis loses its
+    # Nyquist line, an odd one keeps every mode; the last axis holds k >= 0
+    kernel = kernel_for(shape)
+    assert kernel.band.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+    assert int(kernel.band.sum()) == count
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 8, 10)])
+def test_kernel_matches_the_numpy_reference(shape):
+    # pad, truncate, band projection and partials against full complex FFTs
+    kernel = kernel_for(shape)
+    coarse, fine = kernel.coarse, kernel.fine
+    u = RNG.standard_normal((3,) + coarse.shape)
+    v = RNG.standard_normal((3,) + fine.shape)
+    assert np.allclose(kernel_pad(kernel, u), pad(u, coarse, fine), atol=1e-13)
+    assert np.allclose(kernel_truncate(kernel, v), truncate(v, coarse, fine), atol=1e-13)
+    bu = band_project(u, coarse)
+    assert np.allclose(kernel_project(kernel, u), bu, atol=1e-13)
+    partials = kernel.partials(bu)
+    for axis in range(coarse.n):
+        assert np.allclose(partials[axis], derivative(bu, axis, coarse), atol=1e-12)
+
+
+def test_symbol_and_multiply_give_the_constant_metric_laplacian():
+    # -Lap of cos(2x) sin(3y) under g = diag(1/4, 1/9) (g^{-1} = diag(4, 9))
+    # is (4 * 2^2 + 9 * 3^2) cos(2x) sin(3y); the Nyquist line goes to zero
+    kernel = kernel_for((8, 12))
+    theta = kernel.coarse.points()
+    g_inv = np.diag([4.0, 9.0])
+    mu = kernel.symbol(g_inv)
+    assert mu.shape == kernel.band.shape
+    assert np.all(mu[~kernel.band] == 0.0)
+    assert mu[2, 3] == 4 * 4 + 9 * 9 and mu[-2, 3] == mu[2, 3]
+    u = np.cos(2 * theta[..., 0]) * np.sin(3 * theta[..., 1])
+    assert np.allclose(kernel.multiply(u, mu), 97.0 * u, atol=1e-11)
+    saw = np.cos(4 * theta[..., 0])
+    assert np.max(np.abs(kernel.multiply(saw, mu))) <= 1e-12
+    batch = np.stack([u, 2 * u])
+    assert np.allclose(kernel.multiply(batch, mu), 97.0 * batch, atol=1e-11)
+
 
 
 # -------------------------------------------------------------- immersions

@@ -152,6 +152,21 @@ def test_degenerate_immersion_refused():
     assert err.value.where is not None
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_degeneracy_test_is_scale_invariant(scale):
+    # a regular 4-torus keeps det g / (tr g / n)^n = 1 at every scale, even
+    # where det g itself (1e-24 at scale 1e-3) is far below 1e-12; a nearly
+    # collapsed second direction is refused at every scale
+    pts = RNG.uniform(0, 2 * np.pi, size=(5, 4))
+    regular = clifford_torus((scale,) * 4).jet(pts)
+    assert np.allclose(induced_metric(regular).g, scale**2 * np.eye(4), rtol=1e-12)
+    dy = np.zeros((1, 3, 2))
+    dy[0, 0, 0], dy[0, 1, 1] = scale, 1e-7 * scale
+    collapsed = ImmersionJet(y=np.zeros((1, 3)), dy=dy, d2y=np.zeros((1, 3, 2, 2)))
+    with pytest.raises(DegenerateImmersionError):
+        induced_metric(collapsed)
+
+
 def test_asymmetric_second_derivatives_rejected():
     y = np.zeros((1, 2))
     dy = np.zeros((1, 2, 2))
