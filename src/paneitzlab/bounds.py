@@ -184,10 +184,10 @@ def u1_from_result(bundle: CurvatureBundle, result) -> U1Data:
 # --------------------------------------------------------------------------
 
 def snap_kernel(values, rtol: float = KERNEL_SNAP_RTOL) -> np.ndarray:
-    """Zero out eigenvalues that are numerically the constants' kernel."""
+    """Zero out eigenvalues that are numerically the constants' kernel: within
+    rtol max |lambda| of zero, so the snap is scale covariant."""
     values = np.asarray(values, dtype=float).copy()
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    values[np.abs(values) <= rtol * scale] = 0.0
+    values[np.abs(values) <= rtol * np.max(np.abs(values), initial=0.0)] = 0.0
     return values
 
 

@@ -4,14 +4,14 @@ Two routes to the same answer, both on the same penalized operator
 (`discrete.default_penalty`), so their spectra agree to solver tolerance on
 any metric, flat or not:
 
-* dense: assemble K in the weighted product, solve the generalized problem
-  through the diagonal mass matrix (K~ = D^{-1/2} K D^{-1/2}, then eigh);
-  bit-for-bit reproducible.  Kept as the oracle on small grids.
-* iterative: preconditioned block LOBPCG (Knyazev 2001) on K x = lambda W x,
-  matrix-free, with the mean-metric symbol inverted by FFT as preconditioner.
-  Its iteration count does not grow with the grid.  Spec files, reports and
-  the API still call this route `lanczos`, after the Krylov solver it
-  replaced.
+* iterative, the default: preconditioned block LOBPCG (Knyazev 2001) with
+  soft locking, matrix-free, with the mean-metric symbol inverted by FFT as
+  preconditioner.  Its iteration count does not grow with the grid.  Spec
+  files, reports and the API still call this route `lanczos`, after the
+  Krylov solver it replaced.
+* dense, on request: assemble K in the weighted product, solve through the
+  diagonal mass matrix (K~ = D^{-1/2} K D^{-1/2}, then eigh); bit-for-bit
+  reproducible.  Kept as the oracle on small grids.
 
 Eigenvalue multiplicity is reported by clustering with relative gap 1e-6;
 ties inside a cluster keep solver order.
@@ -20,11 +20,9 @@ ties inside a cluster keep solver order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .coefficients import DimensionCoefficients
 from .discrete import (
@@ -41,12 +39,6 @@ from .fourier import FourierImmersion, TorusGrid
 
 DEFAULT_SEED = 0x5EED
 CLUSTER_RTOL = 1e-6
-#: the auto route solves grids up to this many points densely.  Measured
-#: with k = 7 on one core: the routes tie at 256 points (16^2 donut); LOBPCG
-#: is 1.7x faster at 512 (perturbed 8^3), 13x at 1728 (12^3) and 47x at 4096
-#: (8^4).  8^3 stays dense so that the smallest 3-d grid keeps the
-#: reproducible oracle route.
-AUTO_DENSE_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -64,11 +56,11 @@ class SpectrumResult:
 
 
 def cluster_eigenvalues(values, rtol: float = CLUSTER_RTOL):
-    """Group sorted eigenvalues whose relative gap is below rtol."""
+    """Group sorted eigenvalues whose gap is below rtol max(min(1, max|lambda|), |lambda|)."""
+    floor = min(1.0, max((abs(v) for v in values), default=1.0))
     clusters: list[list[float]] = []
     for v in values:
-        scale = max(1.0, abs(v))
-        if clusters and abs(v - clusters[-1][-1]) <= rtol * scale:
+        if clusters and abs(v - clusters[-1][-1]) <= rtol * max(floor, abs(v)):
             clusters[-1].append(float(v))
         else:
             clusters.append([float(v)])
@@ -86,7 +78,7 @@ def dense_spectrum(assembly: DenseAssembly, k: int) -> SpectrumResult:
     s = np.sqrt(assembly.weights)
     kt = assembly.matrix / s[:, None] / s[None, :]
     kt = 0.5 * (kt + kt.T)
-    vals, vecs = eigh(kt)
+    vals, vecs = np.linalg.eigh(kt)
     lam = vals[:k]
     u_flat = vecs[:, :k] / s[:, None]
 
@@ -110,106 +102,114 @@ def dense_spectrum(assembly: DenseAssembly, k: int) -> SpectrumResult:
 # iterative route
 # --------------------------------------------------------------------------
 
-#: LOBPCG iterations per restart
-_CHUNK = 20
-#: block vectors beyond the k wanted
-_EXTRA = 4
-_DEFAULT_MAX_ITER = 500
+def _orthonormalize(v: np.ndarray, av, against):
+    """Orthonormal rows spanning the part of v orthogonal to the orthonormal
+    (u, op u) blocks `against`, with av = op v following (None: skipped): rows
+    scaled to unit norm and projected, then SVQB (Stathopoulos and Wu 2002)
+    with dependent directions dropped (Duersch et al. 2018).  v and av are
+    overwritten."""
+    scale = 1.0 / np.sqrt(np.maximum(np.einsum("ij,ij->i", v, v), np.finfo(float).tiny))
+    for u, au in against:
+        c = v @ u.T
+        v -= c @ u
+        if av is not None:
+            av -= c @ au
+    lam, q = np.linalg.eigh(scale[:, None] * (v @ v.T) * scale)
+    keep = lam > 1e-10  # under 1e-5 of a unit row left outside `against`: dependent
+    t = (q[:, keep] / np.sqrt(lam[keep])).T * scale
+    return t @ v, None if av is None else t @ av
+
+
+def _rayleigh_ritz(x, ax, search, m: int):
+    """The m smallest Ritz values, vectors and images of op on the span of the
+    x and search blocks (with images), and the vectors' search-block part p, op p
+    (0 without search blocks), built block by block, never as a stacked basis."""
+    blocks = [(x, ax)] + search
+    gram = np.block([[u @ v.T for v, _ in blocks] for u, _ in blocks])
+    gram_a = np.block([[u @ av.T for _, av in blocks] for u, _ in blocks])
+    inv = np.linalg.inv(np.linalg.cholesky(gram))
+    theta, vecs = np.linalg.eigh(inv @ gram_a @ inv.T)
+    coef = np.split((inv.T @ vecs[:, :m]).T, np.cumsum([len(v) for v, _ in blocks])[:-1], axis=1)
+    p = sum(c @ v for c, (v, _) in zip(coef[1:], search))
+    ap = sum(c @ av for c, (_, av) in zip(coef[1:], search))
+    return theta[:m], coef[0] @ x + p, coef[0] @ ax + ap, p, ap
 
 
 def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
                      seed: int = DEFAULT_SEED, max_iter: int | None = None) -> SpectrumResult:
     """k smallest eigenpairs of `op` by preconditioned block LOBPCG.
 
-    The name is kept from the Lanczos solver this replaced.  Solves
-    K x = lambda W x with K = W op.apply and W = diag(weights), from a block
-    of k + 4 random vectors (fixed seed) with `op.precondition` as the
-    preconditioner.  scipy's lobpcg stops only once the whole block has
-    converged, so it runs in restarts of _CHUNK iterations and the stop is
-    this function's own test: every wanted pair passes the true-residual
-    check ||op u - lambda u||_w <= 10 tol_eig max(op.unit, |lambda|), lambda the
-    Rayleigh quotient.  lobpcg hands back the iterate with the smallest mean
-    residual over the block, which can be the one it started from while the
-    spare vectors settle; a restart that leaves the worst wanted residual no
-    lower therefore doubles the next one.  Completeness: the block's top
-    Ritz value must sit past the k-th value's cluster (relative gap
-    CLUSTER_RTOL), or the block grows.  max_iter (default 500) bounds the
-    LOBPCG iterations; a breakdown or a spent budget raises
-    SolverFailureError.
+    The name is kept from the Lanczos solver this replaced.  From k + 4
+    random vectors X (fixed seed), each iteration runs Rayleigh-Ritz on X,
+    the active pairs' residuals preconditioned by `op.precondition` and their
+    previous steps; if the Gram factorization fails, the steps are dropped
+    and the iteration retried once.  A pair passing ||op u - lambda u||_w <=
+    10 tol_eig max(op.unit, |lambda|) leaves the active set but stays in X
+    (soft locking); once the k wanted pairs pass on a fresh apply of op, the
+    top Ritz value must clear the k-th value's cluster (relative gap
+    CLUSTER_RTOL) or X grows.  A breakdown or more than max_iter (default
+    500) iterations raises SolverFailureError with the last residuals.
     """
-    from scipy.sparse.linalg import lobpcg
-
     shape, size = op.shape, op.size
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > size:
         raise ValueError(f"k = {k} exceeds the {size}-dimensional space")
-    budget = max_iter if max_iter is not None else _DEFAULT_MAX_ITER
-    w = op.bundle.weights.reshape(-1, 1)
+    budget = 500 if max_iter is None else max_iter
+    root_w = np.sqrt(op.bundle.weights.reshape(size))
 
-    def columns(fn, x):
-        """Apply a batched grid-field map to the columns of a (size, b) block."""
-        b = x.shape[1]
-        return fn(x.T.reshape((b,) + shape)).reshape(b, size).T
-
-    def stiffness(x):
-        return w * columns(op.apply, x)
-
-    def precondition(r):
-        return columns(op.precondition, r / w)
+    def scaled(fn, v):
+        """fn on the rows of v in the variables sqrt(w) u, where <., .>_w is
+        the plain dot product and op is a symmetric matrix."""
+        return root_w * fn((v / root_w).reshape((-1,) + shape)).reshape(v.shape)
 
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((size, min(k + _EXTRA, size)))
+    m = min(k + 4, size)
     target, unit = 10.0 * tol_eig, op.unit
-    # lobpcg measures ||K x - theta W x||_2 >= sqrt(min w) ||op x - theta x||_w,
-    # so a pair it locks also passes the final check
-    lobpcg_tol = target * unit * math.sqrt(float(w.min()))
-    iterations, chunk, best = 0, _CHUNK, math.inf
-    residuals = np.empty(0)
+    x = rng.standard_normal((m, size))
+    ax, search = scaled(op.apply, x), []
+    iterations, residuals = 0, np.empty(0)
     while True:
+        try:
+            theta, x, ax, p, ap = _rayleigh_ritz(x, ax, search, m)
+        except np.linalg.LinAlgError as exc:
+            if len(search) < 2:
+                raise SolverFailureError(f"LOBPCG broke down after {iterations} iterations: "
+                                         f"{exc}", residuals=residuals[:k].tolist()) from exc
+            search = search[:1]
+            continue
+        r = ax - theta[:, None] * x
+        residuals = np.sqrt(np.einsum("ij,ij->i", r, r))
+        converged = residuals <= target * np.maximum(unit, np.abs(theta))
+        if converged[:k].all():
+            if search:  # confirm on a fresh image: ax is otherwise a recurrence
+                ax, search = scaled(op.apply, x), []
+                continue
+            edge = theta[k - 1] + CLUSTER_RTOL * max(unit, abs(theta[k - 1]))
+            if m == size or theta[-1] > edge:
+                break
+            new = rng.standard_normal((min(m - k, size - m), size))
+            x, ax = np.vstack([x, new]), np.vstack([ax, scaled(op.apply, new)])
+            m = len(x)
+            continue
         if iterations >= budget:
             raise SolverFailureError(
                 f"LOBPCG did not converge within {budget} iterations "
-                f"(residuals {np.array2string(residuals, precision=2)})",
-                residuals=residuals.tolist(),
-            )
-        step = min(chunk, budget - iterations)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "not reaching the tolerance"
-                theta, x = lobpcg(stiffness, x, B=lambda v: w * v, M=precondition,
-                                  tol=lobpcg_tol, maxiter=step, largest=False)
-        except ValueError as exc:  # numpy's LinAlgError included, e.g. a singular Gram block
-            raise SolverFailureError(
-                f"LOBPCG broke down after {iterations} iterations: {exc}",
-                residuals=residuals.tolist(),
-            ) from exc
-        iterations += step
+                f"(residuals {np.array2string(residuals[:k], precision=2)})",
+                residuals=residuals[:k].tolist())
+        d, _ = _orthonormalize(scaled(op.precondition, r[~converged]), None, [(x, ax)])
+        del r  # the residuals are spent: free their block before the next allocations
+        basis = [(x, ax), (d, scaled(op.apply, d))]
+        if search:  # the previous steps of the active pairs
+            basis.append(_orthonormalize(p[~converged], ap[~converged], basis))
+        search = basis[1:]
+        iterations += 1
 
-        u = x[:, :k]
-        au = columns(op.apply, u)
-        lam = np.sum(w * u * au, axis=0)  # Rayleigh refinement; x is W-orthonormal
-        r = au - u * lam
-        residuals = np.sqrt(np.sum(w * r * r, axis=0))
-        worst = float(np.max(residuals / (target * np.maximum(unit, np.abs(lam)))))
-        if worst <= 1.0:
-            edge = lam.max() + CLUSTER_RTOL * max(unit, abs(lam.max()))
-            if x.shape[1] == size or theta[-1] > edge:
-                break
-            grow = min(x.shape[1] - k, size - x.shape[1])
-            x = np.hstack([x, rng.standard_normal((size, grow))])
-            best = math.inf
-            continue
-        if worst >= best:
-            chunk *= 2
-        best = min(best, worst)
-
-    asc = np.argsort(lam, kind="stable")
     return SpectrumResult(
-        eigenvalues=lam[asc],
-        eigenfunctions=u.T[asc].reshape((k,) + tuple(shape)),
-        residuals=residuals[asc],
-        clusters=cluster_eigenvalues(lam[asc]),
+        eigenvalues=theta[:k],
+        eigenfunctions=(x[:k] / root_w).reshape((k,) + tuple(shape)),
+        residuals=residuals[:k],
+        clusters=cluster_eigenvalues(theta[:k]),
         method="lanczos",
         iterations=iterations,
         penalty=op.penalty,
@@ -224,20 +224,18 @@ def spectrum(imm: FourierImmersion, grid: TorusGrid, coeffs: DimensionCoefficien
              k: int, *, bundle: CurvatureBundle | None = None, solver: str | None = None,
              seed: int = DEFAULT_SEED, tol_eig: float = 1e-8,
              max_iter: int | None = None, penalty: float | None = None) -> SpectrumResult:
-    """Build the bundle, pick a solver by size, and fix eigenfunction signs.
+    """Build the bundle, run a solver, and fix eigenfunction signs.
 
-    solver: None (auto: dense up to AUTO_DENSE_MAX points), "dense", or
-    "lanczos" (the LOBPCG route).  Both routes get the same penalty,
-    `default_penalty` unless given.  Eigenfunctions are normalized in the
-    weighted product with sign chosen so int u dv >= 0, falling back to a
-    positive largest-magnitude sample.
+    solver: None or "lanczos" (the LOBPCG route), or "dense" (the assembled
+    oracle, for grids up to `discrete.DENSE_CAP` points).  Both routes get the
+    same penalty, `default_penalty` unless given.  Eigenfunctions are
+    normalized in the weighted product with sign chosen so int u dv >= 0,
+    falling back to a positive largest-magnitude sample.
     """
     if solver not in (None, "dense", "lanczos"):
         raise ValueError(f"unknown solver {solver!r}")
     if bundle is None:
         bundle = build_bundle(imm, grid)
-    if solver is None:
-        solver = "dense" if grid.size <= AUTO_DENSE_MAX else "lanczos"
     if penalty is None:
         penalty = default_penalty(bundle, coeffs)
     if solver == "dense":

@@ -246,10 +246,10 @@ class FourierImmersion:
             phase = points @ k
             cos, sin = np.cos(phase), np.sin(phase)
             y += cos[..., None] * c + sin[..., None] * s
-            grad = (-sin[..., None] * c + cos[..., None] * s)[..., None] * k
-            dy += grad
-            hess = (-cos[..., None] * c - sin[..., None] * s)[..., None, None] * np.multiply.outer(k, k)
-            d2y += hess
+            dy += (-sin[..., None] * c + cos[..., None] * s)[..., None] * k
+            rows, cols = np.nonzero(np.multiply.outer(k, k))  # k k^T: rank one, mostly zero
+            hess = (-cos[..., None] * c - sin[..., None] * s)[..., None] * (k[rows] * k[cols])
+            d2y[..., rows, cols] += hess
         return ImmersionJet(y=y, dy=dy, d2y=d2y)
 
     def values(self, points: np.ndarray) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from paneitzlab import discrete
+from paneitzlab import cli, discrete
 from paneitzlab.cli import _eigen_row, _sweep_fourier_perturbation, main
 from paneitzlab.errors import PaneitzLabError, SolverFailureError
 
@@ -52,6 +55,18 @@ BUMP_DENSE = (
     "grid: 8\n"
     "solver: dense\n"
     "k: 7\n"
+)
+BUMP_LANCZOS = BUMP_DENSE.replace("solver: dense", "solver: lanczos")
+
+T4_ZERO_MODE = (
+    "kind: fourier_immersion\n"
+    "dim: 4\n"
+    "params:\n"
+    "  radii: [1.0, 1.0, 1.0, 1.0]\n"
+    "fourier:\n"
+    "  - {k: [1, 1, 0, 0], amp: [0, 0, 0, 0, 0, 0, 0, 0]}\n"
+    "grid: 8\n"
+    "k: 9\n"
 )
 
 
@@ -150,14 +165,34 @@ def test_any_lab_error_is_exit_2(spec_file, capsys, monkeypatch):
 
 
 def test_lobpcg_breakdown_is_exit_3(spec_file, capsys, monkeypatch):
-    def singular(*a, **k):
-        raise np.linalg.LinAlgError("the Gram block is not positive definite")
+    # the first Gram factorization (the start block's Rayleigh-Ritz) passes,
+    # every later one fails: dropping the step directions cannot help
+    factorizations = []
+    cholesky = np.linalg.cholesky
 
-    monkeypatch.setattr("scipy.sparse.linalg.lobpcg", singular)
-    spec = spec_file(BUMP_DENSE.replace("solver: dense", "solver: lanczos"))
-    assert main(["spectrum", "--spec", spec]) == 3
+    def singular_after_start(a):
+        factorizations.append(a.shape)
+        if len(factorizations) > 1:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    failures = []
+    solve = cli.solve_spectrum
+
+    def recording(*a, **k):
+        try:
+            return solve(*a, **k)
+        except SolverFailureError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", singular_after_start)
+    monkeypatch.setattr(cli, "solve_spectrum", recording)
+    assert main(["spectrum", "--spec", spec_file(BUMP_LANCZOS)]) == 3
     err = capsys.readouterr().err
-    assert "solver failure" in err and "not positive definite" in err
+    assert "solver failure: LOBPCG broke down" in err and "not positive definite" in err
+    (failure,) = failures
+    assert len(failure.residuals) == 7 and all(r > 0 for r in failure.residuals)
 
 
 # --------------------------------------------------------------------------
@@ -247,6 +282,22 @@ def test_verify_replay_on_a_small_torus(spec_file, capsys):
     assert captured.err == ""
 
 
+def test_kernel_snap_and_clusters_are_scale_covariant(spec_file, tmp_path, capsys):
+    # radii 300 scale the spectrum by 300^-4: the kernel must stay a cluster
+    # of its own and the flat torus an equality case, as at radii 1
+    docs = []
+    for r in ("1.0", "300.0"):
+        spec = spec_file(T4_ZERO_MODE.replace("1.0", r), name=f"t4-{r}.yaml")
+        path = tmp_path / f"t4-{r}.json"
+        assert main(["verify", "--spec", spec, "--bound", "thm_1_1", "--quiet",
+                     "--out", str(path)]) == 0
+        docs.append(json.loads(path.read_text()))
+    for doc in docs:
+        assert [c["count"] for c in doc["spectrum"]["multiplicities"]] == [1, 8]
+        (rep,) = doc["bounds"]
+        assert rep["equality"] and rep["ok"]
+
+
 def test_out_of_memory_is_exit_2(spec_file, capsys, monkeypatch):
     # a grid too large for the machine fails in numpy's allocator; simulated
     # here, since a real allocation of that size could exhaust the host
@@ -279,6 +330,24 @@ def test_verify_impossible_tolerance_is_a_finding(spec_file, capsys):
     assert main(["verify", "--spec", spec_file(T4_GRID), "--replay",
                  "--tol", "1e-30"]) == 1
     assert "(FAILED)" in capsys.readouterr().out
+
+
+def test_commands_leave_scipy_linalg_and_sparse_unloaded(spec_file):
+    # both eigensolver routes run on numpy alone; scipy.fft is the only
+    # scipy module a grid run needs
+    script = (
+        "import sys\n"
+        "from paneitzlab.cli import main\n"
+        f"assert main(['verify', '--spec', {spec_file(S4, 's4.yaml')!r}, '--quiet']) == 0\n"
+        f"assert main(['spectrum', '--spec', {spec_file(BUMP_LANCZOS, 'bump.yaml')!r},"
+        " '--quiet']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------

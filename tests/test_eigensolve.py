@@ -33,7 +33,7 @@ def perturbed_torus(amp=0.05):
 def test_flat_torus_matches_lattice(radii):
     k = 10
     result = spectrum(clifford_torus(radii), TorusGrid((8, 8, 8)),
-                      paneitz_coefficients(3), k)
+                      paneitz_coefficients(3), k, solver="dense")
     exact = expand_lines(paneitz_spectrum(flat_torus(radii), count=k + 4).lines, k)
     assert result.method == "dense"
     assert np.abs(result.eigenvalues - np.asarray(exact)).max() < 1e-9
@@ -127,14 +127,23 @@ def test_curved_refinement_converges_in_grid_independent_iterations():
     assert np.abs(fine.eigenvalues - runs[8].eigenvalues).max() <= 1e-4
 
 
-def test_auto_solver_switches_on_size():
-    small = spectrum(clifford_torus((1.0, 1.0, 1.0)), TorusGrid((8, 8, 8)),
-                     paneitz_coefficients(3), 3)
-    assert small.method == "dense"
-    big = spectrum(clifford_torus((1.0,) * 4), TorusGrid((8, 8, 8, 16)),
-                   paneitz_coefficients(4), 3)
-    assert big.method == "lanczos"
-    assert big.eigenvalues[1] == pytest.approx(1.0, abs=1e-8)
+def test_curved_solve_converges_without_restarts():
+    # the wanted pairs of this case pass the residual test by about
+    # iteration 13; a solver that restarts or waits on the spare vectors
+    # takes 40
+    result = spectrum(perturbed_torus(amp=0.1), TorusGrid((8, 8, 8)),
+                      paneitz_coefficients(3), 7, solver="lanczos")
+    assert result.iterations <= 20
+    assert np.all(result.residuals <= 10 * 1e-8 * np.maximum(1.0, np.abs(result.eigenvalues)))
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (8, 8, 8, 16)])
+def test_auto_solver_is_iterative_at_every_size(shape):
+    n = len(shape)
+    result = spectrum(clifford_torus((1.0,) * n), TorusGrid(shape),
+                      paneitz_coefficients(n), 3)
+    assert result.method == "lanczos" and result.defect is None
+    assert result.eigenvalues[1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_cluster_eigenvalues_groups_by_relative_gap():
@@ -170,6 +179,28 @@ def test_unknown_solver_is_refused():
     with pytest.raises(ValueError, match="unknown solver"):
         spectrum(clifford_torus((1.0, 1.0)), TorusGrid((8, 8)), None, 2,
                  solver="qr")
+
+
+def test_failed_gram_factorization_drops_the_step_directions(monkeypatch):
+    # k = 5 keeps a block of 9: every Gram of the block, the residual
+    # directions and the previous steps (more than 18 rows) fails to factor,
+    # so each iteration is retried without the steps and still converges
+    cholesky = np.linalg.cholesky
+    retried = []
+
+    def fails_with_steps(a):
+        if len(a) > 18:
+            retried.append(len(a))
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    imm, grid = perturbed_torus(), TorusGrid((8, 8, 8))
+    bundle = build_bundle(imm, grid)
+    dense = spectrum(imm, grid, paneitz_coefficients(3), 5, bundle=bundle, solver="dense")
+    monkeypatch.setattr(np.linalg, "cholesky", fails_with_steps)
+    lanc = spectrum(imm, grid, paneitz_coefficients(3), 5, bundle=bundle, solver="lanczos")
+    assert retried
+    assert np.abs(lanc.eigenvalues - dense.eigenvalues).max() <= 1e-8
 
 
 def test_starved_iteration_budget_raises():
