@@ -110,11 +110,15 @@ def _analytic_spectrum_block(model, count: int) -> tuple[list, dict]:
     return values, block
 
 
-def _numerical_solution(spec: ManifoldSpec, count: int, seed: int):
+def _numerical_solution(spec: ManifoldSpec, count: int, seed: int, timings: dict):
+    """(bundle, result) of the grid spectrum; timings["bundle"] gets the seconds
+    spent sampling the bundle."""
     imm = spec.to_immersion()
     grid = spec.to_grid()
     coeffs = paneitz_coefficients(spec.dim)
+    tick = time.perf_counter()
     bundle = build_bundle(imm, grid)
+    timings["bundle"] = time.perf_counter() - tick
     result = solve_spectrum(imm, grid, coeffs, count, bundle=bundle,
                             solver=spec.solver, seed=seed)
     return bundle, result
@@ -180,7 +184,7 @@ def cmd_spectrum(args) -> int:
         label = model.describe()
     else:
         tick = time.perf_counter()
-        bundle, result = _numerical_solution(spec, count, seed)
+        bundle, result = _numerical_solution(spec, count, seed, timings)
         timings["solve"] = time.perf_counter() - tick
         block = spectrum_block(result)
         geo = summarize_bundle(bundle)
@@ -200,8 +204,9 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _verify_inputs(spec: ManifoldSpec, count: int, seed: int):
-    """(values, geo, u1, bundle, result, spectrum_block) for either route."""
+def _verify_inputs(spec: ManifoldSpec, count: int, seed: int, timings: dict):
+    """(values, geo, u1, bundle, result, spectrum_block) for either route; a grid
+    route records its bundle time in timings."""
     want_u1 = any(rule.needs_u1 and rule.applies(spec.dim) for rule in BOUNDS.values())
     if spec.analytic:
         model = spec.to_model()
@@ -209,7 +214,7 @@ def _verify_inputs(spec: ManifoldSpec, count: int, seed: int):
         geo = summarize_model(model)
         u1 = _analytic_u1(model) if want_u1 else None
         return values, geo, u1, None, None, block
-    bundle, result = _numerical_solution(spec, count, seed)
+    bundle, result = _numerical_solution(spec, count, seed, timings)
     geo = summarize_bundle(bundle)
     u1 = u1_from_result(bundle, result) if want_u1 else None
     return result.eigenvalues, geo, u1, bundle, result, spectrum_block(result)
@@ -224,7 +229,7 @@ def cmd_verify(args) -> int:
     timings = {}
 
     tick = time.perf_counter()
-    values, geo, u1, bundle, result, spec_block = _verify_inputs(spec, count, seed)
+    values, geo, u1, bundle, result, spec_block = _verify_inputs(spec, count, seed, timings)
     timings["spectrum"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
@@ -282,7 +287,7 @@ def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
     if spec.grid is None:
         raise GateError("numerical replay needs a 'grid' entry in the spec")
     if bundle is None or result is None:
-        bundle, result = _numerical_solution(spec, count, seed)
+        bundle, result = _numerical_solution(spec, count, seed, {})
     return replay_proof(theorem, result, bundle,
                         tol=tol if tol is not None else REPLAY_TOL_NUMERICAL)
 

@@ -14,6 +14,8 @@ forward FFT brings the flux back, and the divergence multiplies by ik on the
 coarse band only.  The Paneitz apply shares the gradient of f between the
 first Laplacian and the curvature term, and sums the fluxes
 sqrt(g) g^{-1} grad(Lap f) - coeff_flux grad f before its single divergence.
+A block of fields is applied in batches of columns, so that its fine-grid
+arrays stay within a fixed number of bytes (`_APPLY_BYTES`).
 
 A constant metric has no curvature, and every operator on it is a Fourier
 multiplier: the kernel's symbol g^{ij} k_i k_j on the coarse real-FFT layout,
@@ -74,6 +76,12 @@ _ASSEMBLY_BATCH = 64
 #: the 2-jet and curvature temporaries of one block (~4 MB each for N = 10,
 #: n = 5) bound the sampling memory whatever the grid size
 _SAMPLE_BLOCK = 2048
+
+#: bytes one (n, columns, fine grid) array of a general-path apply may take:
+#: wider blocks are applied in batches of columns, so the fine-grid gradient
+#: and fluxes of an apply stay bounded whatever the block width (on a 12^5
+#: fine grid one column is ~10 MB; on 12^3 a batch holds ~400 columns)
+_APPLY_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -284,9 +292,25 @@ def apply_laplacian(bundle: CurvatureBundle, f: np.ndarray) -> np.ndarray:
 
 
 def _laplacian(bundle: CurvatureBundle, coef: np.ndarray) -> np.ndarray:
-    """The general-path Laplacian of the field with band coefficients coef."""
-    grad = bundle.kernel.gradient(coef)
-    return _divergence(bundle.kernel, bundle.inv_sqrt_det, _flux(bundle.laplace_flux, grad))
+    """The general-path Laplacian of the fields with band coefficients coef."""
+    def part(c):
+        grad = bundle.kernel.gradient(c)
+        return _divergence(bundle.kernel, bundle.inv_sqrt_det, _flux(bundle.laplace_flux, grad))
+    return _by_columns(bundle, part, coef)
+
+
+def _by_columns(bundle: CurvatureBundle, part, coef: np.ndarray) -> np.ndarray:
+    """part(coef) for band coefficients with any leading axes, computed in
+    batches of leading columns whose (n, columns, fine grid) arrays fit
+    _APPLY_BYTES; part maps band coefficients to coarse-grid fields."""
+    n = bundle.n
+    lead = coef.shape[: coef.ndim - n]
+    columns = coef.reshape((-1,) + coef.shape[coef.ndim - n:])
+    batch = max(1, _APPLY_BYTES // (n * bundle.fine.size * np.dtype(float).itemsize))
+    out = np.empty((len(columns),) + bundle.grid.shape)
+    for start in range(0, len(columns), batch):
+        out[start:start + batch] = part(columns[start:start + batch])
+    return out.reshape(lead + bundle.grid.shape)
 
 
 def _require_coeffs(bundle: CurvatureBundle, coeffs: DimensionCoefficients):
@@ -315,12 +339,14 @@ def _paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.ndarr
     term, whose flux joins the outer Laplacian's before one divergence.
     """
     kernel = bundle.kernel
-    grad = kernel.gradient(coef)
-    lap = _divergence(kernel, bundle.inv_sqrt_det, _flux(bundle.laplace_flux, grad))
-    flow = _flux(bundle.laplace_flux, kernel.gradient(kernel.coefficients(lap)))
-    flow -= _flux(bundle.coeff_flux, grad)
-    return (_divergence(kernel, bundle.inv_sqrt_det, flow)
-            + float(coeffs.q_factor) * bundle.q_field * f)
+
+    def part(c):
+        grad = kernel.gradient(c)
+        lap = _divergence(kernel, bundle.inv_sqrt_det, _flux(bundle.laplace_flux, grad))
+        flow = _flux(bundle.laplace_flux, kernel.gradient(kernel.coefficients(lap)))
+        flow -= _flux(bundle.coeff_flux, grad)
+        return _divergence(kernel, bundle.inv_sqrt_det, flow)
+    return _by_columns(bundle, part, coef) + float(coeffs.q_factor) * bundle.q_field * f
 
 
 def integrate(bundle: CurvatureBundle, f: np.ndarray) -> float:

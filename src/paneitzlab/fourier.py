@@ -231,36 +231,47 @@ class FourierImmersion:
         for t in self.terms:
             if len(t.k) != self.n:
                 raise ValueError(f"term wavenumber {t.k} does not match n = {self.n}")
+        # y, dy and the upper triangle of d2y are linear in the cos and sin of
+        # the phases k.x: [cos | sin] (points, 2 terms) times the tables below,
+        # since d_i cos(k.x) = -k_i sin(k.x) and d_i sin(k.x) = k_i cos(k.x)
+        k = np.array([t.k for t in self.terms], dtype=float)
+        c = np.array([t.cos for t in self.terms], dtype=float)
+        s = np.array([t.sin for t in self.terms], dtype=float)
+        rows, cols = np.triu_indices(self.n)
+        kk = (k[:, rows] * k[:, cols])[:, None, :]  # integer products: exact
+        self._k = k
+        self._y_table = np.concatenate([c, s])
+        self._dy_table = np.concatenate([s[..., None] * k[:, None, :],
+                                         -c[..., None] * k[:, None, :]]).reshape(2 * len(k), -1)
+        self._d2y_table = np.concatenate([-c[..., None] * kk,
+                                          -s[..., None] * kk]).reshape(2 * len(k), -1)
+        # position of (i, j) among the upper-triangle pairs, for both orders:
+        # the two mirror entries of d2y are copies of one computed value
+        pair = np.empty((self.n, self.n), dtype=int)
+        pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+        self._d2y_pair = pair.reshape(-1)
+
+    def _trig(self, points: np.ndarray) -> np.ndarray:
+        """[cos | sin] of every term's phase k.x, shape (points, 2 terms)."""
+        phase = np.asarray(points, dtype=float).reshape(-1, self.n) @ self._k.T
+        return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
 
     def jet(self, points: np.ndarray) -> ImmersionJet:
         """Exact 2-jet at parameter points of shape (..., n)."""
-        points = np.asarray(points, dtype=float)
-        base = points.shape[:-1]
-        y = np.zeros(base + (self.ambient_dim,))
-        dy = np.zeros(base + (self.ambient_dim, self.n))
-        d2y = np.zeros(base + (self.ambient_dim, self.n, self.n))
-        for t in self.terms:
-            k = np.array(t.k, dtype=float)
-            c = np.array(t.cos, dtype=float)
-            s = np.array(t.sin, dtype=float)
-            phase = points @ k
-            cos, sin = np.cos(phase), np.sin(phase)
-            y += cos[..., None] * c + sin[..., None] * s
-            dy += (-sin[..., None] * c + cos[..., None] * s)[..., None] * k
-            rows, cols = np.nonzero(np.multiply.outer(k, k))  # k k^T: rank one, mostly zero
-            hess = (-cos[..., None] * c - sin[..., None] * s)[..., None] * (k[rows] * k[cols])
-            d2y[..., rows, cols] += hess
-        return ImmersionJet(y=y, dy=dy, d2y=d2y)
+        base = np.shape(points)[:-1]
+        trig = self._trig(points)
+        N, n = self.ambient_dim, self.n
+        y = trig @ self._y_table
+        dy = trig @ self._dy_table
+        upper = (trig @ self._d2y_table).reshape(len(trig), N, -1)
+        d2y = np.take(upper, self._d2y_pair, axis=-1)
+        return ImmersionJet(y=y.reshape(base + (N,)), dy=dy.reshape(base + (N, n)),
+                            d2y=d2y.reshape(base + (N, n, n)))
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """y alone at parameter points (..., n): the jet's y without its derivatives."""
-        points = np.asarray(points, dtype=float)
-        y = np.zeros(points.shape[:-1] + (self.ambient_dim,))
-        for t in self.terms:
-            phase = points @ np.array(t.k, dtype=float)
-            y += (np.cos(phase)[..., None] * np.array(t.cos, dtype=float)
-                  + np.sin(phase)[..., None] * np.array(t.sin, dtype=float))
-        return y
+        y = self._trig(points) @ self._y_table
+        return y.reshape(np.shape(points)[:-1] + (self.ambient_dim,))
 
     def sphere_deviation(self, grid: TorusGrid) -> float:
         """max | |y|^2 - 1 | over the grid; ~0 means the image lies on S^{N-1}(1)."""

@@ -50,7 +50,7 @@ class ImmersionJet:
                 f"inconsistent jet shapes: y {self.y.shape}, dy {self.dy.shape}, "
                 f"d2y {self.d2y.shape}"
             )
-        if not np.allclose(self.d2y, np.swapaxes(self.d2y, -1, -2), atol=1e-12):
+        if not _symmetric(self.d2y):
             raise ValueError("second derivatives must be symmetric in the two slot indices")
 
     @property
@@ -60,6 +60,15 @@ class ImmersionJet:
     @property
     def dim(self) -> int:
         return self.dy.shape[-1]
+
+
+def _symmetric(d2y: np.ndarray) -> bool:
+    """np.allclose(d2y, d2y^T, atol=1e-12), tested on the entries that differ
+    from their mirror image: equal entries are close, and NaN differs from
+    everything, itself included."""
+    mirror = np.swapaxes(d2y, -1, -2)
+    differ = d2y != mirror
+    return np.allclose(d2y[differ], mirror[differ], atol=1e-12)
 
 
 @dataclass
@@ -98,7 +107,7 @@ def induced_metric(jet: ImmersionJet) -> MetricData:
     anywhere, reporting the batch index of the first offending point and det g
     there.
     """
-    g = np.einsum("...ai,...aj->...ij", jet.dy, jet.dy)
+    g = np.swapaxes(jet.dy, -1, -2) @ jet.dy
     det = np.linalg.det(g)
     n = jet.dim
     bad = det <= IMMERSION_DET_EPS * (np.trace(g, axis1=-2, axis2=-1) / n) ** n
@@ -109,42 +118,53 @@ def induced_metric(jet: ImmersionJet) -> MetricData:
 
 
 def curvature_point(jet: ImmersionJet, metric: MetricData) -> CurvaturePoint:
-    """Connection, second fundamental form and Gauss-equation curvature of the jet."""
-    n = jet.dim
+    """Connection, second fundamental form and Gauss-equation curvature of the jet.
+
+    Every contraction is a batched matrix product over the points: d2y and h
+    are read as (N, n^2) matrices, rows a and columns (i j).
+    """
+    n, ambient = jet.dim, jet.ambient_dim
+    base = jet.y.shape[:-1]
+    dy = jet.dy.reshape(-1, ambient, n)
+    points = dy.shape[0]
+    g_inv = metric.g_inv.reshape(points, n, n)
+    d2y = jet.d2y.reshape(points, ambient, n * n)
     # Christoffel symbols of the first kind come straight from the 2-jet:
-    # Gam_{l,ij} = <dy_l, d2y_ij>.
-    gamma_first = np.einsum("...al,...aij->...lij", jet.dy, jet.d2y)
-    gamma = np.einsum("...kl,...lij->...kij", metric.g_inv, gamma_first)
+    # Gam_{l,ij} = <dy_l, d2y_ij>; raising l gives Gam^k_ij, rows k
+    gamma = g_inv @ (np.swapaxes(dy, -1, -2) @ d2y)
     # Normal projection of d2y; the tangential part is exactly Gam^k dy_k.
-    h = jet.d2y - np.einsum("...ak,...kij->...aij", jet.dy, gamma)
-    mean = np.einsum("...ij,...aij->...a", metric.g_inv, h) / n
-    mean_sq = np.einsum("...a,...a->...", mean, mean)
-    # optimize=True: unoptimized three- and four-operand einsums dominate large grids
-    s_norm = np.einsum("...ik,...jl,...aij,...akl->...", metric.g_inv, metric.g_inv, h, h,
-                       optimize=True)
-    ric = n * np.einsum("...a,...aij->...ij", mean, h) - np.einsum(
-        "...kl,...akj,...ail->...ij", metric.g_inv, h, h, optimize=True
-    )
-    ric_norm_sq = np.einsum("...ik,...jl,...ij,...kl->...", metric.g_inv, metric.g_inv, ric, ric,
-                            optimize=True)
-    scalar = np.einsum("...ij,...ij->...", metric.g_inv, ric)
+    h = d2y - dy @ gamma
+    mean = (h @ g_inv.reshape(points, n * n, 1))[..., 0] / n
+    mean_sq = np.einsum("pa,pa->p", mean, mean)
+    # h_a g^{-1} for every normal component a, stacked: rows (a i), columns l
+    lowered = h.reshape(points, ambient * n, n) @ g_inv
+    quad = lowered.reshape(points, ambient, n, n)
+    # S = sum_a tr(h_a g^{-1} h_a g^{-1})
+    s_norm = np.einsum("pail,pali->p", quad, quad)
+    # Ric = n <H, h> - sum_a h_a g^{-1} h_a, the sum one product over (a l)
+    rows = quad.transpose(0, 2, 1, 3).reshape(points, n, ambient * n)
+    ric = (n * (mean[:, None, :] @ h).reshape(points, n, n)
+           - rows @ h.reshape(points, ambient * n, n))
+    raised = g_inv @ ric
+    ric_norm_sq = np.einsum("pij,pji->p", raised, raised)
+    scalar = np.trace(raised, axis1=-2, axis2=-1)
     return CurvaturePoint(
-        gamma=gamma,
-        h=h,
-        mean=mean,
-        mean_sq=mean_sq,
-        s_norm=s_norm,
-        ric=ric,
-        ric_norm_sq=ric_norm_sq,
-        scalar=scalar,
+        gamma=gamma.reshape(base + (n, n, n)),
+        h=h.reshape(base + (ambient, n, n)),
+        mean=mean.reshape(base + (ambient,)),
+        mean_sq=mean_sq.reshape(base),
+        s_norm=s_norm.reshape(base),
+        ric=ric.reshape(base + (n, n)),
+        ric_norm_sq=ric_norm_sq.reshape(base),
+        scalar=scalar.reshape(base),
     )
 
 
 def gauss_identity_residual(curv: CurvatureFields, n: int) -> float:
     """max |R - (n(n-1)|H|^2 - (S - n|H|^2))|.
 
-    The scalar curvature is contracted from the Gauss equation along a
-    different einsum path than n^2|H|^2 - S, so this is a genuine
+    The scalar curvature is traced from the Gauss-equation Ricci tensor, a
+    different product than the ones giving |H|^2 and S, so this is a genuine
     cross-check of the curvature assembly, not a tautology.
     """
     target = n * (n - 1) * curv.mean_sq - (curv.s_norm - n * curv.mean_sq)

@@ -7,6 +7,10 @@ and the lambdified results are evaluated at batches of interior points.
 The discretization tests need spectral operations that do not go through
 `SpectralKernel`: `pad`, `truncate`, `band_project` and `derivative` below
 work on full complex numpy FFTs, one axis at a time where they can.
+
+`reference_jet` and `reference_curvature` are the plain forms of the batched
+products in `FourierImmersion.jet` and `geometry.curvature_point`: a loop
+over Fourier terms, and one einsum per contraction.
 """
 
 from __future__ import annotations
@@ -51,6 +55,46 @@ def chart_jet(components, variables, points) -> ImmersionJet:
             for j in range(n):
                 d2y[..., a, i, j] = d2y_val[a][i][j]
     return ImmersionJet(y=y, dy=dy, d2y=d2y)
+
+
+def reference_jet(imm, points):
+    """(y, dy, d2y) of a FourierImmersion summed term by term."""
+    points = np.asarray(points, dtype=float)
+    base = points.shape[:-1]
+    y = np.zeros(base + (imm.ambient_dim,))
+    dy = np.zeros(base + (imm.ambient_dim, imm.n))
+    d2y = np.zeros(base + (imm.ambient_dim, imm.n, imm.n))
+    for t in imm.terms:
+        k = np.array(t.k, dtype=float)
+        c = np.array(t.cos, dtype=float)
+        s = np.array(t.sin, dtype=float)
+        phase = points @ k
+        cos, sin = np.cos(phase)[..., None], np.sin(phase)[..., None]
+        y += cos * c + sin * s
+        dy += (-sin * c + cos * s)[..., None] * k
+        d2y += (-cos * c - sin * s)[..., None, None] * np.multiply.outer(k, k)
+    return y, dy, d2y
+
+
+def reference_curvature(jet, metric) -> dict:
+    """The fields of geometry.CurvaturePoint, one einsum per contraction."""
+    n = jet.dim
+    g_inv = metric.g_inv
+    gamma = np.einsum("...kl,...al,...aij->...kij", g_inv, jet.dy, jet.d2y)
+    h = jet.d2y - np.einsum("...ak,...kij->...aij", jet.dy, gamma)
+    mean = np.einsum("...ij,...aij->...a", g_inv, h) / n
+    ric = n * np.einsum("...a,...aij->...ij", mean, h) - np.einsum(
+        "...kl,...akj,...ail->...ij", g_inv, h, h)
+    return {
+        "gamma": gamma,
+        "h": h,
+        "mean": mean,
+        "mean_sq": np.einsum("...a,...a->...", mean, mean),
+        "s_norm": np.einsum("...ik,...jl,...aij,...akl->...", g_inv, g_inv, h, h),
+        "ric": ric,
+        "ric_norm_sq": np.einsum("...ik,...jl,...ij,...kl->...", g_inv, g_inv, ric, ric),
+        "scalar": np.einsum("...ij,...ij->...", g_inv, ric),
+    }
 
 
 def hypersphere_chart(n: int, r: float = 1.0, prefix: str = "phi"):

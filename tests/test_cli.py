@@ -123,6 +123,20 @@ def test_spectrum_perturbed_torus_is_deterministic(spec_file, tmp_path, capsys):
     assert len(values) == 7 and values == sorted(values)
 
 
+@pytest.mark.parametrize("command,outer", [("spectrum", "solve"), ("verify", "spectrum")])
+def test_grid_reports_time_the_bundle(spec_file, tmp_path, capsys, command, outer):
+    # a grid spectrum's timing includes its bundle, which is also reported on
+    # its own; a closed-form spec samples no bundle
+    for text, grid in ((T4_ZERO_MODE, True), (S4, False)):
+        path = tmp_path / f"{command}-{grid}.json"
+        assert main([command, "--spec", spec_file(text), "--quiet",
+                     "--out", str(path)]) in (0, 1)
+        timings = json.loads(path.read_text())["timings"]
+        assert ("bundle" in timings) is grid
+        if grid:
+            assert 0 < timings["bundle"] <= timings[outer] <= timings["total"]
+
+
 def test_spectrum_bad_spec_is_exit_2(spec_file, capsys):
     bad = spec_file("kind: sphere\ndim: 4\nparams:\n  radius: 2.0\n")
     assert main(["spectrum", "--spec", bad]) == 2

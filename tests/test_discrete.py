@@ -373,6 +373,21 @@ def test_batched_apply_equals_column_by_column(factory, coeffs):
     assert_matches(batched, single, 1e-15)
 
 
+def test_column_batches_equal_the_unbatched_apply(monkeypatch):
+    # a one-byte budget applies every column in a batch of its own
+    grid = TorusGrid((8, 8, 8))
+    bundle = build_bundle(perturbed_torus(0.1), grid)
+    coeffs = bundle.coeffs
+    op = PaneitzOperator(bundle, coeffs, penalty=37.0)
+    block = np.random.default_rng(41).standard_normal((2, 3) + grid.shape)
+    applies = (op.apply, lambda f: apply_paneitz(bundle, coeffs, f),
+               lambda f: apply_laplacian(bundle, f))
+    whole = [apply(block) for apply in applies]
+    monkeypatch.setattr(discrete, "_APPLY_BYTES", 1)
+    for apply, want in zip(applies, whole):
+        assert np.array_equal(apply(block), want)
+
+
 @pytest.mark.parametrize("coeffs", [paneitz_coefficients(3), None])
 def test_flat_apply_is_symbol_plus_penalty(coeffs):
     grid = TorusGrid((8, 8, 8))

@@ -177,9 +177,46 @@ def test_asymmetric_second_derivatives_rejected():
         ImmersionJet(y=y, dy=dy, d2y=d2y)
 
 
+def jet_with_second_derivatives(d2y):
+    points, (ambient, n) = d2y.shape[:-3], d2y.shape[-3:-1]
+    dy = np.zeros(points + (ambient, n))
+    dy[..., :n, :] = np.eye(n)
+    return ImmersionJet(y=np.zeros(points + (ambient,)), dy=dy, d2y=d2y)
+
+
+@pytest.mark.parametrize("upper,lower,accepted", [
+    (1e-14, 0.0, True),
+    (1e-11, 0.0, False),
+    (1.0 + 1e-6, 1.0, True),   # the relative tolerance of np.allclose, 1e-5
+    (1.0 + 1e-4, 1.0, False),
+    (np.inf, np.inf, True),
+    (np.inf, -np.inf, False),
+    (np.nan, 0.0, False),
+    (np.nan, np.nan, False),
+])
+def test_second_derivative_symmetry_test(upper, lower, accepted):
+    # the test of np.allclose(d2y, d2y^T, atol=1e-12), whichever entry is which
+    for a, b in ((upper, lower), (lower, upper)):
+        d2y = np.zeros((2, 4, 3, 3))
+        d2y[1, 2, 0, 2], d2y[1, 2, 2, 0] = a, b
+        if accepted:
+            jet_with_second_derivatives(d2y)
+        else:
+            with pytest.raises(ValueError):
+                jet_with_second_derivatives(d2y)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (2, 2), (0, 1)])
+def test_nan_second_derivative_rejected(where):
+    d2y = np.zeros((2, 4, 3, 3))
+    d2y[(1, 3) + where] = np.nan
+    with pytest.raises(ValueError):
+        jet_with_second_derivatives(d2y)
+
+
 def test_optimized_contractions_match_the_plain_einsum():
-    # curvature_point contracts s_norm, Ric and |Ric|^2 along an optimized
-    # path; the one-loop einsum is the reference, equal up to summation order
+    # curvature_point contracts s_norm, Ric and |Ric|^2 by batched matrix
+    # products; the one-loop einsum is the reference, equal up to summation order
     base = clifford_torus((1.0, 1.0, 1.0, 1.0))
     bump = FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)
     jet = base.perturbed([bump]).jet(RNG.uniform(0, 2 * np.pi, (6, 5, 4)))
