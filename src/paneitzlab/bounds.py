@@ -95,7 +95,7 @@ def summarize_model(m: ModelManifold) -> GeometrySummary:
     )
 
 
-def summarize_bundle(bundle: CurvatureBundle, label: str | None = None) -> GeometrySummary:
+def summarize_bundle(bundle: CurvatureBundle) -> GeometrySummary:
     return GeometrySummary(
         n=bundle.n,
         volume=bundle.volume,
@@ -105,7 +105,7 @@ def summarize_bundle(bundle: CurvatureBundle, label: str | None = None) -> Geome
         q=bundle.q_field if bundle.q_field is not None else 0.0,
         ambient_unit_sphere=unit_sphere_deviation(bundle.y) <= SPHERE_DEVIATION_TOL,
         numerical=True,
-        label=label or f"immersion on grid {'x'.join(map(str, bundle.grid.shape))}",
+        label=f"immersion on grid {'x'.join(map(str, bundle.grid.shape))}",
         weights=bundle.weights,
     )
 

@@ -450,6 +450,17 @@ def cmd_sweep(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value: the solver's RNG takes nonnegative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return seed
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
@@ -464,8 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", required=True, help="manifold spec file (YAML)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress stdout summaries")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the spec's solver seed")
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="override the spec's solver seed (>= 0)")
         p.add_argument("--count", type=int, default=None,
                        help="override the spec's eigenvalue count")
         p.add_argument("--tol", type=float, default=None,

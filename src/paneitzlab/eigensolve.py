@@ -39,6 +39,7 @@ from .fourier import FourierImmersion, TorusGrid
 
 DEFAULT_SEED = 0x5EED
 CLUSTER_RTOL = 1e-6
+TOL_EIG = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ def _rayleigh_ritz(x, ax, search, m: int):
     return theta[:m], coef[0] @ x + p, coef[0] @ ax + ap, p, ap
 
 
-def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
-                     seed: int = DEFAULT_SEED, max_iter: int | None = None) -> SpectrumResult:
+def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED,
+                     max_iter: int | None = None) -> SpectrumResult:
     """k smallest eigenpairs of `op` by preconditioned block LOBPCG.
 
     The name is kept from the Lanczos solver this replaced.  From k + 4
@@ -144,7 +145,7 @@ def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
     the active pairs' residuals preconditioned by `op.precondition` and their
     previous steps; if the Gram factorization fails, the steps are dropped
     and the iteration retried once.  A pair passing ||op u - lambda u||_w <=
-    10 tol_eig max(op.unit, |lambda|) leaves the active set but stays in X
+    10 TOL_EIG max(op.unit, |lambda|) leaves the active set but stays in X
     (soft locking); once the k wanted pairs pass on a fresh apply of op, the
     top Ritz value must clear the k-th value's cluster (relative gap
     CLUSTER_RTOL) or X grows.  A breakdown or more than max_iter (default
@@ -165,7 +166,7 @@ def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
 
     rng = np.random.default_rng(seed)
     m = min(k + 4, size)
-    target, unit = 10.0 * tol_eig, op.unit
+    target, unit = 10.0 * TOL_EIG, op.unit
     x = rng.standard_normal((m, size))
     ax, search = scaled(op.apply, x), []
     iterations, residuals = 0, np.empty(0)
@@ -222,26 +223,24 @@ def lanczos_smallest(op: PaneitzOperator, k: int, tol_eig: float = 1e-8, *,
 
 def spectrum(imm: FourierImmersion, grid: TorusGrid, coeffs: DimensionCoefficients | None,
              k: int, *, bundle: CurvatureBundle | None = None, solver: str | None = None,
-             seed: int = DEFAULT_SEED, tol_eig: float = 1e-8,
-             max_iter: int | None = None, penalty: float | None = None) -> SpectrumResult:
+             seed: int = DEFAULT_SEED, max_iter: int | None = None) -> SpectrumResult:
     """Build the bundle, run a solver, and fix eigenfunction signs.
 
     solver: None or "lanczos" (the LOBPCG route), or "dense" (the assembled
     oracle, for grids up to `discrete.DENSE_CAP` points).  Both routes get the
-    same penalty, `default_penalty` unless given.  Eigenfunctions are
-    normalized in the weighted product with sign chosen so int u dv >= 0,
-    falling back to a positive largest-magnitude sample.
+    same penalty, `default_penalty`.  Eigenfunctions are normalized in the
+    weighted product with sign chosen so int u dv >= 0, falling back to a
+    positive largest-magnitude sample.
     """
     if solver not in (None, "dense", "lanczos"):
         raise ValueError(f"unknown solver {solver!r}")
     if bundle is None:
         bundle = build_bundle(imm, grid)
-    if penalty is None:
-        penalty = default_penalty(bundle, coeffs)
+    penalty = default_penalty(bundle, coeffs)
     if solver == "dense":
         result = dense_spectrum(assemble_dense(bundle, coeffs, penalty=penalty), k)
     else:
-        result = lanczos_smallest(PaneitzOperator(bundle, coeffs, penalty), k, tol_eig,
+        result = lanczos_smallest(PaneitzOperator(bundle, coeffs, penalty), k,
                                   seed=seed, max_iter=max_iter)
 
     funcs = result.eigenfunctions

@@ -64,15 +64,9 @@ class TorusGrid:
         index = np.unravel_index(np.arange(start, stop), self.shape)
         return np.stack([i * (2.0 * math.pi / m) for i, m in zip(index, self.shape)], axis=-1)
 
-    def fine(self, factor: float = 1.5) -> "TorusGrid":
-        """The dealiasing companion grid (3m/2 per axis by default)."""
-        out = []
-        for m in self.shape:
-            mf = int(round(m * factor))
-            if mf < m - 1:
-                raise ValueError("fine grid cannot hold the coarse band")
-            out.append(mf)
-        return TorusGrid(out)
+    def fine(self) -> "TorusGrid":
+        """The dealiasing companion grid, 3m/2 points per axis (rounded)."""
+        return TorusGrid([int(round(m * 1.5)) for m in self.shape])
 
 
 class SpectralKernel:

@@ -1,22 +1,24 @@
-"""Step-by-step replay of the trial-function derivations behind the bounds.
+"""Step-by-step replay of the trial-function derivation behind the bounds.
 
 ``bounds.evaluate`` checks only the endpoints of each eigenvalue bound.
 This module re-runs the derivation itself: rotate the ambient coordinates
-against computed (or closed-form) eigenfunctions, build the trial functions,
-and record the slack of every intermediate inequality and the residual of
-every identity used along the way.  A report whose steps are all
-nonnegative-up-to-tol is a machine check that the chain of reasoning, not
-just its conclusion, holds on the given manifold.
+against eigenfunctions, build the trial functions, apply Rayleigh-Ritz and
+the AM-GM pivot in delta, and record the slack of every intermediate
+inequality and the residual of every identity used along the way.  A report
+whose steps are all nonnegative-up-to-tol is a machine check that the chain
+of reasoning, not just its conclusion, holds on the given manifold.
 
-Two routes:
+The chain is written once, in ``_chain``, as a function of the integrals and
+pointwise residuals it reads (``ChainInputs``).  Two routes supply them:
 
-* ``replay_proof_analytic`` -- single round spheres, every quantity an exact
+* ``replay_proof_analytic`` -- single round spheres, every input an exact
   expression in (n, r).  The equality case: all slacks vanish.
-* ``replay_proof`` -- any curvature bundle plus a computed spectrum.  Needs
-  at least n + 2 eigenpairs; with fewer than ambient-dimension many, summed
-  steps degrade to valid partial sums and are flagged.
+* ``replay_proof`` -- any curvature bundle plus a computed spectrum, the
+  inputs sampled on the grid.  Needs at least n + 2 eigenpairs; with fewer
+  than ambient-dimension many, summed steps degrade to valid partial sums
+  and are flagged.
 
-Step naming is shared between routes so reports can be diffed.
+Both routes emit the same step names, so reports can be diffed.
 """
 
 from __future__ import annotations
@@ -80,6 +82,37 @@ class ProofChainReport:
         raise KeyError(name)
 
 
+@dataclass(frozen=True)
+class ChainInputs:
+    """Everything the chain reads, however it was obtained.
+
+    w is the weight (eigenvalue lam_w), z_a the rotated coordinates,
+    psi_a = (z_a - c_a) w the trial functions and
+    f_a = w Lap z_a + 2 g(grad z_a, grad w).  Per-coordinate arrays hold one
+    entry per rotated coordinate; the first len(gaps) of them are paired with
+    an eigenfunction, and the summed steps run over those.
+    """
+
+    n: int
+    norms2: np.ndarray        # int psi_a^2
+    rayleigh: np.ndarray      # int psi_a P psi_a - lam_w int psi_a^2
+    rayleigh_ibp: np.ndarray  # the same, integrated by parts
+    t1: np.ndarray            # int f_a^2
+    cross: np.ndarray         # int psi_a f_a
+    grad_energy: np.ndarray   # int w^2 |grad z_a|^2
+    gaps: np.ndarray          # lam_a - lam_w over the paired coordinates
+    root_gaps: np.ndarray     # sqrt(max(lam_j - lam_w, 0)) for every j above the weight
+    orthogonality: float      # largest pairing of a psi_a with an eigenfunction below it
+    laplacian: float          # max |sum (Lap z)^2 - n^2 |H|^2|
+    resolution: float         # max |sum g(grad z, grad w)^2 - |grad w|^2|
+    energy: float             # max |sum |grad z|^2 - n|
+    max_grad_sq: float        # max over points and a of |grad z_a|^2
+    gauss_excess: float       # max of n^2 |H|^2 + tr R - n (n^2 - 4) |H|^2 / 2 (n > 4)
+    p_raw: float              # int (n^2 |H|^2 + tr R) w^2 + 2 (n + 2) int |grad w|^2
+    p_used: float             # p_raw after the Gauss estimate (n > 4)
+    q_used: float             # int n^2 |H|^2 w^2 + 4 int |grad w|^2
+
+
 def _ineq(steps, name, lhs, rhs, note=""):
     steps.append(ProofStep(name, "inequality", float(lhs), float(rhs),
                            float(rhs) - float(lhs), note))
@@ -88,6 +121,20 @@ def _ineq(steps, name, lhs, rhs, note=""):
 def _ident(steps, name, lhs, rhs, note=""):
     steps.append(ProofStep(name, "identity", float(lhs), float(rhs),
                            -abs(float(lhs) - float(rhs)), note))
+
+
+def _worst(steps, name, lhs_vec, rhs_vec, kind, note=""):
+    """Collapse a per-alpha family to its worst member."""
+    lhs_vec = np.atleast_1d(np.asarray(lhs_vec, dtype=float))
+    rhs_vec = np.atleast_1d(np.asarray(rhs_vec, dtype=float))
+    rhs_vec = np.broadcast_to(rhs_vec, lhs_vec.shape)
+    note = note or f"worst of {lhs_vec.size} trial functions"
+    if kind == "inequality":
+        i = int(np.argmin(rhs_vec - lhs_vec))
+        _ineq(steps, name, lhs_vec[i], rhs_vec[i], note)
+    else:
+        i = int(np.argmax(np.abs(lhs_vec - rhs_vec)))
+        _ident(steps, name, lhs_vec[i], rhs_vec[i], note)
 
 
 def _check_theorem(theorem_id: str, n: int):
@@ -107,18 +154,93 @@ def replay_theorem(n: int) -> str:
 
 
 # --------------------------------------------------------------------------
+# the chain
+# --------------------------------------------------------------------------
+
+def _chain(theorem_id: str, route: str, label: str, inp: ChainInputs,
+           gram_schmidt_residual: float, tol: float, flags=()) -> ProofChainReport:
+    """Every step of the trial-function argument, from its inputs."""
+    n, big_n, b = inp.n, inp.norms2.size, inp.gaps.size
+    flags = list(flags)
+    every = f"all {big_n} rotated coordinates"
+    summed = f"{b} of {big_n} trial functions" + (" (partial sum)" if b < big_n else "")
+    gaps, norms2 = inp.gaps, inp.norms2[:b]
+    steps: list[ProofStep] = []
+
+    _ident(steps, "trial_orthogonality", inp.orthogonality, 0.0,
+           "largest pairing of a trial function with an eigenfunction below it")
+    _worst(steps, "quadratic_form_identity", inp.rayleigh, inp.rayleigh_ibp, "identity",
+           note=every)
+    _worst(steps, "rayleigh_ritz", gaps * norms2, inp.rayleigh[:b], "inequality")
+
+    # rotation-invariant coordinate identities, pointwise
+    _ident(steps, "laplacian_coordinate_identity", inp.laplacian, 0.0,
+           "max pointwise |sum (Lap z)^2 - n^2 |H|^2|")
+    _ident(steps, "gradient_resolution_identity", inp.resolution, 0.0,
+           "max pointwise |sum g(grad z, grad w)^2 - |grad w|^2|")
+    _ident(steps, "coordinate_energy_identity", inp.energy, 0.0,
+           "max pointwise |sum |grad z|^2 - n|")
+
+    _ineq(steps, "summed_trace_bound", float(np.sum(gaps * norms2)), inp.p_raw, summed)
+    _worst(steps, "gradient_identity", inp.cross, -inp.grad_energy, "identity", note=every)
+    if n > 4:
+        _ineq(steps, "gauss_scalar_estimate", inp.gauss_excess, 0.0,
+              "max pointwise excess over the umbilical-case integrand")
+
+    choice = optimal_delta(inp.p_used, inp.q_used)
+    if choice.degenerate:
+        raise GateError("AM-GM pivot degenerates: a curvature integral vanished")
+    delta = choice.delta
+    roots, energy = inp.root_gaps[:b], inp.grad_energy[:b]
+    _worst(steps, "am_gm_pivot", roots * energy,
+           0.5 * (delta * gaps * norms2 + inp.t1[:b] / delta), "inequality")
+    _ineq(steps, "summed_gradient_bound", float(np.sum(roots * energy)),
+          0.5 * (delta * inp.p_used + inp.q_used / delta), summed)
+    _ineq(steps, "gradient_pointwise_bound", inp.max_grad_sq, 1.0,
+          "max over grid and alpha of |grad z|^2")
+
+    # sorting: the first n gradient energies plus the (n+1)-th gap soak up
+    # the remaining coordinate energy
+    lead = float(np.sum(inp.root_gaps[:n] * inp.grad_energy[:n]))
+    sorted_mid = lead + inp.root_gaps[n] * (n - float(np.sum(inp.grad_energy[:n])))
+    final_lhs = float(np.sum(inp.root_gaps[:n]))
+    _ineq(steps, "sorting_bound", final_lhs, sorted_mid)
+    if b == big_n:
+        _ineq(steps, "sorted_tail_comparison", sorted_mid, float(np.sum(roots * energy)),
+              "rearranged middle vs the full rotated sum")
+    else:
+        flags.append("partial_chain")
+
+    final_rhs = choice.value
+    _ineq(steps, "final_bound", final_lhs, final_rhs)
+    for fac, tag in ((1.1, "up"), (1 / 1.1, "down")):
+        d = delta * fac
+        _ineq(steps, f"delta_perturbation_{tag}", choice.value,
+              0.5 * (d * inp.p_used + inp.q_used / d),
+              "paper's delta is a local minimum of the pivot")
+
+    ok = all(s.slack >= -tol for s in steps)
+    return ProofChainReport(
+        theorem_id=theorem_id, route=route, label=label, steps=tuple(steps),
+        gram_schmidt_residual=gram_schmidt_residual, delta=delta,
+        final_lhs=final_lhs, final_rhs=final_rhs, tol=tol, ok=ok, flags=tuple(flags))
+
+
+# --------------------------------------------------------------------------
 # closed-form route
 # --------------------------------------------------------------------------
 
 def replay_proof_analytic(theorem_id: str, model: ModelManifold,
                           tol: float = REPLAY_TOL_ANALYTIC) -> ProofChainReport:
-    """Replay on a single round sphere, all integrals in closed form.
+    """Replay on a single round sphere, every input in closed form.
 
-    The coordinate Gram matrix against first-harmonic eigenfunctions is a
-    multiple of the identity, so the rotation is trivial (z = y) and each
-    per-alpha quantity is the same exact expression; slacks come out as
-    machine zeros.  Anything that is not a single sphere goes through the
-    grid route instead.
+    The first harmonics are the coordinates themselves, so the rotation is
+    trivial (z = y), the weight is the constant eigenfunction, and the
+    N = n + 1 trial functions psi_a = y_a / sqrt(vol) are exact eigenfunctions
+    sharing every integral.  The coordinate identities hold at each point,
+    |grad z_a|^2 = 1 - (y_a/r)^2 peaks at 1, and the Gauss integrand is
+    constant.  Anything that is not a single sphere goes through the grid
+    route instead.
     """
     if model.kind != "sphere" or len(model.factors) != 1:
         raise GateError(
@@ -128,97 +250,33 @@ def replay_proof_analytic(theorem_id: str, model: ModelManifold,
     _check_theorem(theorem_id, n)
     r = model.factors[0].r
     consts = model_constants(model)
-    coeffs = paneitz_coefficients(n)
-    form = paneitz_form(model)
-    kappa, z0 = form.kappas[0], form.zero_order
+    kappa = paneitz_form(model).kappas[0]
+    tr = float(paneitz_coefficients(n).trace_coefficient)
 
-    lam_w = 0.0 if n == 4 else z0        # eigenvalue of the constant weight
     mu = n / r**2                        # first nonconstant Laplace eigenvalue
     gap = mu**2 + kappa * mu             # first fourth-order line minus lam_w
-    big_n = n + 1                        # number of ambient coordinates
     h2 = consts.mean_sq_euclidean        # == 1/r^2
-    scal = consts.scalar
-    tr = float(coeffs.trace_coefficient)
-
-    # per-alpha integrals of the trial function psi = y_alpha / sqrt(vol)
-    norm_sq = r**2 / big_n               # int psi^2
-    ddz_sq = n**2 / (r**2 * big_n)       # int (w Lap z)^2
-    grad_int = n / big_n                 # int w^2 |grad z|^2
-    quad_form = ddz_sq + kappa * grad_int
-
-    p_raw = n**2 * h2 + tr * scal        # summed quadratic form per volume
-    q_used = n**2 * h2
+    p_raw = n**2 * h2 + tr * consts.scalar
     p_used = p_raw if n == 4 else n * (n**2 - 4) / 2.0 * h2
 
-    steps: list[ProofStep] = []
-    _ident(steps, "trial_orthogonality", 0.0, 0.0,
-           "coordinates are already L2-orthogonal against first harmonics")
-    _ident(steps, "quadratic_form_identity", gap * norm_sq, quad_form,
-           "integrated-by-parts form of int psi P psi, identical for every alpha")
-    _ineq(steps, "rayleigh_ritz", gap * norm_sq, quad_form,
-          "trial functions are exact eigenfunctions here")
-    _ident(steps, "laplacian_coordinate_identity", big_n * ddz_sq,
-           n**2 * h2, "sum over alpha of int (w Lap z)^2 vs n^2 |H|^2")
-    _ident(steps, "coordinate_energy_identity", big_n * grad_int, float(n),
-           "sum over alpha of int w^2 |grad z|^2")
-    _ineq(steps, "summed_trace_bound", big_n * gap * norm_sq, p_raw)
-    _ident(steps, "gradient_identity", -mu * norm_sq, -grad_int,
-           "int psi w Lap z vs -int w^2 |grad z|^2")
-    if n > 4:
-        _ineq(steps, "gauss_scalar_estimate", p_raw, p_used,
-              "umbilical: scalar curvature saturates the Gauss bound")
-
-    choice = optimal_delta(p_used, q_used)
-    delta = choice.delta
-    root_gap = math.sqrt(gap)
-    _ineq(steps, "am_gm_pivot", root_gap * grad_int,
-          0.5 * (delta * gap * norm_sq + ddz_sq / delta),
-          "worst alpha (all identical)")
-    _ineq(steps, "summed_gradient_bound", big_n * root_gap * grad_int,
-          0.5 * (delta * p_used + q_used / delta))
-    _ineq(steps, "gradient_pointwise_bound", 1.0, 1.0,
-          "max over the sphere of |grad z|^2 = 1 - (y/r)^2")
-    # sorting: all n+1 relevant gaps sit on the same spectral line, so the
-    # rearranged middle quantity equals the plain sum exactly
-    sorted_mid = (n * root_gap * grad_int
-                  + root_gap * (n - n * grad_int))
-    _ineq(steps, "sorting_bound", n * root_gap, sorted_mid)
-    _ineq(steps, "sorted_tail_comparison", sorted_mid, big_n * root_gap * grad_int)
-
-    final_lhs = n * root_gap
-    final_rhs = choice.value
-    _ineq(steps, "final_bound", final_lhs, final_rhs)
-    for fac, tag in ((1.1, "up"), (1 / 1.1, "down")):
-        d = delta * fac
-        _ineq(steps, f"delta_perturbation_{tag}", choice.value,
-              0.5 * (d * p_used + q_used / d),
-              "paper's delta is a local minimum of the pivot")
-
-    ok = all(s.slack >= -tol for s in steps)
-    return ProofChainReport(
-        theorem_id=theorem_id, route="analytic", label=model.describe(),
-        steps=tuple(steps), gram_schmidt_residual=0.0, delta=delta,
-        final_lhs=final_lhs, final_rhs=final_rhs, tol=tol, ok=ok)
+    each = np.ones(n + 1)
+    norm_sq = r**2 / (n + 1)             # int psi^2
+    ddz_sq = n**2 / (r**2 * (n + 1))     # int (w Lap z)^2
+    grad_int = n / (n + 1)               # int w^2 |grad z|^2
+    inputs = ChainInputs(
+        n=n, norms2=norm_sq * each, rayleigh=gap * norm_sq * each,
+        rayleigh_ibp=(ddz_sq + kappa * grad_int) * each, t1=ddz_sq * each,
+        cross=-mu * norm_sq * each, grad_energy=grad_int * each,
+        gaps=gap * each, root_gaps=math.sqrt(gap) * each,
+        orthogonality=0.0, laplacian=0.0, resolution=0.0, energy=0.0,
+        max_grad_sq=1.0, gauss_excess=p_raw - p_used,
+        p_raw=p_raw, p_used=p_used, q_used=n**2 * h2)
+    return _chain(theorem_id, "analytic", model.describe(), inputs, 0.0, tol)
 
 
 # --------------------------------------------------------------------------
 # grid route
 # --------------------------------------------------------------------------
-
-def _worst(steps, name, lhs_vec, rhs_vec, kind, note=""):
-    """Collapse a per-alpha family to its worst member."""
-    lhs_vec = np.atleast_1d(np.asarray(lhs_vec, dtype=float))
-    rhs_vec = np.atleast_1d(np.asarray(rhs_vec, dtype=float))
-    rhs_vec = np.broadcast_to(rhs_vec, lhs_vec.shape)
-    if kind == "inequality":
-        i = int(np.argmin(rhs_vec - lhs_vec))
-        _ineq(steps, name, lhs_vec[i], rhs_vec[i],
-              note or f"worst of {lhs_vec.size} trial functions")
-    else:
-        i = int(np.argmax(np.abs(lhs_vec - rhs_vec)))
-        _ident(steps, name, lhs_vec[i], rhs_vec[i],
-               note or f"worst of {lhs_vec.size} trial functions")
-
 
 def replay_proof(theorem_id: str, result: SpectrumResult,
                  bundle: CurvatureBundle,
@@ -243,7 +301,6 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
 
     flags: list[str] = []
     wq = bundle.weights
-    vol = bundle.volume
     axes = tuple(range(-grid.n, 0))
 
     def integ(field):
@@ -254,7 +311,7 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
         if vals[0] != 0.0:
             raise GateError("kernel eigenvalue not resolved; the n = 4 chain "
                             "anchors on the constant eigenfunction")
-        w = np.full(grid.shape, vol ** -0.5)
+        w = np.full(grid.shape, bundle.volume ** -0.5)
         lam_w = 0.0
         dw = np.zeros(grid.shape + (grid.n,))
         lw = np.zeros(grid.shape)
@@ -275,9 +332,8 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     big_n = y.shape[-1]
     b_avail = min(k - 1, big_n)
     partners = result.eigenfunctions[1:1 + b_avail]    # u after the weight
-    y_flat = y.reshape(-1, big_n)
     partner_w = (partners * (w * wq)).reshape(b_avail, -1)
-    gram = y_flat.T @ partner_w.T                      # (N, B)
+    gram = y.reshape(-1, big_n).T @ partner_w.T        # (N, B)
     q_rot, r_tri = np.linalg.qr(gram, mode="complete")
     pivots = np.abs(np.diag(r_tri[:b_avail, :b_avail]))
     scale_a = max(1.0, float(np.linalg.norm(gram)))
@@ -290,27 +346,19 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
 
     # ---- trial functions
     center = integ(z * (w * w))
-    shape1 = (big_n,) + (1,) * grid.n
-    trial = (z - center.reshape(shape1)) * w
+    trial = (z - center.reshape((big_n,) + (1,) * grid.n)) * w
     norms2 = integ(trial * trial)
 
     gaps = vals[1:1 + b_avail] - lam_w
     if np.any(gaps < 0):
         flags.append("negative_gap_clamped")
-    roots_all = np.sqrt(np.clip(vals[1:] - lam_w, 0.0, None))  # index j -> sqrt gap_j
 
-    steps: list[ProofStep] = []
-
-    # orthogonality of trial functions against the eigenfunctions below them
+    # pairings of the trial functions with the eigenfunctions below them
     below_w = (result.eigenfunctions[:b_avail] * wq).reshape(b_avail, -1)
     overlap = trial.reshape(big_n, -1) @ below_w.T
-    _ident(steps, "trial_orthogonality",
-           float(np.max(np.abs(np.tril(overlap)))), 0.0,
-           "largest pairing of a trial function with an eigenfunction below it")
 
     # ---- operator applications and pointwise fields
     p_trial = apply_paneitz(bundle, bundle.coeffs, trial)
-    quad_rr = integ(trial * p_trial) - lam_w * norms2
     lz = apply_laplacian(bundle, z)
     dz = np.moveaxis(bundle.kernel.partials(z), 0, -1)
     g_inv = bundle.metric.g_inv
@@ -322,93 +370,33 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     quad_b = np.einsum("a...i,...ij,a...j->a...", dz, raised_b, dz)
 
     h2 = bundle.curv.mean_sq
-    scal = bundle.curv.scalar
     tr = float(bundle.coeffs.trace_coefficient)
+    integrand = n**2 * h2 + tr * bundle.curv.scalar
 
     # the integrated-by-parts identity behind the Rayleigh-Ritz numerator
     flux = w * lz + 2.0 * gzw
     t1 = integ(flux * flux)
     t2 = integ(quad_b * (w * w))
     t3 = -2.0 * integ(gz2 * (w * lw))
-    _worst(steps, "quadratic_form_identity", quad_rr, t1 + t2 + t3, "identity",
-           note=f"all {big_n} rotated coordinates")
 
-    _worst(steps, "rayleigh_ritz", gaps * norms2[:b_avail], quad_rr[:b_avail],
-           "inequality")
-
-    # rotation-invariant coordinate identities, pointwise
-    _ident(steps, "laplacian_coordinate_identity",
-           float(np.max(np.abs(np.sum(lz * lz, axis=0) - n**2 * h2))), 0.0,
-           "max pointwise |sum (Lap z)^2 - n^2 |H|^2|")
-    _ident(steps, "gradient_resolution_identity",
-           float(np.max(np.abs(np.sum(gzw * gzw, axis=0) - gw2))), 0.0,
-           "max pointwise |sum g(grad z, grad w)^2 - |grad w|^2|")
-    _ident(steps, "coordinate_energy_identity",
-           float(np.max(np.abs(np.sum(gz2, axis=0) - n))), 0.0,
-           "max pointwise |sum |grad z|^2 - n|")
-
-    p_raw = float(integ((n**2 * h2 + tr * scal) * (w * w))) \
-        + 2.0 * (n + 2) * grad_w_energy
-    partial = " (partial sum)" if b_avail < big_n else ""
-    _ineq(steps, "summed_trace_bound",
-          float(np.sum(gaps * norms2[:b_avail])), p_raw,
-          f"{b_avail} of {big_n} trial functions{partial}")
-
-    grad_energy = integ(gz2 * (w * w))
-    _worst(steps, "gradient_identity", integ(trial * flux), -grad_energy,
-           "identity", note=f"all {big_n} rotated coordinates")
-
+    p_raw = float(integ(integrand * (w * w))) + 2.0 * (n + 2) * grad_w_energy
     q_used = float(integ(n**2 * h2 * (w * w))) + 4.0 * grad_w_energy
+    gauss_excess, p_used = 0.0, p_raw
     if n > 4:
         target = n * (n**2 - 4) / 2.0 * h2
-        _ineq(steps, "gauss_scalar_estimate",
-              float(np.max(n**2 * h2 + tr * scal - target)), 0.0,
-              "max pointwise excess over the umbilical-case integrand")
+        gauss_excess = float(np.max(integrand - target))
         p_used = float(integ(target * (w * w))) + 2.0 * (n + 2) * grad_w_energy
-    else:
-        p_used = p_raw
 
-    choice = optimal_delta(p_used, q_used)
-    if choice.degenerate:
-        raise GateError("AM-GM pivot degenerates: a curvature integral vanished")
-    delta = choice.delta
-    roots = roots_all[:b_avail]
-    _worst(steps, "am_gm_pivot", roots * grad_energy[:b_avail],
-           0.5 * (delta * gaps * norms2[:b_avail] + t1[:b_avail] / delta),
-           "inequality")
-    _ineq(steps, "summed_gradient_bound",
-          float(np.sum(roots * grad_energy[:b_avail])),
-          0.5 * (delta * p_used + q_used / delta),
-          f"{b_avail} of {big_n} trial functions{partial}")
-
-    _ineq(steps, "gradient_pointwise_bound", float(np.max(gz2)), 1.0,
-          "max over grid and alpha of |grad z|^2")
-
-    # sorting: the first n gradient energies plus the (n+1)-th gap soak up
-    # the remaining coordinate energy
-    lead = float(np.sum(roots_all[:n] * grad_energy[:n]))
-    sorted_mid = lead + roots_all[n] * (n - float(np.sum(grad_energy[:n])))
-    final_lhs = float(np.sum(roots_all[:n]))
-    _ineq(steps, "sorting_bound", final_lhs, sorted_mid)
-    if b_avail == big_n:
-        _ineq(steps, "sorted_tail_comparison", sorted_mid,
-              float(np.sum(roots * grad_energy)),
-              "rearranged middle vs the full rotated sum")
-    else:
-        flags.append("partial_chain")
-
-    final_rhs = choice.value
-    _ineq(steps, "final_bound", final_lhs, final_rhs)
-    for fac, tag in ((1.1, "up"), (1 / 1.1, "down")):
-        d = delta * fac
-        _ineq(steps, f"delta_perturbation_{tag}", choice.value,
-              0.5 * (d * p_used + q_used / d),
-              "paper's delta is a local minimum of the pivot")
-
-    ok = all(s.slack >= -tol for s in steps)
+    inputs = ChainInputs(
+        n=n, norms2=norms2, rayleigh=integ(trial * p_trial) - lam_w * norms2,
+        rayleigh_ibp=t1 + t2 + t3, t1=t1, cross=integ(trial * flux),
+        grad_energy=integ(gz2 * (w * w)),
+        gaps=gaps, root_gaps=np.sqrt(np.clip(vals[1:] - lam_w, 0.0, None)),
+        orthogonality=float(np.max(np.abs(np.tril(overlap)))),
+        laplacian=float(np.max(np.abs(np.sum(lz * lz, axis=0) - n**2 * h2))),
+        resolution=float(np.max(np.abs(np.sum(gzw * gzw, axis=0) - gw2))),
+        energy=float(np.max(np.abs(np.sum(gz2, axis=0) - n))),
+        max_grad_sq=float(np.max(gz2)), gauss_excess=gauss_excess,
+        p_raw=p_raw, p_used=p_used, q_used=q_used)
     label = f"{theorem_id} replay on grid {'x'.join(map(str, grid.shape))}"
-    return ProofChainReport(
-        theorem_id=theorem_id, route="numerical", label=label,
-        steps=tuple(steps), gram_schmidt_residual=gs_resid, delta=delta,
-        final_lhs=final_lhs, final_rhs=final_rhs, tol=tol, ok=ok,
-        flags=tuple(flags))
+    return _chain(theorem_id, "numerical", label, inputs, gs_resid, tol, flags)

@@ -15,7 +15,7 @@ Top-level keys::
     grid:    points per axis, int or list     (gridable kinds only)
     solver:  lanczos (runs LOBPCG) | dense    (default: lanczos)
     k:       eigenvalue count                 (default 8)
-    seed:    RNG seed for the iterative solver
+    seed:    RNG seed for the iterative solver, >= 0
 
 params by kind: ``sphere`` takes ``r``; ``sphere_product`` takes ``factors``,
 a list of ``{p, r}``; ``flat_torus`` and ``fourier_immersion`` take
@@ -293,6 +293,8 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
     if count < 1:
         raise _err(top["k"], f"k must be >= 1, got {count}")
     seed = _int(top["seed"], "seed") if "seed" in top else DEFAULT_SEED
+    if seed < 0:
+        raise _err(top["seed"], f"seed must be >= 0, got {seed}")
 
     spec = ManifoldSpec(kind=kind, dim=dim, ambient=ambient, r=r, radii=radii,
                         factors=factors, fourier=tuple(fourier), grid=grid,

@@ -160,6 +160,17 @@ def test_spectrum_count_beyond_grid_is_exit_2(spec_file, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_negative_seed_option_is_refused_before_sampling(spec_file, capsys, monkeypatch):
+    def sampled(*a, **k):
+        raise AssertionError("the bundle was sampled")
+
+    monkeypatch.setattr(cli, "build_bundle", sampled)
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--spec", spec_file(BUMP_DENSE), "--seed", "-5"])
+    assert info.value.code == 2
+    assert "argument --seed: seed must be an integer >= 0, got '-5'" in capsys.readouterr().err
+
+
 def test_solver_failure_is_exit_3(spec_file, capsys, monkeypatch):
     def boom(*a, **k):
         raise SolverFailureError("synthetic breakdown", residuals=[1.0])

@@ -20,12 +20,14 @@ from paneitzlab import (
 )
 from paneitzlab.discrete import build_bundle
 from paneitzlab.eigensolve import spectrum
+from paneitzlab.replay import replay_theorem
 
 ANALYTIC_STEPS = (
     "trial_orthogonality",
     "quadratic_form_identity",
     "rayleigh_ritz",
     "laplacian_coordinate_identity",
+    "gradient_resolution_identity",
     "coordinate_energy_identity",
     "summed_trace_bound",
     "gradient_identity",
@@ -88,6 +90,15 @@ def test_chain_stays_tight_under_rescaling():
     assert rep.final_lhs == pytest.approx(rep.final_rhs, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("r", [0.7, 1.0, 2.3])
+def test_sphere_chain_is_tight_in_every_dimension(n, r):
+    rep = replay_proof_analytic(replay_theorem(n), round_sphere(n, r))
+    assert rep.ok and rep.flags == ()
+    assert rep.worst_slack >= -1e-12
+    assert rep.final_lhs == pytest.approx(rep.final_rhs, rel=1e-12)
+
+
 def test_closed_form_route_rejects_products():
     half = math.sqrt(0.5)
     m = sphere_product([(2, half), (2, half)], ambient="unit_sphere")
@@ -124,6 +135,26 @@ def test_flat_torus_chain_full(torus_run):
     names = [s.name for s in rep.steps]
     assert "gradient_resolution_identity" in names
     assert "sorted_tail_comparison" in names
+
+
+def test_both_routes_emit_the_same_chain(torus_run):
+    bundle, solve = torus_run
+    grid = replay_proof("thm_1_1", solve(9), bundle)
+    closed = replay_proof_analytic("thm_1_1", round_sphere(4, 1.0))
+    assert [s.name for s in closed.steps] == [s.name for s in grid.steps]
+
+
+def test_replay_fails_on_eigenvalues_off_by_a_part_in_a_thousand(torus_run):
+    # the kernel eigenvalue stays 0; every gap grows by 1e-3 of itself, which
+    # breaks exactly the steps that set the gaps against the curvature
+    bundle, solve = torus_run
+    result = solve(9)
+    scaled = replace(result, eigenvalues=result.eigenvalues * (1.0 + 1e-3))
+    rep = replay_proof("thm_1_1", scaled, bundle)
+    assert not rep.ok
+    failing = {s.name for s in rep.steps if s.slack < -1e-6}
+    assert failing == {"rayleigh_ritz", "summed_trace_bound",
+                       "summed_gradient_bound", "final_bound"}
 
 
 def test_short_run_leaves_partial_chain(torus_run):

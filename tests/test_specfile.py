@@ -145,6 +145,12 @@ def test_bad_kind_and_bad_dim():
         parse_error("kind: sphere\ndim: four\nparams:\n  r: 1.0\n"))
 
 
+def test_negative_seed_is_located():
+    err = parse_error("kind: sphere\ndim: 4\nparams:\n  r: 1.0\nseed: -1\n")
+    assert "seed must be >= 0, got -1" in str(err)
+    assert (err.line, err.column) == (5, 7)
+
+
 def test_nonpositive_radius_is_located():
     err = parse_error("kind: sphere\ndim: 4\nparams:\n  r: -1.0\n")
     assert "radius must be positive" in str(err)
