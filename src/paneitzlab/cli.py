@@ -7,6 +7,12 @@ failure.  Human-readable summaries go to stdout (silenced by --quiet),
 machine artifacts go to the paths given by --out/--csv, and error
 diagnostics go to stderr.
 
+There is one solve path, `_solve`: a spec's spectrum comes from the catalog
+in closed form when one exists and from the grid otherwise, both as a
+`SpectrumResult`.  `spectrum`, `verify` and `replay` reach it from a spec
+file; a sweep family maps each parameter to a `ManifoldSpec` and reaches it
+the same way, one sample per spec.
+
 ``PANEITZ_LAB_THREADS`` caps how many sweep samples run concurrently.
 """
 
@@ -19,11 +25,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
     BOUNDS,
+    GeometrySummary,
     U1Data,
     diagnose_equality,
     evaluate,
@@ -32,15 +40,10 @@ from .bounds import (
     summarize_model,
     u1_from_result,
 )
-from .catalog import (
-    expand_lines,
-    first_eigenfunction_info,
-    paneitz_spectrum,
-    round_sphere,
-    sphere_product,
-)
+from .catalog import ModelManifold, first_eigenfunction_info, paneitz_spectrum
 from .coefficients import paneitz_coefficients
-from .discrete import build_bundle
+from .discrete import CurvatureBundle, build_bundle
+from .eigensolve import SpectrumResult
 from .eigensolve import spectrum as solve_spectrum
 from .errors import (
     GateError,
@@ -50,7 +53,6 @@ from .errors import (
     SolverFailureError,
     SpecFileError,
 )
-from .fourier import FourierTerm, TorusGrid, clifford_torus
 from .replay import (
     REPLAY_TOL_ANALYTIC,
     REPLAY_TOL_NUMERICAL,
@@ -68,7 +70,7 @@ from .report import (
     spectrum_block,
     sweep_csv,
 )
-from .specfile import ManifoldSpec, load_manifold_spec
+from .specfile import ManifoldSpec, SpecModeTerm, load_manifold_spec
 
 EXIT_OK, EXIT_VIOLATION, EXIT_INVALID, EXIT_SOLVER = 0, 1, 2, 3
 
@@ -95,40 +97,44 @@ def _thread_cap() -> int:
 # shared evaluation helpers
 # --------------------------------------------------------------------------
 
-def _analytic_spectrum_block(model, count: int) -> tuple[list, dict]:
-    form = paneitz_spectrum(model, count)
-    values = list(expand_lines(form.lines, count))
-    mult, left = [], count
-    for line in form.lines:
-        if left <= 0:
-            break
-        take = min(line.multiplicity, left)
-        mult.append({"value": line.value, "count": take})
-        left -= take
-    block = {"values": values, "multiplicities": mult,
-             "residuals": [0.0] * count, "method": "closed_form"}
-    return values, block
+@dataclass(frozen=True)
+class Solution:
+    """A spec's spectrum with the geometry it was computed on: the bundle on
+    a grid, the catalog model in closed form."""
+
+    result: SpectrumResult
+    geo: GeometrySummary
+    bundle: CurvatureBundle | None
+    model: ModelManifold | None
+
+    def u1(self) -> U1Data:
+        """The ground eigenfunction's data for the gap bounds."""
+        if self.bundle is not None:
+            return u1_from_result(self.bundle, self.result)
+        info = first_eigenfunction_info(self.model)
+        flags = ("first_eigenvalue_multiple",) if info.multiplicity > 1 else ()
+        return U1Data(u1_sq=None, grad_energy=info.grad_energy,
+                      multiple=info.multiplicity > 1, flags=flags)
 
 
-def _numerical_solution(spec: ManifoldSpec, count: int, seed: int, timings: dict):
-    """(bundle, result) of the grid spectrum; timings["bundle"] gets the seconds
-    spent sampling the bundle."""
+def _solve(spec: ManifoldSpec, count: int, seed: int, timings: dict,
+           on_grid: bool = False) -> Solution:
+    """The count lowest eigenvalues of spec: in closed form when the catalog
+    has it (unless on_grid), else on the spec's grid, where timings["bundle"]
+    gets the seconds spent sampling the bundle.  Every command and sweep
+    sample reaches its spectrum here."""
+    if spec.analytic and not on_grid:
+        model = spec.to_model()
+        result = SpectrumResult.closed_form(paneitz_spectrum(model, count).lines, count)
+        return Solution(result, summarize_model(model), None, model)
     imm = spec.to_immersion()
     grid = spec.to_grid()
-    coeffs = paneitz_coefficients(spec.dim)
     tick = time.perf_counter()
     bundle = build_bundle(imm, grid)
     timings["bundle"] = time.perf_counter() - tick
-    result = solve_spectrum(imm, grid, coeffs, count, bundle=bundle,
+    result = solve_spectrum(imm, grid, paneitz_coefficients(spec.dim), count, bundle=bundle,
                             solver=spec.solver, seed=seed)
-    return bundle, result
-
-
-def _analytic_u1(model) -> U1Data:
-    info = first_eigenfunction_info(model)
-    flags = ("first_eigenvalue_multiple",) if info.multiplicity > 1 else ()
-    return U1Data(u1_sq=None, grad_energy=info.grad_energy,
-                  multiple=info.multiplicity > 1, flags=flags)
+    return Solution(result, summarize_bundle(bundle), bundle, None)
 
 
 def _run_bounds(requested: str, values, geo, u1, tol_eq):
@@ -169,78 +175,65 @@ def _bound_summary_line(rep) -> str:
 # commands
 # --------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def _prologue(args, proof: bool) -> tuple[ManifoldSpec, int, int]:
+    """(spec, count, seed) of a spec command: --count and --seed override the
+    spec's; a command that may replay a proof chain asks for n + 2 values."""
     spec = load_manifold_spec(args.spec)
     count = args.count if args.count is not None else spec.k
+    if proof:
+        count = max(count, spec.dim + 2)
     seed = args.seed if args.seed is not None else spec.seed
-    timings = {}
-    if spec.analytic:
-        model = spec.to_model()
-        tick = time.perf_counter()
-        values, block = _analytic_spectrum_block(model, count)
-        timings["solve"] = time.perf_counter() - tick
-        constants = constants_block(summarize_model(model))
-        label = model.describe()
-    else:
-        tick = time.perf_counter()
-        bundle, result = _numerical_solution(spec, count, seed, timings)
-        timings["solve"] = time.perf_counter() - tick
-        block = spectrum_block(result)
-        geo = summarize_bundle(bundle)
-        constants = constants_block(geo)
-        label = geo.label
-    timings["total"] = time.perf_counter() - t0
+    return spec, count, seed
 
-    _say(args, f"spectrum of {label} ({block['method']})")
-    for entry in block["multiplicities"]:
-        _say(args, f"  lambda = {entry['value']:.12g}  (x{entry['count']})")
+
+def _write_report(args, command: str, spec: ManifoldSpec, timings: dict, **sections):
+    """The command's JSON report, when --out asks for one."""
     if args.out:
-        doc = build_report(command="spectrum", spec_text=spec.text,
-                           source=spec.source, timings=timings,
-                           spectrum=block, constants=constants)
+        doc = build_report(command=command, spec_text=spec.text, source=spec.source,
+                           timings=timings, **sections)
         dump_report(doc, args.out)
         _say(args, f"report written to {args.out}")
+
+
+def cmd_spectrum(args) -> int:
+    t0 = time.perf_counter()
+    spec, count, seed = _prologue(args, proof=False)
+    timings = {}
+    tick = time.perf_counter()
+    sol = _solve(spec, count, seed, timings)
+    timings["solve"] = time.perf_counter() - tick
+    block = spectrum_block(sol.result)
+    timings["total"] = time.perf_counter() - t0
+
+    _say(args, f"spectrum of {sol.geo.label} ({block['method']})")
+    for entry in block["multiplicities"]:
+        _say(args, f"  lambda = {entry['value']:.12g}  (x{entry['count']})")
+    _write_report(args, "spectrum", spec, timings,
+                  spectrum=block, constants=constants_block(sol.geo))
     return EXIT_OK
-
-
-def _verify_inputs(spec: ManifoldSpec, count: int, seed: int, timings: dict):
-    """(values, geo, u1, bundle, result, spectrum_block) for either route; a grid
-    route records its bundle time in timings."""
-    want_u1 = any(rule.needs_u1 and rule.applies(spec.dim) for rule in BOUNDS.values())
-    if spec.analytic:
-        model = spec.to_model()
-        values, block = _analytic_spectrum_block(model, count)
-        geo = summarize_model(model)
-        u1 = _analytic_u1(model) if want_u1 else None
-        return values, geo, u1, None, None, block
-    bundle, result = _numerical_solution(spec, count, seed, timings)
-    geo = summarize_bundle(bundle)
-    u1 = u1_from_result(bundle, result) if want_u1 else None
-    return result.eigenvalues, geo, u1, bundle, result, spectrum_block(result)
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    spec = load_manifold_spec(args.spec)
-    n = spec.dim
-    count = max(args.count if args.count is not None else spec.k, n + 2)
-    seed = args.seed if args.seed is not None else spec.seed
+    spec, count, seed = _prologue(args, proof=True)
     timings = {}
 
     tick = time.perf_counter()
-    values, geo, u1, bundle, result, spec_block = _verify_inputs(spec, count, seed, timings)
+    sol = _solve(spec, count, seed, timings)
+    want_u1 = any(rule.needs_u1 and rule.applies(spec.dim) for rule in BOUNDS.values())
+    u1 = sol.u1() if want_u1 else None
     timings["spectrum"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    reports, refusals = _run_bounds(args.bound, values, geo, u1, args.tol)
+    geo = sol.geo
+    reports, refusals = _run_bounds(args.bound, sol.result.eigenvalues, geo, u1, args.tol)
     diagnosis = diagnose_equality(geo)
     timings["bounds"] = time.perf_counter() - tick
 
     replay_rep = None
     if args.replay:
         tick = time.perf_counter()
-        replay_rep = _run_replay(spec, count, seed, args.tol, bundle, result)
+        replay_rep = _run_replay(spec, count, seed, args.tol, timings, sol)
         timings["replay"] = time.perf_counter() - tick
     timings["total"] = time.perf_counter() - t0
 
@@ -255,28 +248,26 @@ def cmd_verify(args) -> int:
         _say(args, f"  replay {replay_rep.theorem_id} [{replay_rep.route}]: "
                    f"worst slack {replay_rep.worst_slack:+.3e} ({state})")
 
-    if args.out:
-        sections = {
-            "spectrum": spec_block,
-            "constants": constants_block(geo),
-            "bounds": [bound_block(r) for r in reports],
-            "equality_diagnosis": diagnosis_block(diagnosis),
-        }
-        if refusals:
-            sections["refusals"] = refusals
-        if replay_rep is not None:
-            sections["replay"] = replay_block(replay_rep)
-        doc = build_report(command="verify", spec_text=spec.text,
-                           source=spec.source, timings=timings, **sections)
-        dump_report(doc, args.out)
-        _say(args, f"report written to {args.out}")
+    sections = {
+        "spectrum": spectrum_block(sol.result),
+        "constants": constants_block(geo),
+        "bounds": [bound_block(r) for r in reports],
+        "equality_diagnosis": diagnosis_block(diagnosis),
+    }
+    if refusals:
+        sections["refusals"] = refusals
+    if replay_rep is not None:
+        sections["replay"] = replay_block(replay_rep)
+    _write_report(args, "verify", spec, timings, **sections)
 
     ok = all(r.ok for r in reports) and (replay_rep is None or replay_rep.ok)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
-                bundle=None, result=None):
+                timings: dict, sol: Solution | None = None):
+    """The proof chain of spec's dimension: in closed form on a round sphere,
+    else on the grid spectrum, solved here unless sol already holds one."""
     theorem = replay_theorem(spec.dim)
     if spec.kind == "sphere":
         return replay_proof_analytic(theorem, spec.to_model(),
@@ -286,20 +277,18 @@ def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
                         "gridable torus immersion")
     if spec.grid is None:
         raise GateError("numerical replay needs a 'grid' entry in the spec")
-    if bundle is None or result is None:
-        bundle, result = _numerical_solution(spec, count, seed, {})
-    return replay_proof(theorem, result, bundle,
+    if sol is None or sol.bundle is None:
+        sol = _solve(spec, count, seed, timings, on_grid=True)
+    return replay_proof(theorem, sol.result, sol.bundle,
                         tol=tol if tol is not None else REPLAY_TOL_NUMERICAL)
 
 
 def cmd_replay(args) -> int:
     t0 = time.perf_counter()
-    spec = load_manifold_spec(args.spec)
-    n = spec.dim
-    count = max(args.count if args.count is not None else spec.k, n + 2)
-    seed = args.seed if args.seed is not None else spec.seed
-    rep = _run_replay(spec, count, seed, args.tol)
-    timings = {"total": time.perf_counter() - t0}
+    spec, count, seed = _prologue(args, proof=True)
+    timings = {}
+    rep = _run_replay(spec, count, seed, args.tol, timings)
+    timings["total"] = time.perf_counter() - t0
 
     _say(args, f"replay {rep.theorem_id} [{rep.route}] {rep.label}")
     for s in rep.steps:
@@ -307,12 +296,7 @@ def cmd_replay(args) -> int:
     _say(args, f"  delta* = {rep.delta:.12g}")
     _say(args, f"  final: {rep.final_lhs:.12g} <= {rep.final_rhs:.12g} "
                f"(worst slack {rep.worst_slack:+.3e})")
-    if args.out:
-        doc = build_report(command="replay", spec_text=spec.text,
-                           source=spec.source, timings=timings,
-                           replay=replay_block(rep))
-        dump_report(doc, args.out)
-        _say(args, f"report written to {args.out}")
+    _write_report(args, "replay", spec, timings, replay=replay_block(rep))
     return EXIT_OK if rep.ok else EXIT_VIOLATION
 
 
@@ -343,57 +327,53 @@ def _eigen_row(values, n: int) -> list[float]:
     return [float(v) for v in vals[:n + 1]]
 
 
-def _sweep_sphere_radius(param: float, bound: str, tol):
-    rule = BOUNDS[bound]
-    n = rule.lowest_dim
-    model = round_sphere(n, float(param))
-    values, _ = _analytic_spectrum_block(model, n + 3)
-    geo = summarize_model(model)
-    u1 = _analytic_u1(model) if rule.needs_u1 else None
-    return evaluate(bound, values, geo, u1, tol), values, n
-
-
-def _sweep_clifford_ratio(param: float, bound: str, tol):
+def _clifford_spec(param: float, n: int, seed: int) -> ManifoldSpec:
     if not (0.0 < param < 1.0):
         raise GateError(f"clifford_ratio parameter is r1^2, needs (0,1); got {param}")
-    r1 = math.sqrt(param)
-    r2 = math.sqrt(1.0 - param)
-    model = sphere_product(((2, r1), (2, r2)), ambient="unit_sphere")
-    values, _ = _analytic_spectrum_block(model, 8)
-    geo = summarize_model(model)
-    return evaluate(bound, values, geo, None, tol), values, 4
+    factors = ((2, math.sqrt(param)), (2, math.sqrt(1.0 - param)))
+    return ManifoldSpec(kind="sphere_product", dim=n, ambient="unit_sphere",
+                        factors=factors, seed=seed)
 
 
-def _sweep_fourier_perturbation(param: float, bound: str, tol, seed: int):
-    rule = BOUNDS[bound]
-    n = rule.lowest_dim
-    base = clifford_torus((1.0,) * n)
-    mode = FourierTerm(k=(1, 1) + (0,) * (n - 2),
-                       cos=(float(param),) + (0.0,) * (2 * n - 1),
-                       sin=(0.0,) * (2 * n))
-    imm = base.perturbed([mode])
-    grid = TorusGrid((8,) * n)
-    bundle = build_bundle(imm, grid)
-    result = solve_spectrum(imm, grid, paneitz_coefficients(n), n + 3,
-                            bundle=bundle, solver="lanczos", seed=seed)
-    geo = summarize_bundle(bundle)
-    u1 = u1_from_result(bundle, result) if rule.needs_u1 else None
-    return evaluate(bound, result.eigenvalues, geo, u1, tol), result.eigenvalues, n
+def _fourier_spec(param: float, n: int, seed: int) -> ManifoldSpec:
+    """The unit Clifford n-torus with param cos(x_1 + x_2) added to its first
+    coordinate, on 8^n."""
+    mode = SpecModeTerm(k=(1, 1) + (0,) * (n - 2), amp=(param,) + (0.0,) * (2 * n - 1))
+    return ManifoldSpec(kind="fourier_immersion", dim=n, radii=(1.0,) * n, fourier=(mode,),
+                        grid=(8,) * n, solver="lanczos", seed=seed)
 
 
 #: sweep family -> (its dimension, None for any; whether it lies in the unit
-#: sphere).  A family sweeps the bounds that apply there, each at the lowest
-#: dimension the bound covers.
+#: sphere; its spec at a parameter, (param, n, seed) -> ManifoldSpec).  A
+#: family sweeps the bounds that apply there, each at the lowest dimension
+#: the bound covers.
 _FAMILIES = {
-    "sphere_radius": (None, False),
-    "clifford_ratio": (4, True),
+    "sphere_radius": (None, False,
+                      lambda param, n, seed: ManifoldSpec(kind="sphere", dim=n, r=param, seed=seed)),
+    "clifford_ratio": (4, True, _clifford_spec),
     # n = 4 only: curved 8^5 grids push each sample past desk scale
-    "fourier_perturbation": (4, False),
+    "fourier_perturbation": (4, False, _fourier_spec),
 }
 
 
+def _sweep_row(family: str, bound: str, param: float, tol: float | None, seed: int) -> dict:
+    """One sample: the family's spec at param, its n + 3 lowest values and
+    the bound on them."""
+    rule = BOUNDS[bound]
+    dim, _, build = _FAMILIES[family]
+    n = dim or rule.lowest_dim
+    spec = build(float(param), n, seed)
+    sol = _solve(spec, n + 3, spec.seed, {})
+    rep = evaluate(bound, sol.result.eigenvalues, sol.geo,
+                   sol.u1() if rule.needs_u1 else None, tol)
+    return {"param": float(param), "lhs": rep.lhs, "rhs": rep.rhs,
+            "slack": rep.slack, "relative_slack": rep.relative_slack,
+            "equality": rep.equality, "ok": rep.ok,
+            "eigenvalues": _eigen_row(sol.result.eigenvalues, n), "n": n}
+
+
 def _family_bounds(family: str) -> list[str]:
-    dim, unit_sphere = _FAMILIES[family]
+    dim, unit_sphere, _ = _FAMILIES[family]
     return [rule.bound_id for rule in BOUNDS.values()
             if rule.applies(dim or rule.lowest_dim, unit_sphere)]
 
@@ -416,18 +396,7 @@ def cmd_sweep(args) -> int:
     params = _parse_range(args.range)
     seed = args.seed if args.seed is not None else 0x5EED
 
-    def one(p: float):
-        if family == "sphere_radius":
-            rep, values, n = _sweep_sphere_radius(p, bound, args.tol)
-        elif family == "clifford_ratio":
-            rep, values, n = _sweep_clifford_ratio(p, bound, args.tol)
-        else:
-            rep, values, n = _sweep_fourier_perturbation(p, bound, args.tol, seed)
-        return {"param": float(p), "lhs": rep.lhs, "rhs": rep.rhs,
-                "slack": rep.slack, "relative_slack": rep.relative_slack,
-                "equality": rep.equality, "ok": rep.ok,
-                "eigenvalues": _eigen_row(values, n), "n": n}
-
+    one = functools.partial(_sweep_row, family, bound, tol=args.tol, seed=seed)
     workers = min(_thread_cap(), len(params))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -450,15 +419,22 @@ def cmd_sweep(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
-def _seed(text: str) -> int:
-    """A --seed value: the solver's RNG takes nonnegative integers only."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return seed
+def _int_at_least(name: str, low: int):
+    """An argparse type for integers >= low, refused in the option's words."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+#: the solver's RNG takes nonnegative seeds; a spectrum has at least one value
+_seed = _int_at_least("seed", 0)
+_count = _int_at_least("count", 1)
 
 
 @functools.cache
@@ -470,18 +446,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "eigenvalue bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=True):
-        if spec_required:
+    def common(p, spec_command=True):
+        if spec_command:
             p.add_argument("--spec", required=True, help="manifold spec file (YAML)")
+            p.add_argument("--count", type=_count, default=None,
+                           help="override the spec's eigenvalue count (>= 1)")
+            p.add_argument("--out", default=None, help="write a JSON report here")
         p.add_argument("--quiet", action="store_true",
                        help="suppress stdout summaries")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the spec's solver seed (>= 0)")
-        p.add_argument("--count", type=int, default=None,
-                       help="override the spec's eigenvalue count")
         p.add_argument("--tol", type=float, default=None,
                        help="override the default tolerance")
-        p.add_argument("--out", default=None, help="write a JSON report here")
 
     p = sub.add_parser("spectrum", help="low eigenvalues of the fourth-order operator")
     common(p)
@@ -496,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="evaluate one bound across a parameter family")
-    common(p, spec_required=False)
+    common(p, spec_command=False)
     p.add_argument("--family", required=True, help=" | ".join(_FAMILIES))
     p.add_argument("--range", required=True, help="start:stop[:samples]")
     p.add_argument("--bound", required=True, help="bound id to sweep")
@@ -527,7 +503,7 @@ def main(argv=None) -> int:
         print(f"paneitz-lab: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:  # spec reads raise SpecFileError, so this is --out/--csv
-        path = exc.filename or getattr(args, "csv", None) or args.out
+        path = exc.filename or getattr(args, "csv", None) or getattr(args, "out", None)
         print(f"paneitz-lab: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -286,17 +286,12 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
 
 def apply_laplacian(bundle: CurvatureBundle, f: np.ndarray) -> np.ndarray:
     """Divergence-form Laplace-Beltrami of a coarse-grid field (trace-of-Hessian sign)."""
-    if bundle.constant_coefficient:
-        return bundle.kernel.multiply(f, -bundle.laplace_symbol)
-    return _laplacian(bundle, bundle.kernel.coefficients(f))
+    return -PaneitzOperator(bundle, None).apply(f)
 
 
-def _laplacian(bundle: CurvatureBundle, coef: np.ndarray) -> np.ndarray:
-    """The general-path Laplacian of the fields with band coefficients coef."""
-    def part(c):
-        grad = bundle.kernel.gradient(c)
-        return _divergence(bundle.kernel, bundle.inv_sqrt_det, _flux(bundle.laplace_flux, grad))
-    return _by_columns(bundle, part, coef)
+def apply_paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.ndarray) -> np.ndarray:
+    """P f = Lap^2 f - div[(a R g + b Ric) grad f] + (n-4)/2 Q f."""
+    return PaneitzOperator(bundle, coeffs).apply(f)
 
 
 def _by_columns(bundle: CurvatureBundle, part, coef: np.ndarray) -> np.ndarray:
@@ -320,33 +315,6 @@ def _require_coeffs(bundle: CurvatureBundle, coeffs: DimensionCoefficients):
         raise InvalidDimensionError(
             f"coefficients are for n = {coeffs.n}, bundle is {bundle.n}-dimensional"
         )
-
-
-def apply_paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.ndarray) -> np.ndarray:
-    """P f = Lap^2 f - div[(a R g + b Ric) grad f] + (n-4)/2 Q f."""
-    _require_coeffs(bundle, coeffs)
-    if bundle.constant_coefficient:
-        # curvature terms vanish identically; see build_bundle's flatness gate
-        return bundle.kernel.multiply(f, bundle.laplace_symbol**2)
-    return _paneitz(bundle, coeffs, f, bundle.kernel.coefficients(f))
-
-
-def _paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.ndarray,
-             coef: np.ndarray) -> np.ndarray:
-    """General-path P f from f and its band coefficients.
-
-    The gradient of f serves both the inner Laplacian and the curvature
-    term, whose flux joins the outer Laplacian's before one divergence.
-    """
-    kernel = bundle.kernel
-
-    def part(c):
-        grad = kernel.gradient(c)
-        lap = _divergence(kernel, bundle.inv_sqrt_det, _flux(bundle.laplace_flux, grad))
-        flow = _flux(bundle.laplace_flux, kernel.gradient(kernel.coefficients(lap)))
-        flow -= _flux(bundle.coeff_flux, grad)
-        return _divergence(kernel, bundle.inv_sqrt_det, flow)
-    return _by_columns(bundle, part, coef) + float(coeffs.q_factor) * bundle.q_field * f
 
 
 def integrate(bundle: CurvatureBundle, f: np.ndarray) -> float:
@@ -378,8 +346,10 @@ def penalty_apply(bundle: CurvatureBundle, sigma: float, f: np.ndarray) -> np.nd
 class PaneitzOperator:
     """Matrix-free fourth-order operator, optionally with the sawtooth penalty.
 
-    `penalty = 0` gives the plain operator of apply_paneitz.  Instances with
-    coeffs=None apply -Lap instead (the n = 2 sub-case of dense assembly).
+    `penalty = 0` gives the plain operator P of apply_paneitz.  Instances
+    with coeffs=None apply -Lap instead (apply_laplacian, and the n = 2
+    sub-case of dense assembly).  `apply` is the one place either operator
+    is applied.
     """
 
     def __init__(self, bundle: CurvatureBundle, coeffs: DimensionCoefficients | None,
@@ -394,17 +364,35 @@ class PaneitzOperator:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         bundle = self.bundle
+        kernel = bundle.kernel
         if bundle.constant_coefficient:
-            return bundle.kernel.multiply(f, self._flat_multiplier)
-        coef = bundle.kernel.coefficients(f)
-        if self.coeffs is None:
-            out = -_laplacian(bundle, coef)
-        else:
-            out = _paneitz(bundle, self.coeffs, f, coef)
+            # curvature terms vanish identically; see build_bundle's flatness gate
+            return kernel.multiply(f, self._flat_multiplier)
+        coef = kernel.coefficients(f)
+        out = _by_columns(bundle, self._differentiated, coef)
+        if self.coeffs is not None:
+            # a new array, not +=: the sum takes the memory order of its
+            # operands, and the replay's reductions follow that order
+            out = out + float(self.coeffs.q_factor) * bundle.q_field * f
         if self.penalty:
             # penalty_apply, projecting f by the coefficients computed above
-            out += self.penalty * bundle.inv_sqrt_det * (f - bundle.kernel.to_coarse(coef))
+            out += self.penalty * bundle.inv_sqrt_det * (f - kernel.to_coarse(coef))
         return out
+
+    def _differentiated(self, coef: np.ndarray) -> np.ndarray:
+        """The differentiated terms on fields with band coefficients coef:
+        -Lap, or Lap^2 - div[(a R g + b Ric) grad].  The gradient of f serves
+        both the inner Laplacian and the curvature term, whose flux joins the
+        outer Laplacian's before one divergence."""
+        bundle = self.bundle
+        kernel = bundle.kernel
+        grad = kernel.gradient(coef)
+        lap = _divergence(kernel, bundle.inv_sqrt_det, _flux(bundle.laplace_flux, grad))
+        if self.coeffs is None:
+            return -lap
+        flow = _flux(bundle.laplace_flux, kernel.gradient(kernel.coefficients(lap)))
+        flow -= _flux(bundle.coeff_flux, grad)
+        return _divergence(kernel, bundle.inv_sqrt_det, flow)
 
     def inner(self, f: np.ndarray, h: np.ndarray) -> float:
         return inner(self.bundle, f, h)

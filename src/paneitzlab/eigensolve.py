@@ -15,6 +15,11 @@ any metric, flat or not:
 
 Eigenvalue multiplicity is reported by clustering with relative gap 1e-6;
 ties inside a cluster keep solver order.
+
+Catalog manifolds answer in the same type: `SpectrumResult.closed_form`
+cuts the exact spectral lines of `catalog.paneitz_spectrum` at k values,
+one cluster per line, with zero residuals and no eigenfunctions, so reports
+and bounds read a closed-form spectrum as they read a grid one.
 """
 
 from __future__ import annotations
@@ -54,6 +59,23 @@ class SpectrumResult:
     defect: float | None = None         # dense-path asymmetry defect
     iterations: int | None = None       # LOBPCG iterations used
     penalty: float | None = None
+
+    @classmethod
+    def closed_form(cls, lines, k: int) -> SpectrumResult:
+        """The k smallest values of exact spectral lines (ascending, each
+        with `value` and `multiplicity`), the last line cut at k."""
+        clusters, left = [], k
+        for line in lines:
+            if left <= 0:
+                break
+            take = min(line.multiplicity, left)
+            clusters.append((line.value, take))
+            left -= take
+        if left > 0:
+            raise ValueError(f"only {k - left} eigenvalues available, {k} requested")
+        values = np.repeat([v for v, _ in clusters], [c for _, c in clusters])
+        return cls(eigenvalues=values, eigenfunctions=None, residuals=np.zeros(k),
+                   clusters=tuple(clusters), method="closed_form")
 
 
 def cluster_eigenvalues(values, rtol: float = CLUSTER_RTOL):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from paneitzlab import cli, discrete
-from paneitzlab.cli import _eigen_row, _sweep_fourier_perturbation, main
+from paneitzlab.cli import _eigen_row, _sweep_row, main
 from paneitzlab.errors import PaneitzLabError, SolverFailureError
 
 S4 = "kind: sphere\ndim: 4\nparams:\n  r: 1.0\n"
@@ -169,6 +169,60 @@ def test_negative_seed_option_is_refused_before_sampling(spec_file, capsys, monk
         main(["spectrum", "--spec", spec_file(BUMP_DENSE), "--seed", "-5"])
     assert info.value.code == 2
     assert "argument --seed: seed must be an integer >= 0, got '-5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,stage", [(S4, "paneitz_spectrum"), (BUMP_DENSE, "build_bundle")])
+@pytest.mark.parametrize("count", ["0", "-3", "two"])
+def test_nonpositive_count_option_is_refused_before_solving(spec_file, capsys, monkeypatch,
+                                                            text, stage, count):
+    def solved(*a, **k):
+        raise AssertionError(f"{stage} ran")
+
+    monkeypatch.setattr(cli, stage, solved)
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--spec", spec_file(text), "--count", count])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --count: count must be an integer >= 1, got '{count}'" in err
+    assert "Traceback" not in err
+
+
+def test_closed_form_spectrum_cuts_the_last_line(spec_file, tmp_path, capsys):
+    out_path = tmp_path / "s4.json"
+    assert main(["spectrum", "--spec", spec_file(S4), "--count", "3", "--quiet",
+                 "--out", str(out_path)]) == 0
+    block = json.loads(out_path.read_text())["spectrum"]
+    assert block == {"values": [0.0, 24.0, 24.0],
+                     "multiplicities": [{"value": 0.0, "count": 1}, {"value": 24.0, "count": 2}],
+                     "residuals": [0.0, 0.0, 0.0], "method": "closed_form"}
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*a, **k):
+        calls.append(name)
+        return original(*a, **k)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text,command,grid_solves,catalog_solves", [
+    (T4_ZERO_MODE, ["verify", "--replay"], 1, 0),
+    (T4_GRID, ["verify", "--replay"], 1, 1),   # bounds in closed form, replay on the grid
+    (T4_GRID, ["replay"], 1, 0),
+    (T4_GRID, ["spectrum"], 0, 1),
+    (S4, ["verify", "--replay"], 0, 1),
+    (S4, ["replay"], 0, 0),                    # the sphere's chain needs no spectrum
+])
+def test_each_command_solves_once(spec_file, capsys, monkeypatch, text, command,
+                                  grid_solves, catalog_solves):
+    grid = _count_calls(monkeypatch, "solve_spectrum")
+    catalog = _count_calls(monkeypatch, "paneitz_spectrum")
+    assert main([command[0], "--spec", spec_file(text), "--quiet", *command[1:]]) == 0
+    assert (len(grid), len(catalog)) == (grid_solves, catalog_solves)
 
 
 def test_solver_failure_is_exit_3(spec_file, capsys, monkeypatch):
@@ -471,11 +525,33 @@ def test_sweep_thread_cap(tmp_path, capsys, monkeypatch):
     assert "ignoring non-integer PANEITZ_LAB_THREADS" in capsys.readouterr().err
 
 
+def test_sweep_takes_no_count_or_out(tmp_path, capsys):
+    base = ["sweep", "--family", "sphere_radius", "--bound", "thm_1_2",
+            "--range", "0.8:1.2:3", "--csv", str(tmp_path / "s.csv")]
+    for extra in (["--count", "3"], ["--out", str(tmp_path / "s.json")]):
+        with pytest.raises(SystemExit) as info:
+            main(base + extra)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_clifford_row_matches_verify_on_its_spec(spec_file, tmp_path, capsys):
+    # the family's spec at r1^2 = 1/2 is the minimal Clifford S^2 x S^2 file
+    row = _sweep_row("clifford_ratio", "cor_1_1", 0.5, None, seed=0)
+    out_path = tmp_path / "v.json"
+    assert main(["verify", "--spec", spec_file(CLIFFORD), "--bound", "cor_1_1", "--quiet",
+                 "--out", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    (rep,) = doc["bounds"]
+    assert (row["lhs"], row["rhs"]) == (rep["lhs"], rep["rhs"])
+    assert row["eigenvalues"] == doc["spectrum"]["values"][1:6]  # above the kernel
+
+
 def test_fourier_family_flat_sample_matches_catalog():
-    rep, values, n = _sweep_fourier_perturbation(0.0, "thm_1_1", None, seed=3)
-    assert n == 4 and rep.equality and rep.ok
-    assert rep.lhs == pytest.approx(4.0, abs=1e-9)
-    assert values[1] == pytest.approx(1.0, abs=1e-9)
+    row = _sweep_row("fourier_perturbation", "thm_1_1", 0.0, None, seed=3)
+    assert row["n"] == 4 and row["equality"] and row["ok"]
+    assert row["lhs"] == pytest.approx(4.0, abs=1e-9)
+    assert row["eigenvalues"][0] == pytest.approx(1.0, abs=1e-9)  # the kernel is dropped
 
 
 def test_eigen_row_indexing():
