@@ -10,11 +10,12 @@ dimension (``{id} is stated for {dims}, got n = {n}``), unit-sphere ambient
 refusable row (``operator is not positive on ...``).
 
 Formulas take a multiplicity-expanded ascending spectrum plus a
-GeometrySummary — the small bridge type that lets closed-form catalog
-constants and sampled curvature bundles feed the same formulas.  Reports
-carry both sides, the slack, and flags for anything that pushed the input
-outside a theorem's hypotheses (clamped negative eigenvalues, kernel
-snapping, equality showing up off the classified cases).
+GeometrySummary, curvature fields on a bundle's grid or on a catalog model's
+one point of weight vol.  The sharp bounds read the AM-GM pivot's integrals
+from `pivot_integrals`, as both replay routes do.  Reports carry both sides,
+the slack, and flags for anything that pushed the input outside a theorem's
+hypotheses (clamped negative eigenvalues, kernel snapping, a multiple bottom
+eigenvalue, equality showing up off the classified cases).
 
 Sign conventions: slack = rhs - lhs, so valid inputs keep slack >= -tol;
 `ok` records that gate.  Ambient-sphere variants measure the mean curvature
@@ -27,13 +28,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .catalog import ModelManifold, model_constants
 from .coefficients import paneitz_coefficients
-from .discrete import CurvatureBundle, apply_laplacian, inner
+from .discrete import CurvatureBundle, apply_laplacian, integrate
 from .errors import GateError, InvalidDimensionError, PositivityError
 from .fourier import unit_sphere_deviation
 
@@ -53,27 +54,25 @@ SPHERE_DEVIATION_TOL = 1e-9
 class GeometrySummary:
     """Curvature data of one manifold in bound-ready form.
 
-    Fields are euclidean (ambient R^N) pointwise arrays, or plain scalars
-    for closed-form models; `weights=None` marks the scalar case.  `scalar`
-    and `q` are intrinsic.  For `ambient_unit_sphere` inputs the in-sphere
-    |H|^2 is mean_sq - 1.
+    Fields are euclidean (ambient R^N) values at the quadrature points of
+    `weights`: a grid's sample points, or a catalog model's single point of
+    weight vol.  `scalar` and `q` are intrinsic.  For `ambient_unit_sphere`
+    inputs the in-sphere |H|^2 is mean_sq - 1.
     """
 
     n: int
     volume: float
-    mean_sq: np.ndarray | float
-    s_norm: np.ndarray | float
-    scalar: np.ndarray | float
+    mean_sq: np.ndarray
+    s_norm: np.ndarray
+    scalar: np.ndarray
     q: np.ndarray | float
     ambient_unit_sphere: bool
     numerical: bool
     label: str
-    weights: np.ndarray | None = None
+    weights: np.ndarray
 
     def integrate(self, f) -> float:
-        if self.weights is None:
-            return float(f) * self.volume
-        return float(np.sum(np.broadcast_to(f, self.weights.shape) * self.weights))
+        return float((f * self.weights).sum())
 
     @property
     def tol_eq(self) -> float:
@@ -81,17 +80,20 @@ class GeometrySummary:
 
 
 def summarize_model(m: ModelManifold) -> GeometrySummary:
+    """One point of weight vol: it integrates a homogeneous model's constant
+    fields exactly."""
     mc = model_constants(m)
     return GeometrySummary(
         n=m.n,
         volume=mc.volume,
-        mean_sq=mc.mean_sq_euclidean,
-        s_norm=mc.s_norm_euclidean,
-        scalar=mc.scalar,
-        q=mc.q,
+        mean_sq=np.array([mc.mean_sq_euclidean]),
+        s_norm=np.array([mc.s_norm_euclidean]),
+        scalar=np.array([mc.scalar]),
+        q=np.array([mc.q]),
         ambient_unit_sphere=(m.ambient == "unit_sphere"),
         numerical=False,
         label=m.describe(),
+        weights=np.array([mc.volume]),
     )
 
 
@@ -157,26 +159,44 @@ class EqualityDiagnosis:
     matched_case: str             # round_sphere | minimal_const_R_in_sphere | none
 
 
-@dataclass
+@dataclass(frozen=True)
 class U1Data:
-    """Ground-eigenfunction data for the gap bounds: u_1^2 as a field
-    (None means the constant 1/vol) and the Dirichlet energy of u_1."""
+    """The ground state w at a GeometrySummary's points (unit L^2 norm, sign
+    int w >= 0), its energy int |grad w|^2, Lap w on a grid, and whether the
+    bottom eigenvalue is multiple."""
 
-    u1_sq: np.ndarray | None = None
-    grad_energy: float = 0.0
+    w: np.ndarray
+    grad_energy: float
     multiple: bool = False
-    flags: tuple[str, ...] = field(default_factory=tuple)
+    lap: np.ndarray | None = None
+
+    @property
+    def u1_sq(self) -> np.ndarray:
+        return self.w * self.w
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return ("first_eigenvalue_multiple",) if self.multiple else ()
 
 
 def u1_from_result(bundle: CurvatureBundle, result) -> U1Data:
-    """Extract u_1 data from a discrete SpectrumResult (ground pair first)."""
-    u1 = result.eigenfunctions[0]
-    nrm = inner(bundle, u1, u1)
-    u1 = u1 / math.sqrt(nrm)
-    grad = -inner(bundle, u1, apply_laplacian(bundle, u1))
-    multiple = result.clusters[0][1] > 1
-    flags = ("lambda_1_multiple",) if multiple else ()
-    return U1Data(u1_sq=u1 * u1, grad_energy=grad, multiple=multiple, flags=flags)
+    """The computed ground pair of a grid SpectrumResult (ground pair first)."""
+    w = np.array(result.eigenfunctions[0], dtype=float)
+    w /= math.sqrt(integrate(bundle, w * w))
+    if integrate(bundle, w) < 0:
+        w = -w
+    lap = apply_laplacian(bundle, w)
+    return U1Data(w=w, grad_energy=-integrate(bundle, w * lap),
+                  multiple=result.clusters[0][1] > 1, lap=lap)
+
+
+def constant_ground_state(geo: GeometrySummary, grad_energy: float = 0.0,
+                          multiple: bool = False) -> U1Data:
+    """1/sqrt(vol) on geo's points: the n = 4 kernel weight, and a catalog
+    model's ground state whatever its degree, since against a constant |H|^2
+    only int w^2 = 1 and the energy reach the pivot."""
+    return U1Data(w=np.full(geo.weights.shape, geo.volume ** -0.5),
+                  grad_energy=grad_energy, multiple=multiple)
 
 
 # --------------------------------------------------------------------------
@@ -192,39 +212,28 @@ def snap_kernel(values, rtol: float = KERNEL_SNAP_RTOL) -> np.ndarray:
 
 
 def _sqrt_clamped(vals, flags):
-    vals = np.asarray(vals, dtype=float)
     if np.any(vals < 0):
         flags.append("negative_eigenvalue_clamped; out of theorem hypotheses")
     return np.sqrt(np.maximum(vals, 0.0))
 
 
 def _sum_formula(values, geo, u1, flags):
-    """Sum of the four root eigenvalues of a 4-manifold against the
-    curvature-integral bound."""
+    """Sum of the four root eigenvalues of a 4-manifold against the pivot,
+    weighted by the constant kernel function."""
     lhs = float(np.sum(_sqrt_clamped(values[:4], flags)))
-    p = geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
-    h = geo.integrate(geo.mean_sq)
-    return lhs, 4.0 * math.sqrt(max(p * h, 0.0)) / geo.volume
+    return lhs, pivot_integrals(geo).value
 
 
 def _gap_formula(values, geo, u1, flags):
-    """Sum of root gaps (lambda_{j+1} - lambda_1), j = 1..n, weighted by the
-    ground eigenfunction."""
+    """Sum of root gaps (lambda_{j+1} - lambda_1), j = 1..n, against the
+    pivot weighted by the ground eigenfunction (the constant if none given)."""
     n = geo.n
-    u1 = u1 or U1Data()
-    flags.extend(u1.flags)
+    flags.extend(u1.flags if u1 else ())
     gaps = values[1 : n + 1] - values[0]
     if np.any(gaps < -geo.tol_eq):
         flags.append("negative_gap_clamped")
     lhs = float(np.sum(_sqrt_clamped(np.maximum(gaps, 0.0), flags)))
-    if u1.u1_sq is None:  # constant ground state, u_1^2 = 1/vol
-        h = geo.integrate(geo.mean_sq) / geo.volume
-    else:
-        h = geo.integrate(geo.mean_sq * u1.u1_sq)
-    grad = u1.grad_energy
-    p = 0.5 * n * (n * n - 4.0) * h + 2.0 * (n + 2.0) * grad
-    q = n * n * h + 4.0 * grad
-    return lhs, math.sqrt(max(p, 0.0)) * math.sqrt(max(q, 0.0))
+    return lhs, pivot_integrals(geo, u1).value
 
 
 def _strict_formula(values, geo, u1, flags):
@@ -239,10 +248,10 @@ def _strict_formula(values, geo, u1, flags):
 
 
 def _first_formula(values, geo, u1, flags):
-    """The introduction's lambda_1 bound on 4-manifolds."""
-    rhs = (geo.integrate(16.0 * geo.mean_sq + (2.0 / 3.0) * geo.scalar)
-           * geo.integrate(geo.mean_sq)) / geo.volume**2
-    return float(values[0]), rhs
+    """The introduction's lambda_1 bound on 4-manifolds: p q / 16 under the
+    constant weight."""
+    pivot = pivot_integrals(geo)
+    return float(values[0]), pivot.p_raw * pivot.q_used / 16.0
 
 
 def _second_formula(values, geo, u1, flags):
@@ -379,17 +388,12 @@ def verify_intro_bounds(eigenvalues, geo: GeometrySummary,
 # --------------------------------------------------------------------------
 
 def _rel_variation(f) -> float:
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 0:
-        return 0.0
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    return float(np.ptp(arr)) / scale
+    return float(np.ptp(f)) / max(1.0, float(np.max(np.abs(f))))
 
 
 def diagnose_equality(geo: GeometrySummary, rtol: float = DIAGNOSIS_RTOL) -> EqualityDiagnosis:
     """Classify which (if any) equality case the curvature fields match."""
-    h2 = np.asarray(geo.mean_sq, dtype=float)
-    s = np.asarray(geo.s_norm, dtype=float)
+    h2, s = geo.mean_sq, geo.s_norm
     scale = max(1.0, float(np.max(np.abs(s))))
     umbilical = bool(np.max(np.abs(s - geo.n * h2)) <= rtol * scale)
     constant_h = _rel_variation(h2) <= rtol
@@ -443,3 +447,42 @@ def optimal_delta(p: float, q: float) -> DeltaChoice:
     if q == 0:
         return DeltaChoice(delta=0.0, value=0.0, degenerate=True)
     return DeltaChoice(delta=math.sqrt(q / p), value=math.sqrt(p * q))
+
+
+@dataclass(frozen=True)
+class Pivot:
+    """The pivot's integrals under a ground state w of energy E:
+    p_raw = int (n^2 |H|^2 + tr R) w^2 + 2 (n + 2) E and
+    q_used = int n^2 |H|^2 w^2 + 4 E.  Above n = 4, p_used puts the Gauss
+    estimate n (n^2 - 4) |H|^2 / 2 in p_raw's integrand, and gauss_excess is
+    the most that gives up at a point.  The names are `replay.ChainInputs`'."""
+
+    p_raw: float
+    p_used: float
+    q_used: float
+    gauss_excess: float
+
+    @property
+    def value(self) -> float:
+        """sqrt(p_used q_used), as optimal_delta computes it."""
+        return math.sqrt(max(self.p_used, 0.0) * max(self.q_used, 0.0))
+
+
+def pivot_integrals(geo: GeometrySummary, u1: U1Data | None = None) -> Pivot:
+    """The pivot on geo under u1 (None: the constant ground state), with w^2
+    divided by its integral, 1 up to rounding: flat T^4 stays exact."""
+    n = geo.n
+    u1 = constant_ground_state(geo) if u1 is None else u1
+    w2, h2 = u1.u1_sq, geo.mean_sq
+    mass = geo.integrate(w2)
+
+    def weighted(f, energy_factor):
+        return (geo.integrate(f * w2) + energy_factor * u1.grad_energy) / mass
+
+    integrand = n**2 * h2 + float(paneitz_coefficients(n).trace_coefficient) * geo.scalar
+    p_raw, q_used = weighted(integrand, 2.0 * (n + 2)), weighted(n**2 * h2, 4.0)
+    if n == 4:
+        return Pivot(p_raw, p_raw, q_used, 0.0)
+    target = n * (n**2 - 4) / 2.0 * h2
+    return Pivot(p_raw, weighted(target, 2.0 * (n + 2)), q_used,
+                 float(np.max(integrand - target)))

@@ -42,10 +42,19 @@ class SphereFactor:
     r: float
 
     def __post_init__(self):
+        """Refuse a radius whose volume scale r^p or fourth-order scale r^-4
+        is not a finite nonzero float: the closed forms are built on both."""
         if not isinstance(self.p, int) or self.p < 1:
             raise ValueError(f"factor dimension must be a positive integer, got {self.p!r}")
         if not self.r > 0:
             raise ValueError(f"factor radius must be positive, got {self.r!r}")
+        try:
+            scales = (self.r**self.p, self.r**-4)
+        except OverflowError:
+            scales = (0.0,)
+        if not all(0.0 < x < math.inf for x in scales):
+            raise ValueError(f"factor radius {self.r!r} is out of range: r^{self.p} and r^-4 "
+                             f"must be finite nonzero floats")
 
     @property
     def volume(self) -> float:
@@ -213,12 +222,19 @@ class SpectralLine:
     labels: tuple[tuple[int, ...], ...]
 
 
-def _merge_lines(entries) -> list[SpectralLine]:
+def _curvature_unit(m: ModelManifold) -> float:
+    """max 1/r^2 over the factors, to the nearest power of two: 1 near unit
+    radius, it scales as the Laplace lines (its square as the fourth-order
+    lines), so no absolute number sets the spectra's floors and tolerances."""
+    return 2.0 ** round(math.log2(max(f.r**-2 for f in m.factors)))
+
+
+def _merge_lines(entries, abs_tol: float) -> list[SpectralLine]:
     """Cluster (value, mult, label) triples whose values agree to LINE_MERGE_RTOL."""
     entries = sorted(entries, key=lambda t: t[0])
     lines: list[SpectralLine] = []
     for value, mult, label in entries:
-        if lines and math.isclose(lines[-1].value, value, rel_tol=LINE_MERGE_RTOL, abs_tol=1e-12):
+        if lines and math.isclose(lines[-1].value, value, rel_tol=LINE_MERGE_RTOL, abs_tol=abs_tol):
             prev = lines[-1]
             lines[-1] = SpectralLine(prev.value, prev.multiplicity + mult, prev.labels + (label,))
         else:
@@ -251,10 +267,11 @@ def laplace_spectrum(m: ModelManifold, count: int) -> list[SpectralLine]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    cap = max(1.0, max(f.p / f.r**2 for f in m.factors))
+    unit = _curvature_unit(m)
+    cap = max(unit, max(f.p / f.r**2 for f in m.factors))
     while True:
         combos = _enumerate_products([f.laplace_lines(cap) for f in m.factors], cap)
-        lines = _merge_lines(combos)
+        lines = _merge_lines(combos, 1e-12 * unit)
         if len(lines) >= count and lines[count - 1].value < cap * (1 - 1e-12):
             return lines[:count]
         cap *= 2.0
@@ -299,16 +316,17 @@ def paneitz_spectrum(m: ModelManifold, count: int) -> ClosedFormPaneitz:
     """
     form = paneitz_form(m)
     neg = max(0.0, -min(form.kappas))
-    cap = max(1.0, max(f.p / f.r**2 for f in m.factors), 2.0 * neg)
+    unit = _curvature_unit(m)
+    cap = max(unit, max(f.p / f.r**2 for f in m.factors), 2.0 * neg)
     while True:
         combos = _enumerate_products([f.laplace_lines(cap) for f in m.factors], cap)
         entries = [(form.value(_factor_mus(m, label)), mult, label)
                    for _mu, mult, label in combos]
-        lines = _merge_lines(entries)
+        lines = _merge_lines(entries, 1e-12 * unit**2)
         if len(lines) >= count:
             lam_cut = lines[count - 1].value
             floor_beyond = cap**2 - neg * cap + form.zero_order
-            if floor_beyond > lam_cut * (1 + 1e-12) + 1e-12:
+            if floor_beyond > lam_cut * (1 + 1e-12) + 1e-12 * unit**2:
                 return ClosedFormPaneitz(form.kappas, form.zero_order, tuple(lines[:count]))
         cap *= 2.0
 
@@ -337,11 +355,8 @@ class FirstEigenfunctionInfo:
 
     lambda_1: float
     multiplicity: int
-    constant: bool
-    value: float | None        # 1/sqrt(vol) when constant
-    laplace_mu: float          # its -Lap eigenvalue (0 when constant)
-    grad_energy: float         # int |grad u_1|^2 dv = laplace_mu for unit L^2 norm
-    label: tuple[int, ...]
+    grad_energy: float         # int |grad u_1|^2 dv, its -Lap eigenvalue at unit L^2 norm
+    label: tuple[int, ...]     # all zeros when u_1 is the constant
 
 
 def first_eigenfunction_info(m: ModelManifold) -> FirstEigenfunctionInfo:
@@ -360,14 +375,9 @@ def first_eigenfunction_info(m: ModelManifold) -> FirstEigenfunctionInfo:
             lines=spec.lines[:2],
         )
     label = bottom.labels[0]
-    mu = sum(_factor_mus(m, label))
-    constant = all(k == 0 for k in label)
     return FirstEigenfunctionInfo(
         lambda_1=bottom.value,
         multiplicity=bottom.multiplicity,
-        constant=constant,
-        value=1.0 / math.sqrt(m.volume) if constant else None,
-        laplace_mu=mu,
-        grad_energy=mu,
+        grad_energy=sum(_factor_mus(m, label)),
         label=label,
     )

@@ -33,6 +33,7 @@ from .bounds import (
     BOUNDS,
     GeometrySummary,
     U1Data,
+    constant_ground_state,
     diagnose_equality,
     evaluate,
     snap_kernel,
@@ -112,9 +113,7 @@ class Solution:
         if self.bundle is not None:
             return u1_from_result(self.bundle, self.result)
         info = first_eigenfunction_info(self.model)
-        flags = ("first_eigenvalue_multiple",) if info.multiplicity > 1 else ()
-        return U1Data(u1_sq=None, grad_energy=info.grad_energy,
-                      multiple=info.multiplicity > 1, flags=flags)
+        return constant_ground_state(self.geo, info.grad_energy, info.multiplicity > 1)
 
 
 def _solve(spec: ManifoldSpec, count: int, seed: int, timings: dict,
@@ -313,6 +312,8 @@ def _parse_range(raw: str) -> np.ndarray:
         m = int(parts[2]) if len(parts) == 3 else 9
     except ValueError:
         raise GateError(f"malformed range {raw!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise GateError(f"range needs a finite start and stop, got {raw!r}")
     if not (hi > lo):
         raise GateError(f"range needs stop > start, got {raw!r}")
     if m < 2:
@@ -486,8 +487,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_range(argv: list[str]) -> list[str]:
+    """`--range -0.04:0.04:3` as `--range=-0.04:0.04:3`: argparse reads a
+    separate value that starts with '-' as an option."""
+    argv = list(argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--range" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"--range={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_range(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SpecFileError as exc:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .errors import InvalidDimensionError
 
@@ -40,12 +41,13 @@ class DimensionCoefficients:
     d: Fraction  # R^2 weight inside Q
     q_factor: Fraction  # (n-4)/2, the zero-order coupling to Q
 
-    @property
+    @cached_property
     def trace_coefficient(self) -> Fraction:
         """n*a_n + b_n = (n^2-2n-4)/(2(n-1)), the g-trace of (a_n R g + b_n Ric)/R."""
         return self.n * self.a + self.b
 
 
+@lru_cache(maxsize=None, typed=True)   # typed: 4.0 must not hit the entry for 4
 def paneitz_coefficients(n: int) -> DimensionCoefficients:
     """Exact coefficients (a_n, b_n, c_n, d_n, (n-4)/2) for dimension n.
 

@@ -18,7 +18,9 @@ pointwise residuals it reads (``ChainInputs``).  Two routes supply them:
   than ambient-dimension many, summed steps degrade to valid partial sums
   and are flagged.
 
-Both routes emit the same step names, so reports can be diffed.
+Both take the pivot's integrals from ``bounds.pivot_integrals`` and the
+weight from a ``bounds.U1Data``, as the bounds do, so a chain's
+``final_rhs`` is its bound's rhs; both emit the same step names.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BOUNDS, optimal_delta, snap_kernel
-from .catalog import ModelManifold, model_constants, paneitz_form
-from .coefficients import paneitz_coefficients
+from .bounds import (BOUNDS, constant_ground_state, optimal_delta, pivot_integrals, snap_kernel,
+                     summarize_bundle, summarize_model, u1_from_result)
+from .catalog import ModelManifold, paneitz_form
 from .discrete import CurvatureBundle, apply_laplacian, apply_paneitz, raised_curvature_matrix
 from .eigensolve import SpectrumResult
 from .errors import GateError, InvalidDimensionError
@@ -249,15 +251,10 @@ def replay_proof_analytic(theorem_id: str, model: ModelManifold,
     n = model.n
     _check_theorem(theorem_id, n)
     r = model.factors[0].r
-    consts = model_constants(model)
     kappa = paneitz_form(model).kappas[0]
-    tr = float(paneitz_coefficients(n).trace_coefficient)
 
     mu = n / r**2                        # first nonconstant Laplace eigenvalue
     gap = mu**2 + kappa * mu             # first fourth-order line minus lam_w
-    h2 = consts.mean_sq_euclidean        # == 1/r^2
-    p_raw = n**2 * h2 + tr * consts.scalar
-    p_used = p_raw if n == 4 else n * (n**2 - 4) / 2.0 * h2
 
     each = np.ones(n + 1)
     norm_sq = r**2 / (n + 1)             # int psi^2
@@ -269,8 +266,7 @@ def replay_proof_analytic(theorem_id: str, model: ModelManifold,
         cross=-mu * norm_sq * each, grad_energy=grad_int * each,
         gaps=gap * each, root_gaps=math.sqrt(gap) * each,
         orthogonality=0.0, laplacian=0.0, resolution=0.0, energy=0.0,
-        max_grad_sq=1.0, gauss_excess=p_raw - p_used,
-        p_raw=p_raw, p_used=p_used, q_used=n**2 * h2)
+        max_grad_sq=1.0, **vars(pivot_integrals(summarize_model(model))))
     return _chain(theorem_id, "analytic", model.describe(), inputs, 0.0, tol)
 
 
@@ -284,14 +280,16 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     """Replay on a sampled immersion against a computed spectrum.
 
     The weight is the exact constant kernel function for thm_1_1 and the
-    computed first eigenfunction for thm_1_2; coordinates come from the
-    immersion's 2-jet on the coarse grid.  Needs n + 2 eigenpairs; summed
-    steps use however many trial functions the spectrum supports (a valid
-    partial sum when fewer than ambient-dimension many, flagged).
+    computed first eigenfunction for thm_1_2, as the bounds read them;
+    coordinates come from the immersion's 2-jet on the coarse grid.  Needs
+    n + 2 eigenpairs; summed steps use however many trial functions the
+    spectrum supports (a valid partial sum when fewer than ambient-dimension
+    many, flagged).
     """
     n = bundle.n
     _check_theorem(theorem_id, n)
     grid = bundle.grid
+    geo = summarize_bundle(bundle)
     vals = snap_kernel(result.eigenvalues)
     k = int(vals.size)
     if k < n + 2:
@@ -299,7 +297,6 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     if result.eigenfunctions is None:
         raise GateError("replay needs eigenfunctions alongside eigenvalues")
 
-    flags: list[str] = []
     wq = bundle.weights
     axes = tuple(range(-grid.n, 0))
 
@@ -311,21 +308,15 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
         if vals[0] != 0.0:
             raise GateError("kernel eigenvalue not resolved; the n = 4 chain "
                             "anchors on the constant eigenfunction")
-        w = np.full(grid.shape, bundle.volume ** -0.5)
-        lam_w = 0.0
+        u1 = constant_ground_state(geo)
         dw = np.zeros(grid.shape + (grid.n,))
         lw = np.zeros(grid.shape)
     else:
-        w = np.array(result.eigenfunctions[0], dtype=float)
-        w /= math.sqrt(float(integ(w * w)))
-        if float(integ(w)) < 0:
-            w = -w                        # fix the sign convention int w dv >= 0
-        lam_w = float(vals[0])
-        dw = np.moveaxis(bundle.kernel.partials(w), 0, -1)
-        lw = apply_laplacian(bundle, w)
-        if result.clusters and result.clusters[0][1] > 1:
-            flags.append("first_eigenvalue_multiple")
-    grad_w_energy = -float(integ(w * lw))
+        u1 = u1_from_result(bundle, result)
+        dw = np.moveaxis(bundle.kernel.partials(u1.w), 0, -1)
+        lw = u1.lap
+    w, lam_w = u1.w, float(vals[0])
+    flags = list(u1.flags)
 
     # ---- rotated coordinates
     y = bundle.y                                       # (*shape, N)
@@ -369,23 +360,11 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     raised_b = raised_curvature_matrix(bundle.coeffs, bundle.metric, bundle.curv)
     quad_b = np.einsum("a...i,...ij,a...j->a...", dz, raised_b, dz)
 
-    h2 = bundle.curv.mean_sq
-    tr = float(bundle.coeffs.trace_coefficient)
-    integrand = n**2 * h2 + tr * bundle.curv.scalar
-
     # the integrated-by-parts identity behind the Rayleigh-Ritz numerator
     flux = w * lz + 2.0 * gzw
     t1 = integ(flux * flux)
     t2 = integ(quad_b * (w * w))
     t3 = -2.0 * integ(gz2 * (w * lw))
-
-    p_raw = float(integ(integrand * (w * w))) + 2.0 * (n + 2) * grad_w_energy
-    q_used = float(integ(n**2 * h2 * (w * w))) + 4.0 * grad_w_energy
-    gauss_excess, p_used = 0.0, p_raw
-    if n > 4:
-        target = n * (n**2 - 4) / 2.0 * h2
-        gauss_excess = float(np.max(integrand - target))
-        p_used = float(integ(target * (w * w))) + 2.0 * (n + 2) * grad_w_energy
 
     inputs = ChainInputs(
         n=n, norms2=norms2, rayleigh=integ(trial * p_trial) - lam_w * norms2,
@@ -393,10 +372,9 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
         grad_energy=integ(gz2 * (w * w)),
         gaps=gaps, root_gaps=np.sqrt(np.clip(vals[1:] - lam_w, 0.0, None)),
         orthogonality=float(np.max(np.abs(np.tril(overlap)))),
-        laplacian=float(np.max(np.abs(np.sum(lz * lz, axis=0) - n**2 * h2))),
+        laplacian=float(np.max(np.abs(np.sum(lz * lz, axis=0) - n**2 * geo.mean_sq))),
         resolution=float(np.max(np.abs(np.sum(gzw * gzw, axis=0) - gw2))),
         energy=float(np.max(np.abs(np.sum(gz2, axis=0) - n))),
-        max_grad_sq=float(np.max(gz2)), gauss_excess=gauss_excess,
-        p_raw=p_raw, p_used=p_used, q_used=q_used)
+        max_grad_sq=float(np.max(gz2)), **vars(pivot_integrals(geo, u1)))
     label = f"{theorem_id} replay on grid {'x'.join(map(str, grid.shape))}"
     return _chain(theorem_id, "numerical", label, inputs, gs_resid, tol, flags)

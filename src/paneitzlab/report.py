@@ -64,11 +64,7 @@ def spectrum_block(result: SpectrumResult) -> dict:
 
 def constants_block(geo: GeometrySummary) -> dict:
     def stats(f):
-        if geo.weights is None:
-            return {"integral": float(f) * geo.volume, "min": float(f), "max": float(f)}
-        arr = np.broadcast_to(f, geo.weights.shape)
-        return {"integral": float(np.sum(arr * geo.weights)),
-                "min": float(np.min(arr)), "max": float(np.max(arr))}
+        return {"integral": geo.integrate(f), "min": float(np.min(f)), "max": float(np.max(f))}
 
     return {
         "label": geo.label,

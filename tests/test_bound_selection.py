@@ -159,7 +159,7 @@ def test_verify_selection_is_pinned(case, n, tmp_path, capsys):
 def _synthetic_geometry(n: int) -> GeometrySummary:
     return GeometrySummary(n=n, volume=1.0, mean_sq=1.0, s_norm=float(n),
                            scalar=float(n * (n - 1)), q=1.0, ambient_unit_sphere=True,
-                           numerical=False, label="synthetic")
+                           numerical=False, label="synthetic", weights=np.ones(1))
 
 
 @pytest.mark.parametrize("bound", list(BOUNDS))

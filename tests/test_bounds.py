@@ -157,7 +157,8 @@ def test_gap_bound_accepts_explicit_ground_state_data():
     geo = summarize_model(m)
     values = closed_form_values(m, 9)
     plain = verify_thm_1_2(values, geo)
-    with_u1 = verify_thm_1_2(values, geo, u1=U1Data(grad_energy=0.0))
+    with_u1 = verify_thm_1_2(values, geo, u1=U1Data(w=np.full(1, geo.volume ** -0.5),
+                                                    grad_energy=0.0))
     assert with_u1.rhs == pytest.approx(plain.rhs, rel=1e-14)
 
 

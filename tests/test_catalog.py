@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import paneitzlab.catalog as catalog
+from paneitzlab.bounds import constant_ground_state, summarize_model
 from paneitzlab.catalog import (
     ModelManifold,
     SphereFactor,
@@ -170,16 +171,17 @@ def test_paneitz_form_refuses_n2():
 
 def test_first_eigenfunction_constant_on_s5():
     info = first_eigenfunction_info(round_sphere(5))
-    assert info.constant
+    assert info.label == (0,)
     assert info.lambda_1 == pytest.approx(105 / 16, rel=1e-13)
     assert info.multiplicity == 1
     assert info.grad_energy == 0.0
-    assert info.value == pytest.approx(1 / math.sqrt(round_sphere(5).volume), rel=1e-12)
+    ground = constant_ground_state(summarize_model(round_sphere(5)))
+    assert ground.w == pytest.approx([1 / math.sqrt(round_sphere(5).volume)], rel=1e-12)
 
 
 def test_first_eigenfunction_constant_on_flat_torus():
     info = first_eigenfunction_info(flat_torus((1.0,) * 5))
-    assert info.constant and info.lambda_1 == 0.0 and info.laplace_mu == 0.0
+    assert info.label == (0,) * 5 and info.lambda_1 == 0.0 and info.grad_energy == 0.0
 
 
 def test_first_eigenfunction_tie_reported(monkeypatch):
@@ -234,3 +236,22 @@ def test_factor_validation():
         SphereFactor(p=2, r=-1.0)
     with pytest.raises(ValueError):
         ModelManifold(kind="nonsense", factors=(SphereFactor(2, 1.0),))
+
+
+@pytest.mark.parametrize("make", [lambda r: round_sphere(5, r),
+                                  lambda r: sphere_product(((2, r), (3, r)))])
+@pytest.mark.parametrize("r", [1e-3, 1e4, 1e6])
+def test_spectra_scale_as_r_to_the_minus_four(make, r):
+    base = paneitz_spectrum(make(1.0), 8).lines
+    scaled = paneitz_spectrum(make(r), 8).lines
+    assert [line.multiplicity for line in scaled] == [line.multiplicity for line in base]
+    for line, ref in zip(scaled, base):
+        assert line.value * r**4 == pytest.approx(ref.value, rel=1e-12)
+    assert first_eigenfunction_info(make(r)).multiplicity == 1
+
+
+@pytest.mark.parametrize("p, r", [(5, 1e200), (5, 1e150), (5, 1e-200), (1, 1e-170),
+                                  (5, math.inf)])
+def test_radius_out_of_float_range_is_refused(p, r):
+    with pytest.raises(ValueError, match="out of range"):
+        SphereFactor(p=p, r=r)

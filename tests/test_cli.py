@@ -558,3 +558,41 @@ def test_eigen_row_indexing():
     assert _eigen_row([1e-13, 1.0, 1.0, 2.0, 2.0, 3.0], 4) == [1.0, 1.0, 2.0, 2.0, 3.0]
     row5 = _eigen_row([1e-13, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0], 5)
     assert row5 == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("text", [
+    "kind: sphere\ndim: 5\nparams:\n  r: 1e200\n",
+    "kind: sphere\ndim: 5\nparams:\n  r: 1e-200\n",
+    "kind: flat_torus\ndim: 4\nparams:\n  radii: [1e-170, 1, 1, 1]\n",
+])
+def test_radius_out_of_float_range_is_a_spec_error(spec_file, capsys, text):
+    assert main(["verify", "--spec", spec_file(text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("paneitz-lab: spec error: factor radius ")
+    assert "out of range" in err and "(line 1, column 1)" in err
+
+
+@pytest.mark.parametrize("span", ["1:1e200:3", "1e-200:1:3"])
+def test_radius_sweep_out_of_float_range_is_exit_2(tmp_path, capsys, span):
+    assert main(["sweep", "--family", "sphere_radius", "--bound", "thm_1_2", "--range", span,
+                 "--csv", str(tmp_path / "x.csv")]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_sweep_range_may_start_below_zero(tmp_path, capsys):
+    assert main(["sweep", "--family", "clifford_ratio", "--bound", "cor_1_1",
+                 "--range", "-0.5:0.5:3", "--csv", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "paneitz-lab: clifford_ratio parameter is r1^2, needs (0,1); got -0.5\n")
+
+
+@pytest.mark.parametrize("span", ["1:inf:3", "-inf:1:3", "nan:1:3", "0:1e400:3"])
+def test_sweep_range_must_be_finite(tmp_path, capsys, monkeypatch, span):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sample was solved")
+
+    monkeypatch.setattr(cli, "_solve", unreachable)
+    assert main(["sweep", "--family", "sphere_radius", "--bound", "thm_1_2", "--range", span,
+                 "--csv", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"paneitz-lab: range needs a finite start and stop, got {span!r}\n")

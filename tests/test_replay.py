@@ -1,5 +1,6 @@
 """Step-by-step replays of the trial-function proofs."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -18,9 +19,14 @@ from paneitzlab import (
     sphere_product,
     summarize_bundle,
 )
+from paneitzlab import cli
+from paneitzlab.bounds import evaluate, summarize_model, u1_from_result
+from paneitzlab.catalog import expand_lines, paneitz_spectrum
 from paneitzlab.discrete import build_bundle
 from paneitzlab.eigensolve import spectrum
+from paneitzlab.fourier import FourierTerm
 from paneitzlab.replay import replay_theorem
+from paneitzlab.report import constants_block
 
 ANALYTIC_STEPS = (
     "trial_orthogonality",
@@ -202,3 +208,91 @@ def test_grid_replay_reuses_the_bundle_jet(torus_run, monkeypatch):
     assert summarize_bundle(bundle).ambient_unit_sphere is False
     assert replay_proof("thm_1_1", result, bundle).ok
     assert calls == []
+
+
+# --------------------------------------------------------------------------
+# the shared pivot: a bound and its replay read p and q from one function
+# --------------------------------------------------------------------------
+
+def _grid_run(radii, amp, k):
+    """A torus immersion on 8^n, with amp cos(x_1 + x_2) added to its first
+    coordinate, solved for k pairs."""
+    n = len(radii)
+    imm = clifford_torus(radii)
+    if amp:
+        cos = (amp,) + (0.0,) * (2 * n - 1)
+        imm = imm.perturbed([FourierTerm(k=(1, 1) + (0,) * (n - 2), cos=cos,
+                                          sin=(0.0,) * (2 * n))])
+    grid = TorusGrid((8,) * n)
+    bundle = build_bundle(imm, grid)
+    return bundle, spectrum(imm, grid, paneitz_coefficients(n), k, bundle=bundle,
+                            solver="lanczos", seed=3)
+
+
+@pytest.fixture(scope="module")
+def flat_t5_run():
+    return _grid_run((1.0,) * 5, 0.0, 7)
+
+
+@pytest.mark.parametrize("theorem, n, r", [
+    ("thm_1_1", 4, 1.0), ("thm_1_1", 4, 0.7), ("thm_1_2", 5, 1.0), ("thm_1_2", 6, 2.3)])
+def test_closed_form_bound_rhs_is_the_replayed_rhs(theorem, n, r):
+    m = round_sphere(n, r)
+    values = expand_lines(paneitz_spectrum(m, n + 4).lines, n + 3)
+    rep = evaluate(theorem, values, summarize_model(m))
+    assert rep.rhs == replay_proof_analytic(theorem, m).final_rhs
+
+
+def _bound_meets_replay(theorem, bundle, result, u1=None):
+    rep = evaluate(theorem, result.eigenvalues, summarize_bundle(bundle), u1)
+    return rep.rhs == replay_proof(theorem, result, bundle).final_rhs
+
+
+def test_grid_bound_rhs_is_the_replayed_rhs(torus_run, flat_t5_run):
+    bundle, solve = torus_run
+    assert _bound_meets_replay("thm_1_1", bundle, solve(9))
+    assert _bound_meets_replay("thm_1_1", *_grid_run((1.0,) * 4, 0.05, 9))
+    bundle, result = flat_t5_run
+    assert _bound_meets_replay("thm_1_2", bundle, result, u1_from_result(bundle, result))
+
+
+def test_multiple_ground_state_flag_is_one_name(flat_t5_run, tmp_path, monkeypatch):
+    bundle, result = flat_t5_run
+    (value, count), *rest = result.clusters
+    doubled = replace(result, clusters=((value, count + 1), *rest))
+    rep = evaluate("thm_1_2", doubled.eigenvalues, summarize_bundle(bundle),
+                   u1_from_result(bundle, doubled))
+    chain = replay_proof("thm_1_2", doubled, bundle)
+    assert "first_eigenvalue_multiple" in rep.flags
+    assert "first_eigenvalue_multiple" in chain.flags
+
+    # the closed form: the catalog never doubles the bottom line, so pretend it does
+    real = cli.first_eigenfunction_info
+    monkeypatch.setattr(cli, "first_eigenfunction_info",
+                        lambda m: replace(real(m), multiplicity=2))
+    spec, out = tmp_path / "s5.yaml", tmp_path / "v.json"
+    spec.write_text("kind: sphere\ndim: 5\nparams:\n  r: 1.0\n")
+    assert cli.main(["verify", "--spec", str(spec), "--bound", "thm_1_2", "--quiet",
+                     "--out", str(out)]) == 0
+    (closed,) = json.loads(out.read_text())["bounds"]
+    assert closed["flags"] == ["first_eigenvalue_multiple"]
+
+
+@pytest.mark.parametrize("model, text", [
+    (round_sphere(4, 1.0),
+     '{"label": "S4(r=1) in R^5", "n": 4, "volume": 26.31894506957162, '
+     '"ambient_unit_sphere": false, "numerical": false, "mean_curvature_sq": '
+     '{"integral": 26.31894506957162, "min": 1.0, "max": 1.0}, "second_form_sq": '
+     '{"integral": 105.27578027828648, "min": 4.0, "max": 4.0}, "scalar_curvature": '
+     '{"integral": 315.82734083485946, "min": 12.0, "max": 12.0}, "q_curvature": '
+     '{"integral": 157.91367041742973, "min": 6.0, "max": 6.0}}'),
+    (sphere_product([(3, 1.0), (4, 2.0)]),
+     '{"label": "S3(r=1) x S4(r=2) in R^9", "n": 7, "volume": 8312.24243490154, '
+     '"ambient_unit_sphere": false, "numerical": false, "mean_curvature_sq": '
+     '{"integral": 2205.288809259592, "min": 0.2653061224489796, "max": 0.2653061224489796}, '
+     '"second_form_sq": {"integral": 33248.96973960616, "min": 4.0, "max": 4.0}, '
+     '"scalar_curvature": {"integral": 74810.18191411385, "min": 9.0, "max": 9.0}, '
+     '"q_curvature": {"integral": 13247.63638062433, "min": 1.59375, "max": 1.59375}}'),
+])
+def test_one_point_summary_keeps_the_constants_block(model, text):
+    assert json.dumps(constants_block(summarize_model(model))) == text
