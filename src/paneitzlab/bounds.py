@@ -203,11 +203,11 @@ def constant_ground_state(geo: GeometrySummary, grad_energy: float = 0.0,
 # the formulas: (snapped spectrum, geo, u1, flags) -> (lhs, rhs)
 # --------------------------------------------------------------------------
 
-def snap_kernel(values, rtol: float = KERNEL_SNAP_RTOL) -> np.ndarray:
+def snap_kernel(values) -> np.ndarray:
     """Zero out eigenvalues that are numerically the constants' kernel: within
-    rtol max |lambda| of zero, so the snap is scale covariant."""
+    KERNEL_SNAP_RTOL max |lambda| of zero, so the snap is scale covariant."""
     values = np.asarray(values, dtype=float).copy()
-    values[np.abs(values) <= rtol * np.max(np.abs(values), initial=0.0)] = 0.0
+    values[np.abs(values) <= KERNEL_SNAP_RTOL * np.max(np.abs(values), initial=0.0)] = 0.0
     return values
 
 
@@ -391,14 +391,14 @@ def _rel_variation(f) -> float:
     return float(np.ptp(f)) / max(1.0, float(np.max(np.abs(f))))
 
 
-def diagnose_equality(geo: GeometrySummary, rtol: float = DIAGNOSIS_RTOL) -> EqualityDiagnosis:
-    """Classify which (if any) equality case the curvature fields match."""
+def diagnose_equality(geo: GeometrySummary) -> EqualityDiagnosis:
+    """Classify which (if any) equality case the curvature fields match (DIAGNOSIS_RTOL)."""
     h2, s = geo.mean_sq, geo.s_norm
     scale = max(1.0, float(np.max(np.abs(s))))
-    umbilical = bool(np.max(np.abs(s - geo.n * h2)) <= rtol * scale)
-    constant_h = _rel_variation(h2) <= rtol
-    constant_r = _rel_variation(geo.scalar) <= rtol
-    minimal = bool(geo.ambient_unit_sphere and np.max(np.abs(h2 - 1.0)) <= rtol)
+    umbilical = bool(np.max(np.abs(s - geo.n * h2)) <= DIAGNOSIS_RTOL * scale)
+    constant_h = _rel_variation(h2) <= DIAGNOSIS_RTOL
+    constant_r = _rel_variation(geo.scalar) <= DIAGNOSIS_RTOL
+    minimal = bool(geo.ambient_unit_sphere and np.max(np.abs(h2 - 1.0)) <= DIAGNOSIS_RTOL)
     if umbilical and constant_h:
         matched = "round_sphere"
     elif minimal and constant_r:

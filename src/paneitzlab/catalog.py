@@ -111,6 +111,9 @@ class ModelManifold:
                         f"product lies on a sphere of radius {math.sqrt(rsq)!r}, not 1; "
                         "unit_sphere ambient requires sum r_i^2 = 1"
                     )
+        if not 0.0 < self.volume < math.inf:
+            raise ValueError(f"volume {self.volume!r} of {self.describe()} is not a finite "
+                             f"nonzero float: the factor volumes over- or underflow")
 
     @property
     def n(self) -> int:

@@ -44,7 +44,7 @@ from .bounds import (
 from .catalog import ModelManifold, first_eigenfunction_info, paneitz_spectrum
 from .coefficients import paneitz_coefficients
 from .discrete import CurvatureBundle, build_bundle
-from .eigensolve import SpectrumResult
+from .eigensolve import DEFAULT_SEED, SpectrumResult
 from .eigensolve import spectrum as solve_spectrum
 from .errors import (
     GateError,
@@ -395,7 +395,7 @@ def cmd_sweep(args) -> int:
     if not args.csv:
         raise GateError("sweep needs --csv PATH for its output table")
     params = _parse_range(args.range)
-    seed = args.seed if args.seed is not None else 0x5EED
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
 
     one = functools.partial(_sweep_row, family, bound, tol=args.tol, seed=seed)
     workers = min(_thread_cap(), len(params))
@@ -447,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "eigenvalue bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_command=True):
+    def common(p, spec_command=True, tol=True):
         if spec_command:
             p.add_argument("--spec", required=True, help="manifold spec file (YAML)")
             p.add_argument("--count", type=_count, default=None,
@@ -457,11 +457,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="suppress stdout summaries")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the spec's solver seed (>= 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the default tolerance")
 
     p = sub.add_parser("spectrum", help="low eigenvalues of the fourth-order operator")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="evaluate eigenvalue bounds against the spectrum")

@@ -37,8 +37,8 @@ operator, adding the symmetric positive penalty
     Pen f = sigma (1/sqrt(g)) (f - Proj f)
 
 (Proj = band projection), so the sawtooth junk lands near sigma / sqrt(g)
-instead of flooding the bottom of the spectrum.  `default_penalty` picks
-sigma.
+instead of flooding the bottom of the spectrum.  `default_penalty` sizes
+sigma from the metric, with no operator apply.
 
 Scale.  Under y -> c y the operator's eigenvalues scale as c^-4 (c^-2 for
 -Lap) and sqrt(g) as c^n.  The penalty, the preconditioner's shift and the
@@ -228,7 +228,8 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
 
     Constant-coefficient (flat) immersions skip the fine-grid sampling: the
     operators reduce to Fourier symbols there and never touch the flux
-    fields.  force_general keeps them anyway (cross-checks want both paths).
+    fields.  force_general samples them anyway and puts every apply on the
+    flux path (cross-checks set it against the multiplier path).
     """
     if imm.n != grid.n:
         raise InvalidDimensionError(f"immersion is {imm.n}-dimensional, grid is {grid.n}-dimensional")
@@ -243,12 +244,13 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     # a constant metric has vanishing Christoffel symbols, so it is flat: the
     # gate needs g alone
     g_scale = float(np.max(np.abs(metric.g)))
-    flat = float(np.max(np.ptp(metric.g.reshape(-1, n, n), axis=0))) <= _CONST_TOL * g_scale
+    flat = not force_general and (
+        float(np.max(np.ptp(metric.g.reshape(-1, n, n), axis=0))) <= _CONST_TOL * g_scale)
     symbol = kernel.symbol(metric.g_inv.reshape(-1, n, n)[0]) if flat else None
 
     coeffs = paneitz_coefficients(n) if n >= 3 else None
     laplace_flux = coeff_flux = q_field = laplace_r = None
-    if not flat or force_general:
+    if not flat:
         laplace_flux, coeff_flux = _sample_fluxes(imm, fine, coeffs)
     if n >= 3:
         if flat:
@@ -394,9 +396,6 @@ class PaneitzOperator:
         flow -= _flux(bundle.coeff_flux, grad)
         return _divergence(kernel, bundle.inv_sqrt_det, flow)
 
-    def inner(self, f: np.ndarray, h: np.ndarray) -> float:
-        return inner(self.bundle, f, h)
-
     @cached_property
     def _flat_multiplier(self) -> np.ndarray:
         """The whole operator on a constant-coefficient bundle as one Fourier
@@ -438,23 +437,20 @@ class PaneitzOperator:
         return self.bundle.kernel.multiply(f, self._inverse_symbol)
 
     def estimate_top(self) -> float:
-        """Crude largest-eigenvalue estimate: 25 power iterations from a fixed start."""
-        rng = np.random.default_rng(0x5EED)
-        v = rng.standard_normal(self.shape)
-        est = 0.0
-        for _ in range(25):
-            nrm = math.sqrt(max(self.inner(v, v), 1e-300))
-            v = v / nrm
-            w = self.apply(v)
-            est = max(est, abs(self.inner(v, w)))
-            v = w
-        return est
+        """The band's largest principal symbol: the largest eigenvalue of
+        g^{-1} over the coarse points times the band's largest |k|^2, squared
+        for the fourth-order operator.  Read from the metric, no apply."""
+        bundle = self.bundle
+        g_inv = bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n)
+        k_sq = sum(((m - 1) // 2) ** 2 for m in bundle.grid.shape)
+        mu = float(np.linalg.eigvalsh(g_inv)[:, -1].max()) * k_sq
+        return mu if self.coeffs is None else mu**2
 
 
 def default_penalty(bundle: CurvatureBundle, coeffs: DimensionCoefficients | None) -> float:
-    """sigma = 10 (unit + top estimate) mean sqrt(g): even-grid sawtooth modes
-    land far above any eigenvalue of interest, and sigma / sqrt(g) scales with
-    the operator's eigenvalues."""
+    """sigma = 10 (unit + estimate_top) mean sqrt(g), read from the metric:
+    even-grid sawtooth modes land far above any eigenvalue of interest, and
+    sigma / sqrt(g) scales with the operator's eigenvalues."""
     op = PaneitzOperator(bundle, coeffs)
     return 10.0 * (op.unit + op.estimate_top()) * _density_unit(bundle)
 

@@ -45,6 +45,7 @@ from .fourier import FourierImmersion, TorusGrid
 DEFAULT_SEED = 0x5EED
 CLUSTER_RTOL = 1e-6
 TOL_EIG = 1e-8
+MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,7 @@ def _rayleigh_ritz(x, ax, search, m: int):
     return theta[:m], coef[0] @ x + p, coef[0] @ ax + ap, p, ap
 
 
-def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED,
-                     max_iter: int | None = None) -> SpectrumResult:
+def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -> SpectrumResult:
     """k smallest eigenpairs of `op` by preconditioned block LOBPCG.
 
     The name is kept from the Lanczos solver this replaced.  From k + 4
@@ -170,15 +170,14 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED,
     10 TOL_EIG max(op.unit, |lambda|) leaves the active set but stays in X
     (soft locking); once the k wanted pairs pass on a fresh apply of op, the
     top Ritz value must clear the k-th value's cluster (relative gap
-    CLUSTER_RTOL) or X grows.  A breakdown or more than max_iter (default
-    500) iterations raises SolverFailureError with the last residuals.
+    CLUSTER_RTOL) or X grows.  A breakdown or more than MAX_ITER iterations
+    raises SolverFailureError with the last residuals.
     """
     shape, size = op.shape, op.size
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > size:
         raise ValueError(f"k = {k} exceeds the {size}-dimensional space")
-    budget = 500 if max_iter is None else max_iter
     root_w = np.sqrt(op.bundle.weights.reshape(size))
 
     def scaled(fn, v):
@@ -215,9 +214,9 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED,
             x, ax = np.vstack([x, new]), np.vstack([ax, scaled(op.apply, new)])
             m = len(x)
             continue
-        if iterations >= budget:
+        if iterations >= MAX_ITER:
             raise SolverFailureError(
-                f"LOBPCG did not converge within {budget} iterations "
+                f"LOBPCG did not converge within {MAX_ITER} iterations "
                 f"(residuals {np.array2string(residuals[:k], precision=2)})",
                 residuals=residuals[:k].tolist())
         d, _ = _orthonormalize(scaled(op.precondition, r[~converged]), None, [(x, ax)])
@@ -245,7 +244,7 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED,
 
 def spectrum(imm: FourierImmersion, grid: TorusGrid, coeffs: DimensionCoefficients | None,
              k: int, *, bundle: CurvatureBundle | None = None, solver: str | None = None,
-             seed: int = DEFAULT_SEED, max_iter: int | None = None) -> SpectrumResult:
+             seed: int = DEFAULT_SEED) -> SpectrumResult:
     """Build the bundle, run a solver, and fix eigenfunction signs.
 
     solver: None or "lanczos" (the LOBPCG route), or "dense" (the assembled
@@ -262,8 +261,7 @@ def spectrum(imm: FourierImmersion, grid: TorusGrid, coeffs: DimensionCoefficien
     if solver == "dense":
         result = dense_spectrum(assemble_dense(bundle, coeffs, penalty=penalty), k)
     else:
-        result = lanczos_smallest(PaneitzOperator(bundle, coeffs, penalty), k,
-                                  seed=seed, max_iter=max_iter)
+        result = lanczos_smallest(PaneitzOperator(bundle, coeffs, penalty), k, seed=seed)
 
     funcs = result.eigenfunctions
     vol_scale = math.sqrt(bundle.volume)

@@ -36,6 +36,7 @@ import yaml
 
 from .bounds import SPHERE_DEVIATION_TOL
 from .catalog import ModelManifold, flat_torus, round_sphere, sphere_product
+from .eigensolve import DEFAULT_SEED
 from .errors import SpecFileError
 from .fourier import FourierImmersion, FourierTerm, TorusGrid, clifford_torus
 
@@ -43,7 +44,6 @@ KINDS = ("sphere", "sphere_product", "flat_torus", "fourier_immersion")
 AMBIENTS = ("euclidean", "unit_sphere")
 SOLVERS = ("dense", "lanczos")
 DEFAULT_COUNT = 8
-DEFAULT_SEED = 0x5EED
 
 
 @dataclass(frozen=True)

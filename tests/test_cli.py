@@ -171,6 +171,14 @@ def test_negative_seed_option_is_refused_before_sampling(spec_file, capsys, monk
     assert "argument --seed: seed must be an integer >= 0, got '-5'" in capsys.readouterr().err
 
 
+def test_spectrum_refuses_tol(spec_file, capsys):
+    # spectrum reads no tolerance; verify, replay and sweep do
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--spec", spec_file(S4), "--tol", "1e-3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,stage", [(S4, "paneitz_spectrum"), (BUMP_DENSE, "build_bundle")])
 @pytest.mark.parametrize("count", ["0", "-3", "two"])
 def test_nonpositive_count_option_is_refused_before_solving(spec_file, capsys, monkeypatch,
@@ -572,7 +580,18 @@ def test_radius_out_of_float_range_is_a_spec_error(spec_file, capsys, text):
     assert "out of range" in err and "(line 1, column 1)" in err
 
 
-@pytest.mark.parametrize("span", ["1:1e200:3", "1e-200:1:3"])
+@pytest.mark.parametrize("radius,volume", [("1e60", "inf"), ("1e-60", "0.0")])
+def test_product_volume_out_of_float_range_is_a_spec_error(spec_file, capsys, radius, volume):
+    # each factor's r^5 is a float, but the product's volume is not
+    text = ("kind: sphere_product\ndim: 10\nparams:\n  factors:\n"
+            f"    - {{p: 5, r: {radius}}}\n    - {{p: 5, r: {radius}}}\n")
+    assert main(["verify", "--spec", spec_file(text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"paneitz-lab: spec error: volume {volume} of ")
+    assert "(line 1, column 1)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("span",["1:1e200:3", "1e-200:1:3"])
 def test_radius_sweep_out_of_float_range_is_exit_2(tmp_path, capsys, span):
     assert main(["sweep", "--family", "sphere_radius", "--bound", "thm_1_2", "--range", span,
                  "--csv", str(tmp_path / "x.csv")]) == 2

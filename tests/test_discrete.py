@@ -22,7 +22,7 @@ from paneitzlab import (
 )
 from paneitzlab.discrete import inner, integrate
 from paneitzlab.discrete import penalty_apply
-from paneitzlab.eigensolve import spectrum
+from paneitzlab.eigensolve import dense_spectrum, spectrum
 from paneitzlab.geometry import CurvatureFields, curvature_point, induced_metric
 from paneitzlab import discrete
 from paneitzlab.coefficients import q_curvature
@@ -61,7 +61,7 @@ def test_flat_bundle_reduces_to_symbol():
 def test_force_general_keeps_flux_fields():
     bundle = build_bundle(clifford_torus((1.0, 0.5, 1.0)), TorusGrid((8, 8, 8)),
                           force_general=True)
-    assert bundle.constant_coefficient
+    assert not bundle.constant_coefficient
     assert bundle.laplace_flux is not None and bundle.coeff_flux is not None
 
 
@@ -296,6 +296,58 @@ def test_top_estimate_brackets_symbol_maximum():
     assert 0.5 * top <= est <= top * (1.0 + 1e-9)
 
 
+def power_top(op, steps=25):
+    """The largest |<v, op v>_w| along a power iteration from a fixed random
+    start: the penalty's former top estimate, kept as a reference."""
+    v = np.random.default_rng(0x5EED).standard_normal(op.shape)
+    est = 0.0
+    for _ in range(steps):
+        v = v / math.sqrt(inner(op.bundle, v, v))
+        w = op.apply(v)
+        est = max(est, abs(inner(op.bundle, v, w)))
+        v = w
+    return est
+
+
+def test_default_penalty_applies_no_operator(monkeypatch):
+    bundle = build_bundle(perturbed_torus(), TorusGrid((8, 8, 8)))
+    calls = []
+    apply = PaneitzOperator.apply
+    monkeypatch.setattr(PaneitzOperator, "apply",
+                        lambda op, f: calls.append(f.shape) or apply(op, f))
+    assert discrete.default_penalty(bundle, paneitz_coefficients(3)) > 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("imm", [perturbed_torus(0.3), clifford_torus((1.0, 0.5, 2.0))])
+@pytest.mark.parametrize("coeffs", [paneitz_coefficients(3), None])
+def test_symbol_top_covers_power_iteration(imm, coeffs):
+    op = PaneitzOperator(build_bundle(imm, TorusGrid((8, 8, 8))), coeffs)
+    assert op.estimate_top() >= power_top(op)
+
+
+def test_metric_penalty_moves_curved_eigenvalues_toward_the_band_limit():
+    # P + sigma Pen grows with sigma, so its eigenvalues rise toward the
+    # sigma -> infinity (band Galerkin) limit; the metric's sigma is larger
+    # than the power iteration's, so it lands closer to that limit
+    bundle = build_bundle(perturbed_torus(0.3), TorusGrid((8, 8, 8)))
+    coeffs = paneitz_coefficients(3)
+    op = PaneitzOperator(bundle, coeffs)
+    sigma_power = 10.0 * (op.unit + power_top(op)) * discrete._density_unit(bundle)
+    sigma = discrete.default_penalty(bundle, coeffs)
+    assert sigma > sigma_power
+
+    def values(penalty):
+        return dense_spectrum(assemble_dense(bundle, coeffs, penalty), 7).eigenvalues
+
+    before, after, limit = values(sigma_power), values(sigma), values(1000.0 * sigma_power)
+    assert np.all(after >= before)
+    # the limit's own roundoff: eigh at a top eigenvalue near 1000 sigma
+    noise = np.finfo(float).eps * 1000.0 * sigma_power
+    assert np.all(np.abs(after - limit) <= np.abs(before - limit) + noise)
+    assert np.abs(after - limit).max() <= 0.5 * np.abs(before - limit).max()
+
+
 # --------------------------------------------------------------------------
 # the coefficient-space kernel against the real-space composition
 # --------------------------------------------------------------------------
@@ -386,6 +438,25 @@ def test_column_batches_equal_the_unbatched_apply(monkeypatch):
     monkeypatch.setattr(discrete, "_APPLY_BYTES", 1)
     for apply, want in zip(applies, whole):
         assert np.array_equal(apply(block), want)
+
+
+@pytest.mark.parametrize("radii,shape", [
+    ((1.0, 0.5, 2.0), (8, 8, 8)),
+    ((1.0, 0.5, 2.0), (9, 9, 9)),
+    ((1.0,) * 4, (8, 8, 8, 8)),
+])
+@pytest.mark.parametrize("fourth_order", [True, False])
+@pytest.mark.parametrize("penalty", [0.0, 37.0])
+def test_forced_general_apply_matches_flat_multiplier(radii, shape, fourth_order, penalty):
+    grid = TorusGrid(shape)
+    f = np.random.default_rng(43).standard_normal((2,) + shape)
+    applied = []
+    for force in (False, True):
+        bundle = build_bundle(clifford_torus(radii), grid, force_general=force)
+        assert bundle.constant_coefficient is not force
+        coeffs = bundle.coeffs if fourth_order else None
+        applied.append(PaneitzOperator(bundle, coeffs, penalty).apply(f))
+    assert_matches(applied[1], applied[0], 1e-13)
 
 
 @pytest.mark.parametrize("coeffs", [paneitz_coefficients(3), None])
