@@ -387,17 +387,29 @@ def verify_intro_bounds(eigenvalues, geo: GeometrySummary,
 # equality diagnosis
 # --------------------------------------------------------------------------
 
-def _rel_variation(f) -> float:
-    return float(np.ptp(f)) / max(1.0, float(np.max(np.abs(f))))
+def _curvature_unit(geo: GeometrySummary) -> float:
+    """max |II|^2 / n over the points, to the nearest power of two: 1 on the
+    unit sphere and the unit Clifford torus, and it scales as |H|^2 and R do
+    (as `catalog._curvature_unit` does for the spectra).  |II|^2 > 0 on every
+    closed submanifold of euclidean space."""
+    return 2.0 ** round(math.log2(float(np.max(geo.s_norm)) / geo.n))
+
+
+def _scale(f, unit: float) -> float:
+    return max(unit, float(np.max(np.abs(f))))
 
 
 def diagnose_equality(geo: GeometrySummary) -> EqualityDiagnosis:
-    """Classify which (if any) equality case the curvature fields match (DIAGNOSIS_RTOL)."""
+    """Classify which (if any) equality case the curvature fields match.
+
+    Variations are measured against the field's size, floored at the
+    curvature unit, so the diagnosis does not change when the immersion is
+    scaled (DIAGNOSIS_RTOL)."""
     h2, s = geo.mean_sq, geo.s_norm
-    scale = max(1.0, float(np.max(np.abs(s))))
-    umbilical = bool(np.max(np.abs(s - geo.n * h2)) <= DIAGNOSIS_RTOL * scale)
-    constant_h = _rel_variation(h2) <= DIAGNOSIS_RTOL
-    constant_r = _rel_variation(geo.scalar) <= DIAGNOSIS_RTOL
+    unit = _curvature_unit(geo)
+    umbilical = bool(np.max(np.abs(s - geo.n * h2)) <= DIAGNOSIS_RTOL * _scale(s, unit))
+    constant_h = float(np.ptp(h2)) <= DIAGNOSIS_RTOL * _scale(h2, unit)
+    constant_r = float(np.ptp(geo.scalar)) <= DIAGNOSIS_RTOL * _scale(geo.scalar, unit)
     minimal = bool(geo.ambient_unit_sphere and np.max(np.abs(h2 - 1.0)) <= DIAGNOSIS_RTOL)
     if umbilical and constant_h:
         matched = "round_sphere"

@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
     replay_rep = None
     if args.replay:
         tick = time.perf_counter()
-        replay_rep = _run_replay(spec, count, seed, args.tol, timings, sol)
+        replay_rep = _run_replay(spec, count, seed, args.tol, timings, sol, u1)
         timings["replay"] = time.perf_counter() - tick
     timings["total"] = time.perf_counter() - t0
 
@@ -264,9 +264,10 @@ def cmd_verify(args) -> int:
 
 
 def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
-                timings: dict, sol: Solution | None = None):
+                timings: dict, sol: Solution | None = None, u1: U1Data | None = None):
     """The proof chain of spec's dimension: in closed form on a round sphere,
-    else on the grid spectrum, solved here unless sol already holds one."""
+    else on the grid spectrum, solved here unless sol already holds one; u1
+    is the bounds' ground state of sol, reused by the grid chain."""
     theorem = replay_theorem(spec.dim)
     if spec.kind == "sphere":
         return replay_proof_analytic(theorem, spec.to_model(),
@@ -277,9 +278,9 @@ def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
     if spec.grid is None:
         raise GateError("numerical replay needs a 'grid' entry in the spec")
     if sol is None or sol.bundle is None:
-        sol = _solve(spec, count, seed, timings, on_grid=True)
+        sol, u1 = _solve(spec, count, seed, timings, on_grid=True), None
     return replay_proof(theorem, sol.result, sol.bundle,
-                        tol=tol if tol is not None else REPLAY_TOL_NUMERICAL)
+                        tol=tol if tol is not None else REPLAY_TOL_NUMERICAL, u1=u1)
 
 
 def cmd_replay(args) -> int:

@@ -1,32 +1,35 @@
 """Discrete engine: curvature bundles and matrix-free operators on torus grids.
 
-Scheme.  The Laplacian is taken in divergence form with the 3/2 rule
-(`fourier.SpectralKernel`):
+Scheme.  The Laplacian is taken in divergence form and collocated on the
+grid itself (`fourier.SpectralKernel`):
 
-    Lap f = (1/sqrt(g)) . T[ d_i ( sqrt(g) g^{ij} d_j (P f) ) ]
+    Lap f = (1/sqrt(g)) . T[ d_i ( sqrt(g) g^{ij} d_j (T f) ) ]
 
-f enters by one forward real FFT and stays as its band coefficients; padding
-to the fine grid and truncating back are index copies of coefficients.  One
-batched inverse FFT gives the whole gradient on the fine grid, where it is
-multiplied by the flux fields, sampled *exactly* from the immersion at the
-fine points and stored as their n(n+1)/2 symmetric components.  One batched
-forward FFT brings the flux back, and the divergence multiplies by ik on the
-coarse band only.  The Paneitz apply shares the gradient of f between the
+with T the band projection.  f enters by one forward real FFT and stays as
+its band coefficients.  One batched inverse FFT gives the whole gradient at
+the grid points, where it is multiplied by the flux fields, sampled *exactly*
+from the immersion at those points and stored as their n(n+1)/2 symmetric
+components.  One batched forward FFT takes the flux to its band
+coefficients, and the divergence multiplies them by ik.  The flux fields
+are not band-limited, so their products alias on any finite grid; a 3/2
+dealiasing grid would only move that error to higher modes, at 3.4x (n = 3)
+to 7.6x (n = 5) the points, and the error decays at the band's spectral
+rate either way.  The Paneitz apply shares the gradient of f between the
 first Laplacian and the curvature term, and sums the fluxes
 sqrt(g) g^{-1} grad(Lap f) - coeff_flux grad f before its single divergence.
-A block of fields is applied in batches of columns, so that its fine-grid
-arrays stay within a fixed number of bytes (`_APPLY_BYTES`).
+A block of fields is applied in batches of columns, so that its gradient and
+flux arrays stay within a fixed number of bytes (`_APPLY_BYTES`).
 
 A constant metric has no curvature, and every operator on it is a Fourier
-multiplier: the kernel's symbol g^{ij} k_i k_j on the coarse real-FFT layout,
+multiplier: the kernel's symbol g^{ij} k_i k_j on the real-FFT layout,
 applied by `SpectralKernel.multiply` (one forward FFT, one multiply, one
 inverse FFT).  The preconditioner is such a multiplier on every bundle.  No
 code here transforms a field itself; every FFT goes through the kernel.
 
 Summation by parts makes every term exactly symmetric in the weighted inner
-product <u, v> = sum u v sqrt(g) dx: the pad/truncate pair is an exact
-adjoint, the masked-ik derivative is exactly antisymmetric, and the
-coefficient matrices are pointwise symmetric.  The recorded asymmetry defect
+product <u, v> = sum u v sqrt(g) dx: the band projection is self-adjoint,
+the masked-ik derivative is exactly antisymmetric, and the coefficient
+matrices are pointwise symmetric.  The recorded asymmetry defect
 of assembled matrices is therefore pure roundoff.
 
 Even grids carry sawtooth (Nyquist) modes that the band-limited derivative
@@ -77,10 +80,10 @@ _ASSEMBLY_BATCH = 64
 #: n = 5) bound the sampling memory whatever the grid size
 _SAMPLE_BLOCK = 2048
 
-#: bytes one (n, columns, fine grid) array of a general-path apply may take:
-#: wider blocks are applied in batches of columns, so the fine-grid gradient
-#: and fluxes of an apply stay bounded whatever the block width (on a 12^5
-#: fine grid one column is ~10 MB; on 12^3 a batch holds ~400 columns)
+#: bytes one (n, columns, grid) array of a general-path apply may take: wider
+#: blocks are applied in batches of columns, so the gradient and fluxes of an
+#: apply stay bounded whatever the block width (on an 8^5 grid one column is
+#: 1.3 MB and a batch holds 12 columns; on 8^3 a batch holds 1365)
 _APPLY_BYTES = 16 * 2**20
 
 
@@ -88,33 +91,32 @@ _APPLY_BYTES = 16 * 2**20
 class CurvatureBundle:
     """Everything sampled once per (immersion, grid) pair.
 
-    Coarse-grid members feed integrals and the zero-order term: y, the
-    metric and the curvature fields that integrals, bounds and replays read
-    (no Christoffel symbols, no second fundamental form).  The fine-grid
-    flux fields feed the differentiated terms; no other fine-grid field is
-    kept.  A flux field is a symmetric matrix field stored as its upper
-    triangle, row by row: shape (n(n+1)/2, *fine.shape).  `coeffs`,
-    `q_field` and `coeff_flux` are None when n < 3 (the fourth-order
-    coefficients are singular there; the Laplacian still works).
+    Every member lives on the grid points.  y, the metric and the curvature
+    fields feed integrals, bounds, replays and the zero-order term (no
+    Christoffel symbols, no second fundamental form).  The flux fields feed
+    the differentiated terms.  A flux field is a symmetric matrix field
+    stored as its upper triangle, row by row: shape (n(n+1)/2, *grid.shape).
+    Flat bundles keep no flux field.  `coeffs`, `q_field` and `coeff_flux`
+    are None when n < 3 (the fourth-order coefficients are singular there;
+    the Laplacian still works).
     """
 
     immersion: FourierImmersion
     grid: TorusGrid
-    fine: TorusGrid
-    kernel: SpectralKernel       # every FFT: band coefficients, pad/truncate, grad/div, symbols
-    y: np.ndarray                # coarse immersion values (*shape, N)
-    metric: MetricData           # coarse g, g^{-1}, sqrt(g)
-    curv: CurvatureFields        # coarse H, |H|^2, S, Ric, |Ric|^2, R
-    weights: np.ndarray          # sqrt(g) dx per coarse point
+    kernel: SpectralKernel       # every FFT: band coefficients, grad/div, symbols
+    y: np.ndarray                # immersion values (*shape, N)
+    metric: MetricData           # g, g^{-1}, sqrt(g)
+    curv: CurvatureFields        # H, |H|^2, S, Ric, |Ric|^2, R
+    weights: np.ndarray          # sqrt(g) dx per point
     volume: float
-    inv_sqrt_det: np.ndarray     # coarse 1/sqrt(g)
-    laplace_flux: np.ndarray | None  # fine sqrt(g) g^{ij}, packed; None on flat bundles
+    inv_sqrt_det: np.ndarray     # 1/sqrt(g)
+    laplace_flux: np.ndarray | None  # sqrt(g) g^{ij}, packed; None on flat bundles
     coeffs: DimensionCoefficients | None
-    coeff_flux: np.ndarray | None   # fine sqrt(g) g^{-1} (a R g + b Ric) g^{-1}, packed
-    q_field: np.ndarray | None      # coarse Q with spectral Laplace of R
+    coeff_flux: np.ndarray | None   # sqrt(g) g^{-1} (a R g + b Ric) g^{-1}, packed
+    q_field: np.ndarray | None      # Q with spectral Laplace of R
     laplace_r: np.ndarray | None
     constant_coefficient: bool
-    laplace_symbol: np.ndarray | None  # -Lap eigenvalue mu(k), coarse real-FFT layout, 0 off band
+    laplace_symbol: np.ndarray | None  # -Lap eigenvalue mu(k), real-FFT layout, 0 off band
 
     @property
     def n(self) -> int:
@@ -146,8 +148,8 @@ def _flux(packed: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _divergence(kernel: SpectralKernel, inv_sqrt_det: np.ndarray, flow: np.ndarray) -> np.ndarray:
-    """(1/sqrt(g)) T[d_i flow_i] on the coarse grid; flow carries the sqrt(g)."""
-    return inv_sqrt_det * kernel.to_coarse(kernel.divergence(flow))
+    """(1/sqrt(g)) T[d_i flow_i] at the grid points; flow carries the sqrt(g)."""
+    return inv_sqrt_det * kernel.synthesize(kernel.divergence(flow))
 
 
 def _blocks(size: int):
@@ -171,7 +173,7 @@ def _sample_block(imm: FourierImmersion, grid: TorusGrid, start: int, stop: int)
 
 
 def _sample_coarse(imm: FourierImmersion, grid: TorusGrid):
-    """y, the metric and the CurvatureFields on the coarse grid, block by block,
+    """y, the metric and the CurvatureFields on the grid, block by block,
     written into arrays allocated once."""
     out: dict[str, np.ndarray] = {}
     for start, stop in _blocks(grid.size):
@@ -197,45 +199,25 @@ def raised_curvature_matrix(coeffs: DimensionCoefficients, metric: MetricData,
     return metric.g_inv @ lower @ metric.g_inv
 
 
-def _sample_fluxes(imm: FourierImmersion, fine: TorusGrid, coeffs: DimensionCoefficients | None):
-    """Packed laplace_flux and coeff_flux (None without coeffs) on the fine grid,
-    block by block; no other fine-grid field outlives its block."""
-    pairs = len(_upper_pairs(fine.n))
-    laplace_flux = np.empty((pairs, fine.size))
-    coeff_flux = None
-    if coeffs is not None:
-        coeff_flux = np.empty((pairs, fine.size))
-    for start, stop in _blocks(fine.size):
-        jet, metric = _sample_block(imm, fine, start, stop)
-        root = metric.sqrt_det[..., None, None]
-        laplace_flux[:, start:stop] = _pack(root * metric.g_inv)
-        if coeff_flux is not None:
-            raised = raised_curvature_matrix(coeffs, metric, curvature_point(jet, metric))
-            coeff_flux[:, start:stop] = _pack(root * raised)
-    shape = (pairs,) + fine.shape
-    return (laplace_flux.reshape(shape),
-            None if coeff_flux is None else coeff_flux.reshape(shape))
-
-
 def build_bundle(imm: FourierImmersion, grid: TorusGrid,
                  force_general: bool = False) -> CurvatureBundle:
-    """Sample geometry on coarse and fine grids and precompute flux fields.
+    """Sample geometry at the grid points and form the flux fields there.
 
-    Both grids are sampled in blocks of _SAMPLE_BLOCK points: each block's
-    jet, metric and curvature are evaluated, the fields the bundle keeps are
-    written into preallocated arrays, and the block's temporaries are
-    dropped.  Peak memory is then the stored fields plus one block.
+    The grid is sampled in blocks of _SAMPLE_BLOCK points: each block's jet,
+    metric and curvature are evaluated once, the fields the bundle keeps
+    are written into preallocated arrays, and the block's temporaries are
+    dropped.  The flux fields are then products of the stored metric and
+    curvature, with no further jet.
 
-    Constant-coefficient (flat) immersions skip the fine-grid sampling: the
-    operators reduce to Fourier symbols there and never touch the flux
-    fields.  force_general samples them anyway and puts every apply on the
-    flux path (cross-checks set it against the multiplier path).
+    Constant-coefficient (flat) immersions skip the flux fields: the
+    operators reduce to Fourier symbols there and never touch them.
+    force_general forms them anyway and puts every apply on the flux path
+    (cross-checks set it against the multiplier path).
     """
     if imm.n != grid.n:
         raise InvalidDimensionError(f"immersion is {imm.n}-dimensional, grid is {grid.n}-dimensional")
     n = grid.n
-    fine = grid.fine()
-    kernel = SpectralKernel(grid, fine)
+    kernel = SpectralKernel(grid)
 
     y, metric, curv = _sample_coarse(imm, grid)
     weights = metric.sqrt_det * grid.dx
@@ -251,7 +233,10 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     coeffs = paneitz_coefficients(n) if n >= 3 else None
     laplace_flux = coeff_flux = q_field = laplace_r = None
     if not flat:
-        laplace_flux, coeff_flux = _sample_fluxes(imm, fine, coeffs)
+        root = metric.sqrt_det[..., None, None]
+        laplace_flux = _pack(root * metric.g_inv)
+        if coeffs is not None:
+            coeff_flux = _pack(root * raised_curvature_matrix(coeffs, metric, curv))
     if n >= 3:
         if flat:
             laplace_r = np.zeros(grid.shape)
@@ -264,7 +249,6 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     return CurvatureBundle(
         immersion=imm,
         grid=grid,
-        fine=fine,
         kernel=kernel,
         y=y,
         metric=metric,
@@ -287,7 +271,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
 # --------------------------------------------------------------------------
 
 def apply_laplacian(bundle: CurvatureBundle, f: np.ndarray) -> np.ndarray:
-    """Divergence-form Laplace-Beltrami of a coarse-grid field (trace-of-Hessian sign)."""
+    """Divergence-form Laplace-Beltrami of a grid field (trace-of-Hessian sign)."""
     return -PaneitzOperator(bundle, None).apply(f)
 
 
@@ -298,12 +282,12 @@ def apply_paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.
 
 def _by_columns(bundle: CurvatureBundle, part, coef: np.ndarray) -> np.ndarray:
     """part(coef) for band coefficients with any leading axes, computed in
-    batches of leading columns whose (n, columns, fine grid) arrays fit
-    _APPLY_BYTES; part maps band coefficients to coarse-grid fields."""
+    batches of leading columns whose (n, columns, grid) arrays fit
+    _APPLY_BYTES; part maps band coefficients to grid fields."""
     n = bundle.n
     lead = coef.shape[: coef.ndim - n]
     columns = coef.reshape((-1,) + coef.shape[coef.ndim - n:])
-    batch = max(1, _APPLY_BYTES // (n * bundle.fine.size * np.dtype(float).itemsize))
+    batch = max(1, _APPLY_BYTES // (n * bundle.grid.size * np.dtype(float).itemsize))
     out = np.empty((len(columns),) + bundle.grid.shape)
     for start in range(0, len(columns), batch):
         out[start:start + batch] = part(columns[start:start + batch])
@@ -324,7 +308,7 @@ def integrate(bundle: CurvatureBundle, f: np.ndarray) -> float:
 
 
 def inner(bundle: CurvatureBundle, f: np.ndarray, h: np.ndarray) -> float:
-    """Volume-weighted L^2 pairing on the coarse grid."""
+    """Volume-weighted L^2 pairing on the grid."""
     return float(np.sum(f * h * bundle.weights))
 
 
@@ -342,7 +326,7 @@ def penalty_apply(bundle: CurvatureBundle, sigma: float, f: np.ndarray) -> np.nd
     """sigma (1/sqrt(g)) (I - Proj) f: symmetric PSD in the weighted product,
     kernel exactly the band."""
     kernel = bundle.kernel
-    return sigma * bundle.inv_sqrt_det * (f - kernel.to_coarse(kernel.coefficients(f)))
+    return sigma * bundle.inv_sqrt_det * (f - kernel.synthesize(kernel.coefficients(f)))
 
 
 class PaneitzOperator:
@@ -378,7 +362,7 @@ class PaneitzOperator:
             out = out + float(self.coeffs.q_factor) * bundle.q_field * f
         if self.penalty:
             # penalty_apply, projecting f by the coefficients computed above
-            out += self.penalty * bundle.inv_sqrt_det * (f - kernel.to_coarse(coef))
+            out += self.penalty * bundle.inv_sqrt_det * (f - kernel.synthesize(coef))
         return out
 
     def _differentiated(self, coef: np.ndarray) -> np.ndarray:
@@ -438,7 +422,7 @@ class PaneitzOperator:
 
     def estimate_top(self) -> float:
         """The band's largest principal symbol: the largest eigenvalue of
-        g^{-1} over the coarse points times the band's largest |k|^2, squared
+        g^{-1} over the grid points times the band's largest |k|^2, squared
         for the fourth-order operator.  Read from the metric, no apply."""
         bundle = self.bundle
         g_inv = bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n)

@@ -5,25 +5,22 @@ torus [0, 2pi)^n; radii and shape live in the immersion, the induced metric
 handles the rest.  Wavenumbers are integers.
 
 The discretization never differentiates through an even grid's Nyquist
-mode.  Products of fields and derivatives are formed on a finer grid (3m/2
-per axis) reached by the zero-pad operator P and left by its exact adjoint T:
-
-    <P u, v>_fine * dxf  ==  <u, T v>_coarse * dxc
-
-for the plain uniform measures, because both restrict to the same band of
-Fourier coefficients (all |k| < m/2; the coarse Nyquist line is outside the
-band and is annihilated).  T P = band projection.  Everything downstream
-(discrete.py) leans on that identity for exact symmetry of assembled
-operators.
+mode.  Derivatives act on the band of Fourier coefficients |k| < m/2 per
+axis; an even axis's Nyquist line is outside the band and is annihilated.
+Products of fields and derivatives are formed pointwise on the grid itself
+(collocation).  The coefficient fields they multiply are not band-limited,
+so no finite padding would make those products exact; a 3/2 grid only moves
+the aliasing to higher modes.  The band projection T is self-adjoint in the
+plain uniform measure, and the masked ik derivative is antisymmetric there,
+so everything downstream (discrete.py) stays exactly symmetric.
 
 `SpectralKernel` is the one place that transforms fields, builds wavenumbers
-and applies the band rule.  A field enters it once, by a forward real FFT on
-its own grid, and is kept as its band coefficients (normalized, real-FFT
-layout: the last axis holds k >= 0 only).  P and T are then index copies of
-those coefficients into and out of the other grid's layout, so a derivative
-is a multiply by ik on the band.  Constant-coefficient operators skip the
-band copies: they are one forward FFT, a multiplier on the coarse real-FFT
-layout, and one inverse FFT.
+and applies the band rule.  A field enters it once, by a forward real FFT,
+and is kept as its band coefficients (normalized, real-FFT layout: the last
+axis holds k >= 0 only).  A derivative is a multiply by ik on the band, and
+one inverse FFT brings coefficients back to the grid.  Constant-coefficient
+operators skip the band copies: they are one forward FFT, a multiplier on
+the real-FFT layout, and one inverse FFT.
 """
 
 from __future__ import annotations
@@ -64,44 +61,36 @@ class TorusGrid:
         index = np.unravel_index(np.arange(start, stop), self.shape)
         return np.stack([i * (2.0 * math.pi / m) for i, m in zip(index, self.shape)], axis=-1)
 
-    def fine(self) -> "TorusGrid":
-        """The dealiasing companion grid, 3m/2 points per axis (rounded)."""
-        return TorusGrid([int(round(m * 1.5)) for m in self.shape])
-
 
 class SpectralKernel:
-    """Band coefficients of coarse fields, their maps to and from a fine grid,
-    and Fourier multipliers on the coarse grid.
+    """Band coefficients of grid fields, their derivatives, and Fourier
+    multipliers on one grid.
 
     Band coefficients are the normalized real-FFT coefficients (norm="forward")
     of the modes |k| < m/2 per axis: 2 ((m-1)//2) + 1 entries on each axis but
     the last, which holds k = 0..(m-1)//2 only.  Multipliers and symbols live
-    on the whole coarse real-FFT layout, coarse.shape with the last axis cut
-    to m // 2 + 1; `band` marks the band modes there.  Every method transforms
+    on the whole real-FFT layout, grid.shape with the last axis cut to
+    m // 2 + 1; `band` marks the band modes there.  Every method transforms
     the trailing n axes and batches over the leading ones.  The gradient,
     divergence and partials carry the vector index as the first axis, one
     component per torus axis.  The instance holds only index arrays,
     wavenumbers and the band mask.
     """
 
-    def __init__(self, coarse: TorusGrid, fine: TorusGrid):
-        if coarse.n != fine.n:
-            raise InvalidDimensionError(f"grids are {coarse.n}- and {fine.n}-dimensional")
-        self.coarse, self.fine = coarse, fine
-        self.n = coarse.n
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
+        self.n = grid.n
         self.axes = tuple(range(-self.n, 0))
-        # integer wavenumbers of the coarse real-FFT layout, 0, 1, .., then the
+        # integer wavenumbers of the real-FFT layout, 0, 1, .., then the
         # negatives on every axis but the last, which keeps k >= 0 only
-        waves = [(np.arange(m) + m // 2) % m - m // 2 for m in coarse.shape[:-1]]
-        waves.append(np.arange(coarse.shape[-1] // 2 + 1))
-        bands = [np.flatnonzero(np.abs(k) < m / 2.0) for k, m in zip(waves, coarse.shape)]
-        self._coarse_ix = (Ellipsis,) + np.ix_(*bands)
-        self._fine_ix = (Ellipsis,) + np.ix_(*(k[b] % mf for k, b, mf in
-                                               zip(waves, bands, fine.shape)))
-        #: True on the band modes of the coarse real-FFT layout
+        waves = [(np.arange(m) + m // 2) % m - m // 2 for m in grid.shape[:-1]]
+        waves.append(np.arange(grid.shape[-1] // 2 + 1))
+        bands = [np.flatnonzero(np.abs(k) < m / 2.0) for k, m in zip(waves, grid.shape)]
+        self._band_ix = (Ellipsis,) + np.ix_(*bands)
+        #: True on the band modes of the real-FFT layout
         self.band = np.zeros([k.size for k in waves], dtype=bool)
-        self.band[self._coarse_ix] = True
-        #: wavenumbers of the coarse real-FFT layout, shaped to broadcast over it
+        self.band[self._band_ix] = True
+        #: wavenumbers of the real-FFT layout, shaped to broadcast over it
         self._k = [_along(k, j, self.n) for j, k in enumerate(waves)]
         #: i k_j on the band, one factor per axis, shaped to broadcast over it
         self.ik = [1j * _along(k[b], j, self.n) for j, (k, b) in enumerate(zip(waves, bands))]
@@ -115,45 +104,37 @@ class SpectralKernel:
         return scipy.fft
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
-        """Band coefficients of a coarse-grid field (the one forward FFT)."""
-        return self._fft().rfftn(u, axes=self.axes, norm="forward")[self._coarse_ix]
+        """Band coefficients of a grid field (the one forward FFT); all other
+        modes dropped."""
+        return self._fft().rfftn(u, axes=self.axes, norm="forward")[self._band_ix]
 
-    def to_coarse(self, c: np.ndarray) -> np.ndarray:
-        """The coarse-grid field with band coefficients c (the band projection)."""
-        return self._synthesize(c, self.coarse, self._coarse_ix)
-
-    def to_fine(self, c: np.ndarray) -> np.ndarray:
-        """The fine-grid field with band coefficients c (P)."""
-        return self._synthesize(c, self.fine, self._fine_ix)
-
-    def from_fine(self, v: np.ndarray) -> np.ndarray:
-        """Band coefficients of a fine-grid field; all other modes dropped (T)."""
-        return self._fft().rfftn(v, axes=self.axes, norm="forward")[self._fine_ix]
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """The grid field with band coefficients c (with `coefficients`, the
+        band projection)."""
+        half = self.grid.shape[:-1] + (self.grid.shape[-1] // 2 + 1,)
+        spec = np.zeros(c.shape[: c.ndim - self.n] + half, dtype=complex)
+        spec[self._band_ix] = c
+        return self._fft().irfftn(spec, s=self.grid.shape, axes=self.axes, norm="forward")
 
     def gradient(self, c: np.ndarray) -> np.ndarray:
-        """Fine-grid gradient (n, *lead, *fine.shape) of the band field c.
+        """Gradient (n, *lead, *grid.shape) of the band field c.
 
         One batched inverse FFT for all n components.
         """
-        return self.to_fine(np.stack([ik * c for ik in self.ik]))
+        return self.synthesize(np.stack([ik * c for ik in self.ik]))
 
     def partials(self, u: np.ndarray) -> np.ndarray:
-        """Coarse-grid partial derivatives (n, *lead, *coarse.shape) of a coarse
-        field; modes off the band are annihilated.
-
-        One forward FFT, then one batched inverse FFT for all n components.
-        """
-        c = self.coefficients(u)
-        return self.to_coarse(np.stack([ik * c for ik in self.ik]))
+        """Partial derivatives (n, *lead, *grid.shape) of a grid field; modes
+        off the band are annihilated."""
+        return self.gradient(self.coefficients(u))
 
     def divergence(self, flow: np.ndarray) -> np.ndarray:
-        """Band coefficients of sum_i d_i flow_i for a fine-grid vector field.
+        """Band coefficients of sum_i d_i flow_i for a grid vector field.
 
-        One batched forward FFT for all n components; ik multiplies the
-        coarse band only, so T of the divergence is never formed on the fine
-        grid.
+        One batched forward FFT for all n components; ik multiplies the band
+        only.
         """
-        h = self.from_fine(flow)
+        h = self.coefficients(flow)
         out = self.ik[0] * h[0]
         for i in range(1, self.n):
             out += self.ik[i] * h[i]
@@ -161,24 +142,18 @@ class SpectralKernel:
 
     def symbol(self, g_inv: np.ndarray) -> np.ndarray:
         """g^{ij} k_i k_j, the -Lap symbol of one constant metric, per mode of
-        the coarse real-FFT layout; zero off the band."""
+        the real-FFT layout; zero off the band."""
         k = self._k
         mu = sum(g_inv[i, j] * k[i] * k[j] for i in range(self.n) for j in range(self.n))
         return np.where(self.band, mu, 0.0)
 
     def multiply(self, u: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        """Multiply the Fourier modes of a coarse-grid field by a multiplier even
-        in k, given on the coarse real-FFT layout: one forward and one inverse
-        FFT, no band copies."""
+        """Multiply the Fourier modes of a grid field by a multiplier even in
+        k, given on the real-FFT layout: one forward and one inverse FFT, no
+        band copies."""
         fft = self._fft()
         spec = fft.rfftn(u, axes=self.axes, norm="forward") * multiplier
-        return fft.irfftn(spec, s=self.coarse.shape, axes=self.axes, norm="forward")
-
-    def _synthesize(self, c, grid, ix):
-        half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-        spec = np.zeros(c.shape[: c.ndim - self.n] + half, dtype=complex)
-        spec[ix] = c
-        return self._fft().irfftn(spec, s=grid.shape, axes=self.axes, norm="forward")
+        return fft.irfftn(spec, s=self.grid.shape, axes=self.axes, norm="forward")
 
 
 def _along(k: np.ndarray, axis: int, n: int) -> np.ndarray:

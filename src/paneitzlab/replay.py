@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BOUNDS, constant_ground_state, optimal_delta, pivot_integrals, snap_kernel,
-                     summarize_bundle, summarize_model, u1_from_result)
+from .bounds import (BOUNDS, U1Data, constant_ground_state, optimal_delta, pivot_integrals,
+                     snap_kernel, summarize_bundle, summarize_model, u1_from_result)
 from .catalog import ModelManifold, paneitz_form
 from .discrete import CurvatureBundle, apply_laplacian, apply_paneitz, raised_curvature_matrix
 from .eigensolve import SpectrumResult
@@ -276,12 +276,15 @@ def replay_proof_analytic(theorem_id: str, model: ModelManifold,
 
 def replay_proof(theorem_id: str, result: SpectrumResult,
                  bundle: CurvatureBundle,
-                 tol: float = REPLAY_TOL_NUMERICAL) -> ProofChainReport:
+                 tol: float = REPLAY_TOL_NUMERICAL,
+                 u1: U1Data | None = None) -> ProofChainReport:
     """Replay on a sampled immersion against a computed spectrum.
 
     The weight is the exact constant kernel function for thm_1_1 and the
-    computed first eigenfunction for thm_1_2, as the bounds read them;
-    coordinates come from the immersion's 2-jet on the coarse grid.  Needs
+    computed first eigenfunction for thm_1_2, as the bounds read them: u1,
+    the bounds' `U1Data` of this result and bundle when the caller has it,
+    else `u1_from_result`, which applies the Laplacian once more.
+    Coordinates come from the immersion's 2-jet at the grid points.  Needs
     n + 2 eigenpairs; summed steps use however many trial functions the
     spectrum supports (a valid partial sum when fewer than ambient-dimension
     many, flagged).
@@ -312,7 +315,8 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
         dw = np.zeros(grid.shape + (grid.n,))
         lw = np.zeros(grid.shape)
     else:
-        u1 = u1_from_result(bundle, result)
+        if u1 is None:
+            u1 = u1_from_result(bundle, result)
         dw = np.moveaxis(bundle.kernel.partials(u1.w), 0, -1)
         lw = u1.lap
     w, lam_w = u1.w, float(vals[0])

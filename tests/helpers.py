@@ -5,8 +5,8 @@ other than the library itself; sympy differentiates explicit chart formulas
 and the lambdified results are evaluated at batches of interior points.
 
 The discretization tests need spectral operations that do not go through
-`SpectralKernel`: `pad`, `truncate`, `band_project` and `derivative` below
-work on full complex numpy FFTs, one axis at a time where they can.
+`SpectralKernel`: `band_project` and `derivative` below work on full
+complex numpy FFTs, one axis at a time where they can.
 
 `reference_jet` and `reference_curvature` are the plain forms of the batched
 products in `FourierImmersion.jet` and `geometry.curvature_point`: a loop
@@ -136,41 +136,17 @@ def interior_points(n: int, count: int, rng, low: float = 0.4, high: float = 2.2
 # spectral reference: full complex FFTs, independent of SpectralKernel
 # --------------------------------------------------------------------------
 
-def _band_positions(m: int, mf: int):
-    """Positions of the band |k| < m/2 of an m-point axis in the FFT layouts
-    of sizes m and mf."""
-    k = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
-    band = np.flatnonzero(np.abs(k) < m / 2.0)
-    return band, k[band] % mf
-
-
-def _resample(u, shape, new_shape):
-    """The field on new_shape with u's band coefficients (of the shape grid);
-    all other modes zero.  Transforms the trailing axes, batches the rest."""
-    n = len(shape)
-    axes = tuple(range(-n, 0))
-    uc = np.fft.fftn(u, axes=axes, norm="forward")
-    pos = [_band_positions(m, mf) if m <= mf else _band_positions(mf, m)[::-1]
-           for m, mf in zip(shape, new_shape)]
-    spec = np.zeros(u.shape[: u.ndim - n] + tuple(new_shape), dtype=complex)
-    spec[(Ellipsis,) + np.ix_(*(new for _old, new in pos))] = \
-        uc[(Ellipsis,) + np.ix_(*(old for old, _new in pos))]
-    return np.fft.ifftn(spec, axes=axes, norm="forward").real
-
-
-def pad(u, coarse, fine):
-    """Zero-pad a coarse-grid field to the fine grid (P)."""
-    return _resample(u, coarse.shape, fine.shape)
-
-
-def truncate(v, coarse, fine):
-    """The adjoint of pad: the coarse-grid field with v's coarse-band modes (T)."""
-    return _resample(v, fine.shape, coarse.shape)
-
-
 def band_project(u, grid):
-    """Project onto the band |k| < m/2 per axis (identity on odd grids)."""
-    return _resample(u, grid.shape, grid.shape)
+    """Project onto the band |k| < m/2 per axis (identity on odd grids).
+    Transforms the trailing grid.n axes, batches the rest."""
+    axes = tuple(range(-grid.n, 0))
+    uc = np.fft.fftn(u, axes=axes, norm="forward")
+    for axis, m in enumerate(grid.shape):
+        k = np.fft.fftfreq(m, d=1.0 / m)
+        shape1 = [1] * u.ndim
+        shape1[u.ndim - grid.n + axis] = m
+        uc = uc * (np.abs(k) < m / 2.0).reshape(shape1)
+    return np.fft.ifftn(uc, axes=axes, norm="forward").real
 
 
 def derivative(u, axis, grid):

@@ -36,7 +36,7 @@ from paneitzlab.errors import (
     InvalidDimensionError,
     PositivityError,
 )
-from paneitzlab.fourier import TorusGrid, clifford_torus
+from paneitzlab.fourier import FourierTerm, TorusGrid, clifford_torus
 
 
 def closed_form_values(m, count):
@@ -293,6 +293,20 @@ def test_bundle_summary_detects_unit_sphere_ambient():
     assert geo.ambient_unit_sphere
     assert np.allclose(geo.mean_sq, 1.0, atol=1e-12)
     assert diagnose_equality(geo).matched_case == "minimal_const_R_in_sphere"
+
+
+def test_equality_diagnosis_is_scale_covariant():
+    # a T^2 bent by amplitude 1e-4: |H|^2 and R vary by ~1e-4 of their size
+    # at radius 1 and at radius 100 alike; a fixed floor of 1 would read the
+    # x100 copy as constant in both
+    def diagnosis(c):
+        term = FourierTerm(k=(1, 1), cos=(1e-4 * c, 0.0, 0.0, 0.0), sin=(0.0,) * 4)
+        imm = clifford_torus((c, c)).perturbed([term])
+        return diagnose_equality(summarize_bundle(build_bundle(imm, TorusGrid((8, 8)))))
+
+    unit, scaled = diagnosis(1.0), diagnosis(100.0)
+    assert not unit.constant_H and not unit.constant_R
+    assert scaled == unit
 
 
 # --------------------------------------------------------------------------

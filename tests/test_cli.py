@@ -68,6 +68,16 @@ T4_ZERO_MODE = (
     "grid: 8\n"
     "k: 9\n"
 )
+T5_ZERO_MODE = (
+    "kind: fourier_immersion\n"
+    "dim: 5\n"
+    "params:\n"
+    "  radii: [1.0, 1.0, 1.0, 1.0, 1.0]\n"
+    "fourier:\n"
+    "  - {k: [1, 1, 0, 0, 0], amp: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n"
+    "grid: 8\n"
+    "k: 7\n"
+)
 
 
 @pytest.fixture
@@ -231,6 +241,25 @@ def test_each_command_solves_once(spec_file, capsys, monkeypatch, text, command,
     catalog = _count_calls(monkeypatch, "paneitz_spectrum")
     assert main([command[0], "--spec", spec_file(text), "--quiet", *command[1:]]) == 0
     assert (len(grid), len(catalog)) == (grid_solves, catalog_solves)
+
+
+def test_verify_replay_builds_the_ground_state_once(spec_file, monkeypatch):
+    # the n > 4 replay reads the bounds' U1Data: one Laplacian apply of the
+    # ground state per command (the coordinates' apply is a stack of fields)
+    from paneitzlab import bounds, replay
+
+    shapes = []
+
+    def counted(apply):
+        def wrapper(bundle, f):
+            shapes.append(np.shape(f))
+            return apply(bundle, f)
+        return wrapper
+
+    for module in (bounds, replay):
+        monkeypatch.setattr(module, "apply_laplacian", counted(module.apply_laplacian))
+    assert main(["verify", "--replay", "--spec", spec_file(T5_ZERO_MODE), "--quiet"]) == 0
+    assert shapes.count((8,) * 5) == 1
 
 
 def test_solver_failure_is_exit_3(spec_file, capsys, monkeypatch):

@@ -29,7 +29,7 @@ from paneitzlab.coefficients import q_curvature
 from paneitzlab.errors import DegenerateImmersionError
 from paneitzlab.fourier import FourierImmersion
 
-from helpers import band_project, derivative, pad, truncate
+from helpers import band_project, derivative
 
 TAU = 2.0 * math.pi
 
@@ -230,6 +230,16 @@ def test_coordinate_identities_converge_spectrally():
         assert coarse[name] < 1e-8 and fine[name] < 1e-8
 
 
+def test_collocated_eigenvalues_converge_on_the_benchmark_torus():
+    # the curved benchmark's planar torus: aliasing of the collocated
+    # products decays with the band, so 10^3 already sits within 1e-7 of 12^3
+    term = FourierTerm(k=(1, 1, 0), cos=(0.08, 0, 0, 0, 0, 0), sin=(0,) * 6)
+    imm = clifford_torus((1.0, 1.0, 1.0)).perturbed([term])
+    values = [spectrum(imm, TorusGrid((m,) * 3), paneitz_coefficients(3), 7,
+                       solver="lanczos", seed=3).eigenvalues for m in (10, 12)]
+    assert np.abs(values[0] - values[1]).max() <= 1e-7
+
+
 def test_scalar_curvature_laplacian_has_zero_mean():
     bundle = build_bundle(perturbed_torus(), TorusGrid((8, 8, 8)))
     scale = np.abs(bundle.laplace_r).max()
@@ -353,8 +363,8 @@ def test_metric_penalty_moves_curved_eigenvalues_toward_the_band_limit():
 # --------------------------------------------------------------------------
 
 def reference_fluxes(bundle):
-    """Fine-grid flux matrices (..., n, n) sampled afresh from the immersion."""
-    jet = bundle.immersion.jet(bundle.fine.points())
+    """Flux matrices (..., n, n) sampled afresh from the immersion at the grid points."""
+    jet = bundle.immersion.jet(bundle.grid.points())
     metric = induced_metric(jet)
     laplace_flux = metric.sqrt_det[..., None, None] * metric.g_inv
     if bundle.coeffs is None:
@@ -367,13 +377,13 @@ def reference_fluxes(bundle):
 
 
 def reference_laplace(bundle, flux, f):
-    """(1/sqrt(g)) T[d_i(flux^{ij} d_j P f)], one real-space derivative per axis."""
-    grid, fine = bundle.grid, bundle.fine
-    pf = pad(f, grid, fine)
-    grad = np.stack([derivative(pf, i, fine) for i in range(grid.n)], axis=-1)
+    """(1/sqrt(g)) T[d_i(flux^{ij} d_j T f)], one real-space derivative per axis."""
+    grid = bundle.grid
+    tf = band_project(f, grid)
+    grad = np.stack([derivative(tf, i, grid) for i in range(grid.n)], axis=-1)
     flow = np.einsum("...ij,...j->...i", flux, grad)
-    div = sum(derivative(flow[..., i], i, fine) for i in range(grid.n))
-    return bundle.inv_sqrt_det * truncate(div, grid, fine)
+    div = sum(derivative(flow[..., i], i, grid) for i in range(grid.n))
+    return bundle.inv_sqrt_det * band_project(div, grid)
 
 
 def reference_paneitz(bundle, fluxes, f):
@@ -389,7 +399,7 @@ def assert_matches(got, want, rtol):
 
 @pytest.mark.parametrize("factory,shape,columns", [
     (lambda: perturbed_torus(0.1), (8, 8, 8), 3),
-    (lambda: perturbed_torus(0.1), (9, 9, 9), 2),      # odd: fine grid 14
+    (lambda: perturbed_torus(0.1), (9, 9, 9), 2),      # odd: no sawtooth mode
     (lambda: clifford_torus((1.0,) * 4).perturbed(
         [FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)]),
      (8, 8, 8, 8), None),                               # one unbatched column
@@ -483,7 +493,44 @@ def pack(field):
 
 @pytest.mark.parametrize("factory,shape", [
     (lambda: perturbed_torus(0.1), (8, 8, 8)),
-    (lambda: perturbed_torus(0.1), (9, 9, 9)),         # odd: fine grid 14
+    (lambda: perturbed_torus(0.1), (9, 9, 9)),
+    (lambda: clifford_torus((1.0,) * 4).perturbed(
+        [FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)]),
+     (8, 8, 8, 8)),
+])
+def test_flux_fields_are_sampled_at_the_grid_points(factory, shape):
+    # sqrt(g) g^{-1} and sqrt(g) times the raised curvature matrix, from a
+    # fresh jet at the grid points, packed as upper triangles
+    grid = TorusGrid(shape)
+    bundle = build_bundle(factory(), grid)
+    pairs = grid.n * (grid.n + 1) // 2
+    assert bundle.laplace_flux.shape == bundle.coeff_flux.shape == (pairs,) + shape
+    jet = bundle.immersion.jet(grid.points())
+    metric = induced_metric(jet)
+    root = metric.sqrt_det[..., None, None]
+    raised = discrete.raised_curvature_matrix(bundle.coeffs, metric, curvature_point(jet, metric))
+    assert_matches(bundle.laplace_flux, pack(root * metric.g_inv), 1e-13)
+    assert_matches(bundle.coeff_flux, pack(root * raised), 1e-13)
+
+
+def test_bundle_evaluates_the_jet_once_per_block(monkeypatch):
+    monkeypatch.setattr(discrete, "_SAMPLE_BLOCK", 100)
+    calls = []
+    jet = FourierImmersion.jet
+
+    def counted(self, points):
+        calls.append(len(points))
+        return jet(self, points)
+
+    monkeypatch.setattr(FourierImmersion, "jet", counted)
+    bundle = build_bundle(perturbed_torus(0.1), TorusGrid((8, 8, 8)))
+    assert not bundle.constant_coefficient
+    assert calls == [100] * 5 + [12]
+
+
+@pytest.mark.parametrize("factory,shape", [
+    (lambda: perturbed_torus(0.1), (8, 8, 8)),
+    (lambda: perturbed_torus(0.1), (9, 9, 9)),         # odd: no sawtooth mode
     (lambda: clifford_torus((1.0,) * 4).perturbed(
         [FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)]),
      (8, 8, 8, 8)),

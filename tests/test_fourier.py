@@ -15,7 +15,7 @@ from paneitzlab.fourier import (
 )
 from paneitzlab.geometry import curvature_point, induced_metric
 
-from helpers import band_project, derivative, pad, truncate
+from helpers import band_project, derivative
 
 RNG = np.random.default_rng(99)
 
@@ -46,62 +46,51 @@ def test_small_grids_refused(bad):
         TorusGrid(bad)
 
 
-def test_fine_grid_is_three_halves():
-    grid = TorusGrid((8, 16))
-    assert grid.fine().shape == (12, 24)
-
-
 # ------------------------------------------------------- the spectral kernel
 
 def kernel_for(shape):
-    coarse = TorusGrid(shape)
-    return SpectralKernel(coarse, coarse.fine())
-
-
-def kernel_pad(kernel, u):
-    return kernel.to_fine(kernel.coefficients(u))
-
-
-def kernel_truncate(kernel, v):
-    return kernel.to_coarse(kernel.from_fine(v))
+    return SpectralKernel(TorusGrid(shape))
 
 
 def kernel_project(kernel, u):
-    return kernel.to_coarse(kernel.coefficients(u))
+    return kernel.synthesize(kernel.coefficients(u))
 
 
-def test_pad_truncate_are_adjoint():
-    kernel = kernel_for((8, 8))
-    coarse, fine = kernel.coarse, kernel.fine
-    u = RNG.standard_normal(coarse.shape)
-    v = RNG.standard_normal(fine.shape)
-    pu = kernel_pad(kernel, u)
-    tv = kernel_truncate(kernel, v)
-    # quadrature pairing with each grid's cell volume
-    lhs = np.sum(pu * v) * (2 * math.pi) ** 2 / fine.size
-    rhs = np.sum(u * tv) * (2 * math.pi) ** 2 / coarse.size
+@pytest.mark.parametrize("shape", [(8, 8), (9, 8, 10)])
+def test_band_projection_is_self_adjoint(shape):
+    # <T u, v> = <u, T v> in the plain grid sum: what the symmetry of every
+    # collocated operator rests on
+    kernel = kernel_for(shape)
+    u, v = RNG.standard_normal((2,) + shape)
+    lhs = np.sum(kernel_project(kernel, u) * v)
+    assert lhs == pytest.approx(np.sum(u * kernel_project(kernel, v)), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 8, 10)])
+def test_divergence_is_minus_the_adjoint_of_the_gradient(shape):
+    # sum u T[div flow] = - sum grad(T u) . flow for any grid vector field:
+    # summation by parts holds exactly on the collocation grid
+    kernel = kernel_for(shape)
+    u = RNG.standard_normal(shape)
+    flow = RNG.standard_normal((len(shape),) + shape)
+    lhs = np.sum(u * kernel.synthesize(kernel.divergence(flow)))
+    rhs = -np.sum(kernel.gradient(kernel.coefficients(u)) * flow)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_truncate_undoes_pad():
-    kernel = kernel_for((8, 8, 8))
-    u = kernel_project(kernel, RNG.standard_normal(kernel.coarse.shape))
-    assert np.allclose(kernel_truncate(kernel, kernel_pad(kernel, u)), u, atol=1e-12)
 
 
 def test_band_project_idempotent_and_kills_nyquist():
     kernel = kernel_for((8, 8))
-    u = RNG.standard_normal(kernel.coarse.shape)
+    u = RNG.standard_normal(kernel.grid.shape)
     bu = kernel_project(kernel, u)
     assert np.allclose(kernel_project(kernel, bu), bu, atol=1e-13)
-    theta = kernel.coarse.points()
+    theta = kernel.grid.points()
     sawtooth = np.cos(4 * theta[..., 0])  # Nyquist mode of an 8-grid
     assert np.max(np.abs(kernel_project(kernel, sawtooth))) <= 1e-12
 
 
 def test_spectral_derivative_exact_on_band():
     kernel = kernel_for((16, 16))
-    theta = kernel.coarse.points()
+    theta = kernel.grid.points()
     u = np.sin(3 * theta[..., 0]) * np.cos(2 * theta[..., 1])
     du0, du1 = kernel.partials(u)
     assert np.allclose(du0, 3 * np.cos(3 * theta[..., 0]) * np.cos(2 * theta[..., 1]), atol=1e-12)
@@ -110,7 +99,7 @@ def test_spectral_derivative_exact_on_band():
 
 def test_spectral_derivative_batched_axes():
     kernel = kernel_for((8, 8))
-    theta = kernel.coarse.points()
+    theta = kernel.grid.points()
     stack = np.stack([np.sin(theta[..., 0]), np.cos(2 * theta[..., 1])])
     d = kernel.partials(stack)
     assert d.shape == (2,) + stack.shape
@@ -121,7 +110,7 @@ def test_spectral_derivative_batched_axes():
 
 def test_nyquist_mode_derivative_annihilated():
     kernel = kernel_for((8,))
-    theta = kernel.coarse.points()[..., 0]
+    theta = kernel.grid.points()[..., 0]
     saw = np.cos(4 * theta)
     assert np.max(np.abs(kernel.partials(saw))) <= 1e-12
 
@@ -137,25 +126,22 @@ def test_band_follows_the_rule_on_even_and_odd_axes(shape, count):
 
 @pytest.mark.parametrize("shape", [(8, 8), (9, 8, 10)])
 def test_kernel_matches_the_numpy_reference(shape):
-    # pad, truncate, band projection and partials against full complex FFTs
+    # band projection and partials against full complex FFTs
     kernel = kernel_for(shape)
-    coarse, fine = kernel.coarse, kernel.fine
-    u = RNG.standard_normal((3,) + coarse.shape)
-    v = RNG.standard_normal((3,) + fine.shape)
-    assert np.allclose(kernel_pad(kernel, u), pad(u, coarse, fine), atol=1e-13)
-    assert np.allclose(kernel_truncate(kernel, v), truncate(v, coarse, fine), atol=1e-13)
-    bu = band_project(u, coarse)
+    grid = kernel.grid
+    u = RNG.standard_normal((3,) + grid.shape)
+    bu = band_project(u, grid)
     assert np.allclose(kernel_project(kernel, u), bu, atol=1e-13)
     partials = kernel.partials(bu)
-    for axis in range(coarse.n):
-        assert np.allclose(partials[axis], derivative(bu, axis, coarse), atol=1e-12)
+    for axis in range(grid.n):
+        assert np.allclose(partials[axis], derivative(bu, axis, grid), atol=1e-12)
 
 
 def test_symbol_and_multiply_give_the_constant_metric_laplacian():
     # -Lap of cos(2x) sin(3y) under g = diag(1/4, 1/9) (g^{-1} = diag(4, 9))
     # is (4 * 2^2 + 9 * 3^2) cos(2x) sin(3y); the Nyquist line goes to zero
     kernel = kernel_for((8, 12))
-    theta = kernel.coarse.points()
+    theta = kernel.grid.points()
     g_inv = np.diag([4.0, 9.0])
     mu = kernel.symbol(g_inv)
     assert mu.shape == kernel.band.shape

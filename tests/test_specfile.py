@@ -233,8 +233,8 @@ def test_non_finite_numbers_are_located(text, where, raw, tmp_path, capsys):
 
 
 def test_aliased_wavevectors_are_located():
-    # |k_i| < m_i / 2: beyond it the coarse grid samples another mode than
-    # the 3/2 fine grid resolves; m_i / 2 is the sawtooth (Nyquist) mode
+    # |k_i| < m_i / 2: beyond it the grid samples the mode as another one
+    # of the band; m_i / 2 is the sawtooth (Nyquist) mode
     for k in ("[9, 0, 0]", "[4, 0, 0]"):
         err = parse_error(BUMP.format(k=k, amp=0.1, grid=8))
         assert f"wavevector {k} aliases on grid (8, 8, 8)" in str(err)
