@@ -161,9 +161,10 @@ class EqualityDiagnosis:
 
 @dataclass(frozen=True)
 class U1Data:
-    """The ground state w at a GeometrySummary's points (unit L^2 norm, sign
-    int w >= 0), its energy int |grad w|^2, Lap w on a grid, and whether the
-    bottom eigenvalue is multiple."""
+    """The ground state w at a GeometrySummary's points (unit L^2 norm; on a
+    grid, signed as `eigensolve.spectrum` left it), its energy
+    int |grad w|^2, Lap w on a grid, and whether the bottom eigenvalue is
+    multiple.  Every consumer is invariant under w -> -w."""
 
     w: np.ndarray
     grad_energy: float
@@ -180,11 +181,9 @@ class U1Data:
 
 
 def u1_from_result(bundle: CurvatureBundle, result) -> U1Data:
-    """The computed ground pair of a grid SpectrumResult (ground pair first)."""
-    w = np.array(result.eigenfunctions[0], dtype=float)
-    w /= math.sqrt(integrate(bundle, w * w))
-    if integrate(bundle, w) < 0:
-        w = -w
+    """The computed ground pair of a grid SpectrumResult (ground pair first),
+    its eigenfunction as `eigensolve.spectrum` normalized and signed it."""
+    w = result.eigenfunctions[0]
     lap = apply_laplacian(bundle, w)
     return U1Data(w=w, grad_energy=-integrate(bundle, w * lap),
                   multiple=result.clusters[0][1] > 1, lap=lap)

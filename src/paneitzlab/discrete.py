@@ -20,11 +20,14 @@ sqrt(g) g^{-1} grad(Lap f) - coeff_flux grad f before its single divergence.
 A block of fields is applied in batches of columns, so that its gradient and
 flux arrays stay within a fixed number of bytes (`_APPLY_BYTES`).
 
-A constant metric has no curvature, and every operator on it is a Fourier
-multiplier: the kernel's symbol g^{ij} k_i k_j on the real-FFT layout,
-applied by `SpectralKernel.multiply` (one forward FFT, one multiply, one
-inverse FFT).  The preconditioner is such a multiplier on every bundle.  No
-code here transforms a field itself; every FFT goes through the kernel.
+Every operator carries one Fourier multiplier, `PaneitzOperator._symbol`:
+the kernel's symbol g^{ij} k_i k_j of the grid-mean metric on band modes
+(squared for P), and sigma mean(1/sqrt(g)) off them (the penalty below).
+A constant metric has no curvature, so there the multiplier is the
+operator, applied by `SpectralKernel.multiply` (one forward FFT, one
+multiply, one inverse FFT).  On every bundle the preconditioner divides by
+it plus the unit.  No code here transforms a field itself; every FFT goes
+through the kernel.
 
 Summation by parts makes every term exactly symmetric in the weighted inner
 product <u, v> = sum u v sqrt(g) dx: the band projection is self-adjoint,
@@ -34,14 +37,15 @@ of assembled matrices is therefore pure roundoff.
 
 Even grids carry sawtooth (Nyquist) modes that the band-limited derivative
 cannot see; P annihilates them, so they sit in the kernel of every
-differential term.  Both solvers therefore work on the same penalized
-operator, adding the symmetric positive penalty
+differential term.  Both solvers therefore work on one penalized operator,
+the same instance, adding the symmetric positive penalty
 
     Pen f = sigma (1/sqrt(g)) (f - Proj f)
 
 (Proj = band projection), so the sawtooth junk lands near sigma / sqrt(g)
 instead of flooding the bottom of the spectrum.  `default_penalty` sizes
-sigma from the metric, with no operator apply.
+sigma from the metric, with no operator apply.  On a flat bundle, where
+sqrt(g) is constant, the penalty is the multiplier's off-band value.
 
 Scale.  Under y -> c y the operator's eigenvalues scale as c^-4 (c^-2 for
 -Lap) and sqrt(g) as c^n.  The penalty, the preconditioner's shift and the
@@ -116,7 +120,6 @@ class CurvatureBundle:
     q_field: np.ndarray | None      # Q with spectral Laplace of R
     laplace_r: np.ndarray | None
     constant_coefficient: bool
-    laplace_symbol: np.ndarray | None  # -Lap eigenvalue mu(k), real-FFT layout, 0 off band
 
     @property
     def n(self) -> int:
@@ -228,7 +231,6 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     g_scale = float(np.max(np.abs(metric.g)))
     flat = not force_general and (
         float(np.max(np.ptp(metric.g.reshape(-1, n, n), axis=0))) <= _CONST_TOL * g_scale)
-    symbol = kernel.symbol(metric.g_inv.reshape(-1, n, n)[0]) if flat else None
 
     coeffs = paneitz_coefficients(n) if n >= 3 else None
     laplace_flux = coeff_flux = q_field = laplace_r = None
@@ -262,7 +264,6 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
         q_field=q_field,
         laplace_r=laplace_r,
         constant_coefficient=flat,
-        laplace_symbol=symbol,
     )
 
 
@@ -317,25 +318,14 @@ def _power_of_two(x: float) -> float:
     return 2.0 ** round(math.log2(x))
 
 
-def _density_unit(bundle: CurvatureBundle) -> float:
-    """The grid mean of sqrt(g), to a power of two."""
-    return _power_of_two(float(np.mean(bundle.metric.sqrt_det)))
-
-
-def penalty_apply(bundle: CurvatureBundle, sigma: float, f: np.ndarray) -> np.ndarray:
-    """sigma (1/sqrt(g)) (I - Proj) f: symmetric PSD in the weighted product,
-    kernel exactly the band."""
-    kernel = bundle.kernel
-    return sigma * bundle.inv_sqrt_det * (f - kernel.synthesize(kernel.coefficients(f)))
-
-
 class PaneitzOperator:
     """Matrix-free fourth-order operator, optionally with the sawtooth penalty.
 
     `penalty = 0` gives the plain operator P of apply_paneitz.  Instances
-    with coeffs=None apply -Lap instead (apply_laplacian, and the n = 2
-    sub-case of dense assembly).  `apply` is the one place either operator
-    is applied.
+    with coeffs=None apply -Lap instead (apply_laplacian, and the only
+    operator below n = 3).  `apply` is the one place either operator is
+    applied.  One instance serves a whole solve: LOBPCG applies and
+    preconditions it, and `assemble_dense` assembles it.
     """
 
     def __init__(self, bundle: CurvatureBundle, coeffs: DimensionCoefficients | None,
@@ -353,7 +343,7 @@ class PaneitzOperator:
         kernel = bundle.kernel
         if bundle.constant_coefficient:
             # curvature terms vanish identically; see build_bundle's flatness gate
-            return kernel.multiply(f, self._flat_multiplier)
+            return kernel.multiply(f, self._symbol)
         coef = kernel.coefficients(f)
         out = _by_columns(bundle, self._differentiated, coef)
         if self.coeffs is not None:
@@ -361,7 +351,7 @@ class PaneitzOperator:
             # operands, and the replay's reductions follow that order
             out = out + float(self.coeffs.q_factor) * bundle.q_field * f
         if self.penalty:
-            # penalty_apply, projecting f by the coefficients computed above
+            # sigma (1/sqrt(g)) (I - Proj) f, projecting f by the coefficients above
             out += self.penalty * bundle.inv_sqrt_det * (f - kernel.synthesize(coef))
         return out
 
@@ -381,16 +371,6 @@ class PaneitzOperator:
         return _divergence(kernel, bundle.inv_sqrt_det, flow)
 
     @cached_property
-    def _flat_multiplier(self) -> np.ndarray:
-        """The whole operator on a constant-coefficient bundle as one Fourier
-        multiplier: its symbol on band modes, penalty / sqrt(g) off the band."""
-        bundle = self.bundle
-        mu = bundle.laplace_symbol
-        symbol = mu if self.coeffs is None else mu**2
-        off_band = self.penalty * float(np.mean(bundle.inv_sqrt_det))
-        return np.where(bundle.kernel.band, symbol, off_band)
-
-    @cached_property
     def _mean_g_inv(self) -> np.ndarray:
         bundle = self.bundle
         return bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n).mean(axis=0)
@@ -404,21 +384,21 @@ class PaneitzOperator:
         return _power_of_two(mu if self.coeffs is None else mu**2)
 
     @cached_property
-    def _inverse_symbol(self) -> np.ndarray:
+    def _symbol(self) -> np.ndarray:
+        """The operator as a Fourier multiplier of the grid-mean metric, on the
+        real-FFT layout: the -Lap symbol mu on band modes (mu^2 for P), and
+        penalty * mean(1/sqrt(g)) off the band.  On a flat bundle it is the
+        operator itself."""
         bundle = self.bundle
         mu = bundle.kernel.symbol(self._mean_g_inv)
-        band = mu + self.unit if self.coeffs is None else mu**2 + self.unit
-        off_band = self.penalty / _density_unit(bundle) + self.unit
-        return np.where(bundle.kernel.band, 1.0 / band, 1.0 / off_band)
+        off_band = self.penalty * float(np.mean(bundle.inv_sqrt_det))
+        return np.where(bundle.kernel.band, mu if self.coeffs is None else mu**2, off_band)
 
     def precondition(self, f: np.ndarray) -> np.ndarray:
-        """Approximate inverse of `apply` by FFT (the iterative solver's preconditioner).
-
-        Divides each mode by the symbol of the grid-mean metric: mu^2 + unit
-        (mu + unit for -Lap) on band modes, penalty / mean sqrt(g) + unit off
-        the band.
-        """
-        return self.bundle.kernel.multiply(f, self._inverse_symbol)
+        """Approximate inverse of `apply` by FFT (the iterative solver's
+        preconditioner): each mode divided by `_symbol` + unit, so on a flat
+        bundle it inverts apply + unit exactly."""
+        return self.bundle.kernel.multiply(f, 1.0 / (self._symbol + self.unit))
 
     def estimate_top(self) -> float:
         """The band's largest principal symbol: the largest eigenvalue of
@@ -426,17 +406,19 @@ class PaneitzOperator:
         for the fourth-order operator.  Read from the metric, no apply."""
         bundle = self.bundle
         g_inv = bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n)
-        k_sq = sum(((m - 1) // 2) ** 2 for m in bundle.grid.shape)
+        k_sq = float(bundle.kernel.symbol(np.eye(bundle.n)).max())
         mu = float(np.linalg.eigvalsh(g_inv)[:, -1].max()) * k_sq
         return mu if self.coeffs is None else mu**2
 
 
 def default_penalty(bundle: CurvatureBundle, coeffs: DimensionCoefficients | None) -> float:
-    """sigma = 10 (unit + estimate_top) mean sqrt(g), read from the metric:
-    even-grid sawtooth modes land far above any eigenvalue of interest, and
-    sigma / sqrt(g) scales with the operator's eigenvalues."""
+    """sigma = 10 (unit + estimate_top) mean sqrt(g), the mean to a power of
+    two, read from the metric: even-grid sawtooth modes land far above any
+    eigenvalue of interest, and sigma / sqrt(g) scales with the operator's
+    eigenvalues."""
     op = PaneitzOperator(bundle, coeffs)
-    return 10.0 * (op.unit + op.estimate_top()) * _density_unit(bundle)
+    density = _power_of_two(float(np.mean(bundle.metric.sqrt_det)))
+    return 10.0 * (op.unit + op.estimate_top()) * density
 
 
 # --------------------------------------------------------------------------
@@ -445,41 +427,28 @@ def default_penalty(bundle: CurvatureBundle, coeffs: DimensionCoefficients | Non
 
 @dataclass(frozen=True)
 class DenseAssembly:
-    """Symmetrized operator matrix in the weighted product, with its quality gate."""
+    """An operator's symmetrized matrix in the sqrt(w) u variables, with its quality gate."""
 
-    matrix: np.ndarray        # (size, size), K_pq = <Op e_q, e_p>_w, symmetrized
-    defect: float             # ||K - K^T||_F / ||K||_F before symmetrizing
-    weights: np.ndarray       # flattened quadrature weights (the mass diagonal)
-    penalty: float
-    shape: tuple[int, ...]
+    op: PaneitzOperator
+    matrix: np.ndarray        # (size, size), A = W^{1/2} Op W^{-1/2}, symmetrized
+    defect: float             # ||A - A^T||_F / ||A||_F before symmetrizing
 
 
-def assemble_dense(bundle: CurvatureBundle, coeffs: DimensionCoefficients | None,
-                   penalty: float | None = None) -> DenseAssembly:
-    """Column-by-column assembly through the matrix-free apply, _ASSEMBLY_BATCH
-    columns per apply.
-
-    coeffs=None assembles -Lap (the only operator available below n = 3).
-    penalty=None picks `default_penalty`.
-    """
-    size = bundle.grid.size
+def assemble_dense(op: PaneitzOperator) -> DenseAssembly:
+    """A = W^{1/2} Op W^{-1/2} (W the quadrature weights), the symmetric matrix
+    the iterative solver applies, column by column through `op.apply`,
+    _ASSEMBLY_BATCH columns per apply."""
+    size, shape = op.size, op.shape
     if size > DENSE_CAP:
         raise ValueError(f"grid has {size} points, dense cap is {DENSE_CAP}; use the Lanczos path")
-    if penalty is None:
-        penalty = default_penalty(bundle, coeffs)
-    op = PaneitzOperator(bundle, coeffs, penalty)
-
-    shape = bundle.grid.shape
-    w_flat = bundle.weights.reshape(-1)
-    K = np.empty((size, size))
+    root_w = np.sqrt(op.bundle.weights.reshape(size))
+    A = np.empty((size, size))
     for start in range(0, size, _ASSEMBLY_BATCH):
         stop = min(start + _ASSEMBLY_BATCH, size)
         basis = np.zeros((stop - start, size))
-        basis[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        basis[np.arange(stop - start), np.arange(start, stop)] = 1.0 / root_w[start:stop]
         applied = op.apply(basis.reshape(-1, *shape)).reshape(stop - start, size)
-        K[:, start:stop] = (applied * w_flat[None, :]).T
+        A[:, start:stop] = (applied * root_w).T
 
-    norm = float(np.linalg.norm(K))
-    defect = float(np.linalg.norm(K - K.T)) / max(norm, 1e-300)
-    K = 0.5 * (K + K.T)
-    return DenseAssembly(matrix=K, defect=defect, weights=w_flat, penalty=penalty, shape=shape)
+    defect = float(np.linalg.norm(A - A.T)) / max(float(np.linalg.norm(A)), 1e-300)
+    return DenseAssembly(op=op, matrix=0.5 * (A + A.T), defect=defect)

@@ -1,17 +1,17 @@
 """Symmetric eigensolvers for the discrete operators.
 
-Two routes to the same answer, both on the same penalized operator
-(`discrete.default_penalty`), so their spectra agree to solver tolerance on
-any metric, flat or not:
+Two routes to the same answer, both on one penalized `PaneitzOperator`
+(penalty `discrete.default_penalty`), built once per `spectrum` call, so
+their spectra agree to solver tolerance on any metric, flat or not:
 
 * iterative, the default: preconditioned block LOBPCG (Knyazev 2001) with
   soft locking, matrix-free, with the mean-metric symbol inverted by FFT as
   preconditioner.  Its iteration count does not grow with the grid.  Spec
   files, reports and the API still call this route `lanczos`, after the
   Krylov solver it replaced.
-* dense, on request: assemble K in the weighted product, solve through the
-  diagonal mass matrix (K~ = D^{-1/2} K D^{-1/2}, then eigh); bit-for-bit
-  reproducible.  Kept as the oracle on small grids.
+* dense, on request: assemble the matrix LOBPCG applies, A = W^{1/2} Op
+  W^{-1/2} in the variables sqrt(w) u (W the quadrature weights), and eigh
+  it; bit-for-bit reproducible.  Kept as the oracle on small grids.
 
 Eigenvalue multiplicity is reported by clustering with relative gap 1e-6;
 ties inside a cluster keep solver order.
@@ -96,29 +96,23 @@ def cluster_eigenvalues(values, rtol: float = CLUSTER_RTOL):
 # --------------------------------------------------------------------------
 
 def dense_spectrum(assembly: DenseAssembly, k: int) -> SpectrumResult:
-    size = assembly.matrix.shape[0]
-    if not 1 <= k <= size:
-        raise ValueError(f"k = {k} out of range for a {size}-point grid")
-    s = np.sqrt(assembly.weights)
-    kt = assembly.matrix / s[:, None] / s[None, :]
-    kt = 0.5 * (kt + kt.T)
-    vals, vecs = np.linalg.eigh(kt)
-    lam = vals[:k]
-    u_flat = vecs[:, :k] / s[:, None]
-
-    # residual through the assembled matrix: Op(u) recovered as (K u)/w
-    op_u = (assembly.matrix @ u_flat) / assembly.weights[:, None]
-    resid_vec = op_u - u_flat * lam[None, :]
-    residuals = np.sqrt(np.einsum("pi,pi,p->i", resid_vec, resid_vec, assembly.weights))
-
+    """The k smallest eigenpairs of an assembled A = W^{1/2} Op W^{-1/2}: v
+    from eigh, u = v / sqrt(w), and ||Op u - lambda u||_w = ||A v - lambda v||."""
+    op, matrix = assembly.op, assembly.matrix
+    if not 1 <= k <= op.size:
+        raise ValueError(f"k = {k} out of range for a {op.size}-point grid")
+    vals, vecs = np.linalg.eigh(matrix)
+    lam, v = vals[:k].copy(), vecs[:, :k]
+    r = matrix @ v - v * lam
+    u = v / np.sqrt(op.bundle.weights.reshape(op.size, 1))
     return SpectrumResult(
-        eigenvalues=lam.copy(),
-        eigenfunctions=u_flat.T.reshape((k,) + assembly.shape),
-        residuals=residuals,
+        eigenvalues=lam,
+        eigenfunctions=u.T.reshape((k,) + op.shape),
+        residuals=np.sqrt(np.einsum("pi,pi->i", r, r)),
         clusters=cluster_eigenvalues(lam),
         method="dense",
         defect=assembly.defect,
-        penalty=assembly.penalty,
+        penalty=op.penalty,
     )
 
 
@@ -248,20 +242,21 @@ def spectrum(imm: FourierImmersion, grid: TorusGrid, coeffs: DimensionCoefficien
     """Build the bundle, run a solver, and fix eigenfunction signs.
 
     solver: None or "lanczos" (the LOBPCG route), or "dense" (the assembled
-    oracle, for grids up to `discrete.DENSE_CAP` points).  Both routes get the
-    same penalty, `default_penalty`.  Eigenfunctions are normalized in the
-    weighted product with sign chosen so int u dv >= 0, falling back to a
+    oracle, for grids up to `discrete.DENSE_CAP` points).  One operator, with
+    the penalty `default_penalty`, is built here and both routes solve it.
+    The solvers return eigenfunctions orthonormal in the weighted product;
+    each sign is chosen here so that int u dv >= 0, falling back to a
     positive largest-magnitude sample.
     """
     if solver not in (None, "dense", "lanczos"):
         raise ValueError(f"unknown solver {solver!r}")
     if bundle is None:
         bundle = build_bundle(imm, grid)
-    penalty = default_penalty(bundle, coeffs)
+    op = PaneitzOperator(bundle, coeffs, default_penalty(bundle, coeffs))
     if solver == "dense":
-        result = dense_spectrum(assemble_dense(bundle, coeffs, penalty=penalty), k)
+        result = dense_spectrum(assemble_dense(op), k)
     else:
-        result = lanczos_smallest(PaneitzOperator(bundle, coeffs, penalty), k, seed=seed)
+        result = lanczos_smallest(op, k, seed=seed)
 
     funcs = result.eigenfunctions
     vol_scale = math.sqrt(bundle.volume)

@@ -21,7 +21,6 @@ from paneitzlab import (
     paneitz_coefficients,
 )
 from paneitzlab.discrete import inner, integrate
-from paneitzlab.discrete import penalty_apply
 from paneitzlab.eigensolve import dense_spectrum, spectrum
 from paneitzlab.geometry import CurvatureFields, curvature_point, induced_metric
 from paneitzlab import discrete
@@ -51,11 +50,14 @@ def random_band_fields(grid, count, seed=0):
 # --------------------------------------------------------------------------
 
 def test_flat_bundle_reduces_to_symbol():
-    bundle = build_bundle(clifford_torus((1.0, 0.5, 1.0)), TorusGrid((8, 8, 8)))
+    grid = TorusGrid((8, 8, 8))
+    bundle = build_bundle(clifford_torus((1.0, 0.5, 1.0)), grid)
     assert bundle.constant_coefficient
-    assert bundle.laplace_symbol is not None
     assert bundle.laplace_flux is None and bundle.coeff_flux is None
     assert bundle.q_field is not None and np.allclose(bundle.q_field, 0.0)
+    op = PaneitzOperator(bundle, bundle.coeffs, penalty=37.0)
+    f = np.random.default_rng(2).standard_normal(grid.shape)
+    assert np.array_equal(op.apply(f), bundle.kernel.multiply(f, op._symbol))
 
 
 def test_force_general_keeps_flux_fields():
@@ -66,10 +68,15 @@ def test_force_general_keeps_flux_fields():
 
 
 def test_perturbed_bundle_is_variable_coefficient():
-    bundle = build_bundle(perturbed_torus(), TorusGrid((8, 8, 8)))
+    grid = TorusGrid((8, 8, 8))
+    bundle = build_bundle(perturbed_torus(), grid)
     assert not bundle.constant_coefficient
-    assert bundle.laplace_symbol is None
     assert bundle.laplace_flux is not None
+    # the grid-mean symbol is only the operator's constant-coefficient part
+    op = PaneitzOperator(bundle, bundle.coeffs)
+    f = np.random.default_rng(2).standard_normal(grid.shape)
+    want = op.apply(f)
+    assert np.abs(bundle.kernel.multiply(f, op._symbol) - want).max() > 1e-3 * np.abs(want).max()
 
 
 def test_dimension_mismatch_refused():
@@ -252,19 +259,25 @@ def test_scalar_curvature_laplacian_has_zero_mean():
 # --------------------------------------------------------------------------
 
 def test_penalty_vanishes_on_band_and_is_symmetric():
-    from paneitzlab.discrete import penalty_apply
-
+    # the penalty is what sigma = 7 adds to the plain operator
     grid = TorusGrid((8, 8))
     bundle = build_bundle(donut_torus(2.0, 1.0), grid)
+    penalized, plain = PaneitzOperator(bundle, None, 7.0), PaneitzOperator(bundle, None)
+
+    def penalty(f):
+        return penalized.apply(f) - plain.apply(f)
+
     fields = list(random_band_fields(grid, 4, seed=5))
     for f in fields:
-        assert np.abs(penalty_apply(bundle, 7.0, f)).max() < 1e-12
+        assert np.abs(penalty(f)).max() < 1e-12
     rng = np.random.default_rng(6)
     f, h = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
-    lhs = inner(bundle, penalty_apply(bundle, 7.0, f), h)
-    rhs = inner(bundle, f, penalty_apply(bundle, 7.0, h))
+    want = 7.0 * bundle.inv_sqrt_det * (f - band_project(f, grid))
+    assert np.abs(penalty(f) - want).max() <= 1e-12 * np.abs(want).max()
+    lhs = inner(bundle, penalty(f), h)
+    rhs = inner(bundle, f, penalty(h))
     assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(lhs)))
-    assert inner(bundle, penalty_apply(bundle, 7.0, f), f) >= 0.0
+    assert inner(bundle, penalty(f), f) >= 0.0
 
 
 @pytest.mark.parametrize("factory", [
@@ -273,37 +286,39 @@ def test_penalty_vanishes_on_band_and_is_symmetric():
 ])
 def test_dense_assembly_defect_gate(factory):
     bundle = build_bundle(factory(), TorusGrid((8, 8, 8)))
-    assembly = assemble_dense(bundle, paneitz_coefficients(3))
+    coeffs = paneitz_coefficients(3)
+    assembly = assemble_dense(PaneitzOperator(bundle, coeffs,
+                                              discrete.default_penalty(bundle, coeffs)))
     assert assembly.defect <= 1e-8
     assert np.array_equal(assembly.matrix, assembly.matrix.T)
-    assert assembly.penalty > 0.0
+    assert assembly.op.penalty > 0.0
 
 
 def test_dense_matrix_matches_matrix_free_apply():
+    # A (sqrt(w) f) = sqrt(w) Op f: the matrix is Op in the variables sqrt(w) u
     grid = TorusGrid((8, 8, 8))
-    bundle = build_bundle(clifford_torus((1.0, 1.0, 1.0)), grid)
-    assembly = assemble_dense(bundle, paneitz_coefficients(3), penalty=50.0)
-    op = PaneitzOperator(bundle, paneitz_coefficients(3), penalty=50.0)
-    rng = np.random.default_rng(9)
-    f = rng.standard_normal(grid.shape)
-    via_matrix = assembly.matrix @ f.reshape(-1)
-    direct = assembly.weights * op.apply(f).reshape(-1)
-    assert np.allclose(via_matrix, direct, atol=1e-9 * np.abs(direct).max())
+    f = np.random.default_rng(9).standard_normal(grid.shape)
+    for imm in (clifford_torus((1.0, 1.0, 1.0)), perturbed_torus()):
+        bundle = build_bundle(imm, grid)
+        op = PaneitzOperator(bundle, paneitz_coefficients(3), penalty=50.0)
+        root_w = np.sqrt(bundle.weights.reshape(-1))
+        via_matrix = assemble_dense(op).matrix @ (root_w * f.reshape(-1))
+        direct = root_w * op.apply(f).reshape(-1)
+        assert np.allclose(via_matrix, direct, atol=1e-9 * np.abs(direct).max())
 
 
 def test_dense_cap_refuses_large_grids():
     bundle = build_bundle(clifford_torus((1.0,) * 4), TorusGrid((8, 8, 8, 16)))
     with pytest.raises(ValueError, match="dense cap"):
-        assemble_dense(bundle, paneitz_coefficients(4))
+        assemble_dense(PaneitzOperator(bundle, paneitz_coefficients(4)))
 
 
 def test_top_estimate_brackets_symbol_maximum():
     grid = TorusGrid((8, 8, 8))
     bundle = build_bundle(clifford_torus((1.0, 1.0, 1.0)), grid)
-    mu = bundle.laplace_symbol[bundle.kernel.band]
-    top = float((mu**2).max())
-    est = PaneitzOperator(bundle, paneitz_coefficients(3), 0.0).estimate_top()
-    assert 0.5 * top <= est <= top * (1.0 + 1e-9)
+    op = PaneitzOperator(bundle, paneitz_coefficients(3), 0.0)
+    top = float(op._symbol[bundle.kernel.band].max())
+    assert 0.5 * top <= op.estimate_top() <= top * (1.0 + 1e-9)
 
 
 def power_top(op, steps=25):
@@ -343,12 +358,14 @@ def test_metric_penalty_moves_curved_eigenvalues_toward_the_band_limit():
     bundle = build_bundle(perturbed_torus(0.3), TorusGrid((8, 8, 8)))
     coeffs = paneitz_coefficients(3)
     op = PaneitzOperator(bundle, coeffs)
-    sigma_power = 10.0 * (op.unit + power_top(op)) * discrete._density_unit(bundle)
+    density = discrete._power_of_two(float(np.mean(bundle.metric.sqrt_det)))
+    sigma_power = 10.0 * (op.unit + power_top(op)) * density
     sigma = discrete.default_penalty(bundle, coeffs)
     assert sigma > sigma_power
 
     def values(penalty):
-        return dense_spectrum(assemble_dense(bundle, coeffs, penalty), 7).eigenvalues
+        return dense_spectrum(assemble_dense(PaneitzOperator(bundle, coeffs, penalty)),
+                              7).eigenvalues
 
     before, after, limit = values(sigma_power), values(sigma), values(1000.0 * sigma_power)
     assert np.all(after >= before)
@@ -471,14 +488,32 @@ def test_forced_general_apply_matches_flat_multiplier(radii, shape, fourth_order
 
 @pytest.mark.parametrize("coeffs", [paneitz_coefficients(3), None])
 def test_flat_apply_is_symbol_plus_penalty(coeffs):
+    # the penalty as the flux path adds it: the difference of two operators
+    # on a forced-general copy of the bundle
     grid = TorusGrid((8, 8, 8))
-    bundle = build_bundle(clifford_torus((1.0, 0.5, 2.0)), grid)
+    imm = clifford_torus((1.0, 0.5, 2.0))
+    bundle = build_bundle(imm, grid)
+    general = build_bundle(imm, grid, force_general=True)
     assert bundle.constant_coefficient
     op = PaneitzOperator(bundle, coeffs, penalty=37.0)
     f = np.random.default_rng(31).standard_normal((3,) + grid.shape)
     plain = (-apply_laplacian(bundle, f) if coeffs is None
              else apply_paneitz(bundle, coeffs, f))
-    assert_matches(op.apply(f), plain + penalty_apply(bundle, 37.0, f), 1e-13)
+    penalty = (PaneitzOperator(general, coeffs, penalty=37.0).apply(f)
+               - PaneitzOperator(general, coeffs).apply(f))
+    assert_matches(op.apply(f), plain + penalty, 1e-13)
+
+
+@pytest.mark.parametrize("radii", [(1.5, 1.5, 1.5), (1.0, 0.5, 3.0)])
+@pytest.mark.parametrize("fourth_order", [True, False])
+def test_preconditioner_inverts_the_flat_operator(radii, fourth_order):
+    # one symbol serves the flat apply and the preconditioner, off the band too
+    grid = TorusGrid((8, 8, 8))
+    bundle = build_bundle(clifford_torus(radii), grid)
+    assert bundle.constant_coefficient
+    op = PaneitzOperator(bundle, bundle.coeffs if fourth_order else None, penalty=37.0)
+    f = np.random.default_rng(47).standard_normal((2,) + grid.shape)
+    assert_matches(op.precondition(op.apply(f) + op.unit * f), f, 1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from paneitzlab import (
 from paneitzlab import eigensolve
 from paneitzlab.discrete import build_bundle, inner
 from paneitzlab.eigensolve import cluster_eigenvalues, dense_spectrum, spectrum
-from paneitzlab.discrete import assemble_dense
+from paneitzlab.discrete import PaneitzOperator, assemble_dense
 
 
 def perturbed_torus(amp=0.05):
@@ -167,13 +167,33 @@ def test_k_out_of_range_is_refused():
     imm = clifford_torus((1.0, 1.0))
     grid = TorusGrid((8, 8))
     bundle = build_bundle(imm, grid)
-    assembly = assemble_dense(bundle, None)
+    assembly = assemble_dense(PaneitzOperator(bundle, None))
     with pytest.raises(ValueError, match="out of range"):
         dense_spectrum(assembly, 0)
     with pytest.raises(ValueError, match="out of range"):
         dense_spectrum(assembly, 65)
     with pytest.raises(ValueError, match="exceeds"):
         spectrum(imm, grid, None, 65, bundle=bundle, solver="lanczos")
+
+
+@pytest.mark.parametrize("solver", ["dense", "lanczos"])
+def test_spectrum_builds_one_operator_for_either_route(solver, monkeypatch):
+    built, solved = [], []
+
+    class Recorded(eigensolve.PaneitzOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    lanczos, assemble = eigensolve.lanczos_smallest, eigensolve.assemble_dense
+    monkeypatch.setattr(eigensolve, "PaneitzOperator", Recorded)
+    monkeypatch.setattr(eigensolve, "lanczos_smallest",
+                        lambda op, k, **kw: solved.append(op) or lanczos(op, k, **kw))
+    monkeypatch.setattr(eigensolve, "assemble_dense",
+                        lambda op: solved.append(op) or assemble(op))
+    result = spectrum(clifford_torus((1.0, 1.0)), TorusGrid((8, 8)), None, 3, solver=solver)
+    assert len(built) == 1 and solved == built
+    assert result.penalty == built[0].penalty > 0.0
 
 
 def test_unknown_solver_is_refused():
