@@ -18,7 +18,7 @@ def main() -> None:
     outer, inner = 2.0, 1.0
     imm = donut_torus(outer, inner)
     grid = TorusGrid((24, 24))
-    bundle = build_bundle(imm, grid, force_general=True)
+    bundle = build_bundle(imm, grid)
     curv = bundle.curv
 
     print(f"torus of revolution, R = {outer}, r = {inner}, grid 24^2")

@@ -421,22 +421,24 @@ def cmd_sweep(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
-def _int_at_least(name: str, low: int):
-    """An argparse type for integers >= low, refused in the option's words."""
-    def parse(text: str) -> int:
+def _at_least(name: str, low: int, cast=int, kind: str = "an integer"):
+    """An argparse type for finite numbers >= low, refused in the option's words."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {low}, got {text!r}")
+            value = math.nan
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{name} must be {kind} >= {low}, got {text!r}")
         return value
     return parse
 
 
 #: the solver's RNG takes nonnegative seeds; a spectrum has at least one value
-_seed = _int_at_least("seed", 0)
-_count = _int_at_least("count", 1)
+_seed = _at_least("seed", 0)
+_count = _at_least("count", 1)
+#: a nan or negative tolerance fails every check, an infinite one passes them all
+_tol = _at_least("tol", 0, float, "a finite number")
 
 
 @functools.cache
@@ -459,8 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the spec's solver seed (>= 0)")
         if tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="override the default tolerance")
+            p.add_argument("--tol", type=_tol, default=None,
+                           help="override the default tolerance (finite, >= 0)")
 
     p = sub.add_parser("spectrum", help="low eigenvalues of the fourth-order operator")
     common(p, tol=False)

@@ -6,16 +6,16 @@ grid itself (`fourier.SpectralKernel`):
     Lap f = (1/sqrt(g)) . T[ d_i ( sqrt(g) g^{ij} d_j (T f) ) ]
 
 with T the band projection.  f enters by one forward real FFT and stays as
-its band coefficients.  One batched inverse FFT gives the whole gradient at
+its coefficients.  One batched inverse FFT gives the whole gradient at
 the grid points, where it is multiplied by the flux fields, sampled *exactly*
 from the immersion at those points and stored as their n(n+1)/2 symmetric
-components.  One batched forward FFT takes the flux to its band
-coefficients, and the divergence multiplies them by ik.  The flux fields
-are not band-limited, so their products alias on any finite grid; a 3/2
-dealiasing grid would only move that error to higher modes, at 3.4x (n = 3)
-to 7.6x (n = 5) the points, and the error decays at the band's spectral
-rate either way.  The Paneitz apply shares the gradient of f between the
-first Laplacian and the curvature term, and sums the fluxes
+components.  One batched forward FFT takes the flux to its coefficients,
+and the divergence multiplies them by ik, which is zero off the band.  The
+flux fields are not band-limited, so their products alias on any finite
+grid; a 3/2 dealiasing grid would only move that error to higher modes, at
+3.4x (n = 3) to 7.6x (n = 5) the points, and the error decays at the band's
+spectral rate either way.  The Paneitz apply shares the gradient of f
+between the first Laplacian and the curvature term, and sums the fluxes
 sqrt(g) g^{-1} grad(Lap f) - coeff_flux grad f before its single divergence.
 A block of fields is applied in batches of columns, so that its gradient and
 flux arrays stay within a fixed number of bytes (`_APPLY_BYTES`).
@@ -24,10 +24,10 @@ Every operator carries one Fourier multiplier, `PaneitzOperator._symbol`:
 the kernel's symbol g^{ij} k_i k_j of the grid-mean metric on band modes
 (squared for P), and sigma mean(1/sqrt(g)) off them (the penalty below).
 A constant metric has no curvature, so there the multiplier is the
-operator, applied by `SpectralKernel.multiply` (one forward FFT, one
-multiply, one inverse FFT).  On every bundle the preconditioner divides by
-it plus the unit.  No code here transforms a field itself; every FFT goes
-through the kernel.
+operator: one forward FFT, one multiply, one inverse FFT.  On every bundle
+the preconditioner multiplies by the reciprocal of it plus the unit.  No
+code here transforms a field itself; every FFT goes through the kernel,
+and every coefficient array has its one real-FFT layout.
 
 Summation by parts makes every term exactly symmetric in the weighted inner
 product <u, v> = sum u v sqrt(g) dx: the band projection is self-adjoint,
@@ -107,7 +107,7 @@ class CurvatureBundle:
 
     immersion: FourierImmersion
     grid: TorusGrid
-    kernel: SpectralKernel       # every FFT: band coefficients, grad/div, symbols
+    kernel: SpectralKernel       # every FFT: coefficients, grad/div, symbols
     y: np.ndarray                # immersion values (*shape, N)
     metric: MetricData           # g, g^{-1}, sqrt(g)
     curv: CurvatureFields        # H, |H|^2, S, Ric, |Ric|^2, R
@@ -282,9 +282,9 @@ def apply_paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.
 
 
 def _by_columns(bundle: CurvatureBundle, part, coef: np.ndarray) -> np.ndarray:
-    """part(coef) for band coefficients with any leading axes, computed in
+    """part(coef) for kernel coefficients with any leading axes, computed in
     batches of leading columns whose (n, columns, grid) arrays fit
-    _APPLY_BYTES; part maps band coefficients to grid fields."""
+    _APPLY_BYTES; part maps coefficients to grid fields."""
     n = bundle.n
     lead = coef.shape[: coef.ndim - n]
     columns = coef.reshape((-1,) + coef.shape[coef.ndim - n:])
@@ -341,10 +341,10 @@ class PaneitzOperator:
     def apply(self, f: np.ndarray) -> np.ndarray:
         bundle = self.bundle
         kernel = bundle.kernel
+        coef = kernel.coefficients(f)
         if bundle.constant_coefficient:
             # curvature terms vanish identically; see build_bundle's flatness gate
-            return kernel.multiply(f, self._symbol)
-        coef = kernel.coefficients(f)
+            return kernel.synthesize(coef * self._symbol)
         out = _by_columns(bundle, self._differentiated, coef)
         if self.coeffs is not None:
             # a new array, not +=: the sum takes the memory order of its
@@ -352,11 +352,11 @@ class PaneitzOperator:
             out = out + float(self.coeffs.q_factor) * bundle.q_field * f
         if self.penalty:
             # sigma (1/sqrt(g)) (I - Proj) f, projecting f by the coefficients above
-            out += self.penalty * bundle.inv_sqrt_det * (f - kernel.synthesize(coef))
+            out += self.penalty * bundle.inv_sqrt_det * (f - kernel.synthesize(coef * kernel.band))
         return out
 
     def _differentiated(self, coef: np.ndarray) -> np.ndarray:
-        """The differentiated terms on fields with band coefficients coef:
+        """The differentiated terms on fields with coefficients coef:
         -Lap, or Lap^2 - div[(a R g + b Ric) grad].  The gradient of f serves
         both the inner Laplacian and the curvature term, whose flux joins the
         outer Laplacian's before one divergence."""
@@ -398,7 +398,8 @@ class PaneitzOperator:
         """Approximate inverse of `apply` by FFT (the iterative solver's
         preconditioner): each mode divided by `_symbol` + unit, so on a flat
         bundle it inverts apply + unit exactly."""
-        return self.bundle.kernel.multiply(f, 1.0 / (self._symbol + self.unit))
+        kernel = self.bundle.kernel
+        return kernel.synthesize(kernel.coefficients(f) * (1.0 / (self._symbol + self.unit)))
 
     def estimate_top(self) -> float:
         """The band's largest principal symbol: the largest eigenvalue of
@@ -411,13 +412,13 @@ class PaneitzOperator:
         return mu if self.coeffs is None else mu**2
 
 
-def default_penalty(bundle: CurvatureBundle, coeffs: DimensionCoefficients | None) -> float:
-    """sigma = 10 (unit + estimate_top) mean sqrt(g), the mean to a power of
-    two, read from the metric: even-grid sawtooth modes land far above any
-    eigenvalue of interest, and sigma / sqrt(g) scales with the operator's
-    eigenvalues."""
-    op = PaneitzOperator(bundle, coeffs)
-    density = _power_of_two(float(np.mean(bundle.metric.sqrt_det)))
+def default_penalty(op: PaneitzOperator) -> float:
+    """sigma = 10 (unit + estimate_top) mean sqrt(g) for op, the mean to a
+    power of two, read from the metric: even-grid sawtooth modes land far
+    above any eigenvalue of interest, and sigma / sqrt(g) scales with the
+    operator's eigenvalues.  op.penalty is not read, so a solve can set it
+    from this on the operator it sizes."""
+    density = _power_of_two(float(np.mean(op.bundle.metric.sqrt_det)))
     return 10.0 * (op.unit + op.estimate_top()) * density
 
 

@@ -252,7 +252,8 @@ def spectrum(imm: FourierImmersion, grid: TorusGrid, coeffs: DimensionCoefficien
         raise ValueError(f"unknown solver {solver!r}")
     if bundle is None:
         bundle = build_bundle(imm, grid)
-    op = PaneitzOperator(bundle, coeffs, default_penalty(bundle, coeffs))
+    op = PaneitzOperator(bundle, coeffs)
+    op.penalty = default_penalty(op)  # before anything caches op._symbol, which reads it
     if solver == "dense":
         result = dense_spectrum(assemble_dense(op), k)
     else:

@@ -16,15 +16,16 @@ so everything downstream (discrete.py) stays exactly symmetric.
 
 `SpectralKernel` is the one place that transforms fields, builds wavenumbers
 and applies the band rule.  A field enters it once, by a forward real FFT,
-and is kept as its band coefficients (normalized, real-FFT layout: the last
-axis holds k >= 0 only).  A derivative is a multiply by ik on the band, and
-one inverse FFT brings coefficients back to the grid.  Constant-coefficient
-operators skip the band copies: they are one forward FFT, a multiplier on
-the real-FFT layout, and one inverse FFT.
+and is kept as its coefficients (normalized, real-FFT layout: the last axis
+holds k >= 0 only).  The band is a mask on that layout: a derivative is a
+multiply by ik, which is zero off the band, a constant-coefficient operator
+a multiply by its symbol, and one inverse FFT brings coefficients back to
+the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,18 +64,16 @@ class TorusGrid:
 
 
 class SpectralKernel:
-    """Band coefficients of grid fields, their derivatives, and Fourier
+    """Fourier coefficients of grid fields, their derivatives, and Fourier
     multipliers on one grid.
 
-    Band coefficients are the normalized real-FFT coefficients (norm="forward")
-    of the modes |k| < m/2 per axis: 2 ((m-1)//2) + 1 entries on each axis but
-    the last, which holds k = 0..(m-1)//2 only.  Multipliers and symbols live
-    on the whole real-FFT layout, grid.shape with the last axis cut to
-    m // 2 + 1; `band` marks the band modes there.  Every method transforms
-    the trailing n axes and batches over the leading ones.  The gradient,
-    divergence and partials carry the vector index as the first axis, one
-    component per torus axis.  The instance holds only index arrays,
-    wavenumbers and the band mask.
+    Coefficients are the normalized real-FFT coefficients (norm="forward"),
+    on grid.shape with the last axis cut to m // 2 + 1.  Every coefficient
+    array, symbol and multiplier has that layout; `band` marks the modes
+    |k| < m/2 per axis there.  Every method transforms the trailing n axes
+    and batches over the leading ones.  The gradient, divergence and
+    partials carry the vector index as the first axis, one component per
+    torus axis.  The instance holds only wavenumbers and the band mask.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -85,15 +84,13 @@ class SpectralKernel:
         # negatives on every axis but the last, which keeps k >= 0 only
         waves = [(np.arange(m) + m // 2) % m - m // 2 for m in grid.shape[:-1]]
         waves.append(np.arange(grid.shape[-1] // 2 + 1))
-        bands = [np.flatnonzero(np.abs(k) < m / 2.0) for k, m in zip(waves, grid.shape)]
-        self._band_ix = (Ellipsis,) + np.ix_(*bands)
-        #: True on the band modes of the real-FFT layout
-        self.band = np.zeros([k.size for k in waves], dtype=bool)
-        self.band[self._band_ix] = True
         #: wavenumbers of the real-FFT layout, shaped to broadcast over it
         self._k = [_along(k, j, self.n) for j, k in enumerate(waves)]
-        #: i k_j on the band, one factor per axis, shaped to broadcast over it
-        self.ik = [1j * _along(k[b], j, self.n) for j, (k, b) in enumerate(zip(waves, bands))]
+        #: True on the band modes of the real-FFT layout
+        self.band = functools.reduce(
+            np.logical_and, [np.abs(k) < m / 2.0 for k, m in zip(self._k, grid.shape)])
+        #: i k_j on the band and zero off it, one array per axis
+        self.ik = [1j * np.where(self.band, k, 0) for k in self._k]
 
     @staticmethod
     def _fft():
@@ -104,20 +101,16 @@ class SpectralKernel:
         return scipy.fft
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
-        """Band coefficients of a grid field (the one forward FFT); all other
-        modes dropped."""
-        return self._fft().rfftn(u, axes=self.axes, norm="forward")[self._band_ix]
+        """Coefficients of a grid field: the one forward FFT."""
+        return self._fft().rfftn(u, axes=self.axes, norm="forward")
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
-        """The grid field with band coefficients c (with `coefficients`, the
-        band projection)."""
-        half = self.grid.shape[:-1] + (self.grid.shape[-1] // 2 + 1,)
-        spec = np.zeros(c.shape[: c.ndim - self.n] + half, dtype=complex)
-        spec[self._band_ix] = c
-        return self._fft().irfftn(spec, s=self.grid.shape, axes=self.axes, norm="forward")
+        """The grid field with coefficients c: the one inverse FFT."""
+        return self._fft().irfftn(c, s=self.grid.shape, axes=self.axes, norm="forward")
 
     def gradient(self, c: np.ndarray) -> np.ndarray:
-        """Gradient (n, *lead, *grid.shape) of the band field c.
+        """Gradient (n, *lead, *grid.shape) of the field with coefficients c;
+        modes off the band are annihilated.
 
         One batched inverse FFT for all n components.
         """
@@ -129,10 +122,10 @@ class SpectralKernel:
         return self.gradient(self.coefficients(u))
 
     def divergence(self, flow: np.ndarray) -> np.ndarray:
-        """Band coefficients of sum_i d_i flow_i for a grid vector field.
+        """Coefficients of sum_i d_i flow_i for a grid vector field, zero off
+        the band.
 
-        One batched forward FFT for all n components; ik multiplies the band
-        only.
+        One batched forward FFT for all n components.
         """
         h = self.coefficients(flow)
         out = self.ik[0] * h[0]
@@ -146,14 +139,6 @@ class SpectralKernel:
         k = self._k
         mu = sum(g_inv[i, j] * k[i] * k[j] for i in range(self.n) for j in range(self.n))
         return np.where(self.band, mu, 0.0)
-
-    def multiply(self, u: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        """Multiply the Fourier modes of a grid field by a multiplier even in
-        k, given on the real-FFT layout: one forward and one inverse FFT, no
-        band copies."""
-        fft = self._fft()
-        spec = fft.rfftn(u, axes=self.axes, norm="forward") * multiplier
-        return fft.irfftn(spec, s=self.grid.shape, axes=self.axes, norm="forward")
 
 
 def _along(k: np.ndarray, axis: int, n: int) -> np.ndarray:

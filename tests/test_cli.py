@@ -189,6 +189,30 @@ def test_spectrum_refuses_tol(spec_file, capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "replay", "sweep"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_option_is_refused_before_any_spec_is_read(spec_file, capsys, monkeypatch,
+                                                           command, tol):
+    # on S^4(1), the sharp equality case, nan and -1 would report every bound
+    # violated and inf would pass every bound and replay step
+    def read(*a, **k):
+        raise AssertionError("a spec was read")
+
+    monkeypatch.setattr(cli, "load_manifold_spec", read)
+    monkeypatch.setattr(cli, "_sweep_row", read)
+    if command == "sweep":
+        argv = ["sweep", "--family", "sphere_radius", "--range", "0.5:1.5:3",
+                "--bound", "thm_1_1", "--csv", "unused.csv"]
+    else:
+        argv = [command, "--spec", spec_file(S4)]
+    with pytest.raises(SystemExit) as info:
+        main(argv + [f"--tol={tol}"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: tol must be a finite number >= 0, got '{tol}'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text,stage", [(S4, "paneitz_spectrum"), (BUMP_DENSE, "build_bundle")])
 @pytest.mark.parametrize("count", ["0", "-3", "two"])
 def test_nonpositive_count_option_is_refused_before_solving(spec_file, capsys, monkeypatch,

@@ -57,7 +57,8 @@ def test_flat_bundle_reduces_to_symbol():
     assert bundle.q_field is not None and np.allclose(bundle.q_field, 0.0)
     op = PaneitzOperator(bundle, bundle.coeffs, penalty=37.0)
     f = np.random.default_rng(2).standard_normal(grid.shape)
-    assert np.array_equal(op.apply(f), bundle.kernel.multiply(f, op._symbol))
+    kernel = bundle.kernel
+    assert np.array_equal(op.apply(f), kernel.synthesize(kernel.coefficients(f) * op._symbol))
 
 
 def test_force_general_keeps_flux_fields():
@@ -76,7 +77,9 @@ def test_perturbed_bundle_is_variable_coefficient():
     op = PaneitzOperator(bundle, bundle.coeffs)
     f = np.random.default_rng(2).standard_normal(grid.shape)
     want = op.apply(f)
-    assert np.abs(bundle.kernel.multiply(f, op._symbol) - want).max() > 1e-3 * np.abs(want).max()
+    kernel = bundle.kernel
+    flat = kernel.synthesize(kernel.coefficients(f) * op._symbol)
+    assert np.abs(flat - want).max() > 1e-3 * np.abs(want).max()
 
 
 def test_dimension_mismatch_refused():
@@ -287,8 +290,8 @@ def test_penalty_vanishes_on_band_and_is_symmetric():
 def test_dense_assembly_defect_gate(factory):
     bundle = build_bundle(factory(), TorusGrid((8, 8, 8)))
     coeffs = paneitz_coefficients(3)
-    assembly = assemble_dense(PaneitzOperator(bundle, coeffs,
-                                              discrete.default_penalty(bundle, coeffs)))
+    sigma = discrete.default_penalty(PaneitzOperator(bundle, coeffs))
+    assembly = assemble_dense(PaneitzOperator(bundle, coeffs, sigma))
     assert assembly.defect <= 1e-8
     assert np.array_equal(assembly.matrix, assembly.matrix.T)
     assert assembly.op.penalty > 0.0
@@ -340,7 +343,7 @@ def test_default_penalty_applies_no_operator(monkeypatch):
     apply = PaneitzOperator.apply
     monkeypatch.setattr(PaneitzOperator, "apply",
                         lambda op, f: calls.append(f.shape) or apply(op, f))
-    assert discrete.default_penalty(bundle, paneitz_coefficients(3)) > 0.0
+    assert discrete.default_penalty(PaneitzOperator(bundle, paneitz_coefficients(3))) > 0.0
     assert calls == []
 
 
@@ -360,7 +363,7 @@ def test_metric_penalty_moves_curved_eigenvalues_toward_the_band_limit():
     op = PaneitzOperator(bundle, coeffs)
     density = discrete._power_of_two(float(np.mean(bundle.metric.sqrt_det)))
     sigma_power = 10.0 * (op.unit + power_top(op)) * density
-    sigma = discrete.default_penalty(bundle, coeffs)
+    sigma = discrete.default_penalty(op)
     assert sigma > sigma_power
 
     def values(penalty):

@@ -14,7 +14,7 @@ from paneitzlab import (
     expand_lines,
     flat_torus,
 )
-from paneitzlab import eigensolve
+from paneitzlab import discrete, eigensolve
 from paneitzlab.discrete import build_bundle, inner
 from paneitzlab.eigensolve import cluster_eigenvalues, dense_spectrum, spectrum
 from paneitzlab.discrete import PaneitzOperator, assemble_dense
@@ -186,7 +186,9 @@ def test_spectrum_builds_one_operator_for_either_route(solver, monkeypatch):
             built.append(self)
 
     lanczos, assemble = eigensolve.lanczos_smallest, eigensolve.assemble_dense
+    # both modules: a penalty-free operator built inside discrete counts too
     monkeypatch.setattr(eigensolve, "PaneitzOperator", Recorded)
+    monkeypatch.setattr(discrete, "PaneitzOperator", Recorded)
     monkeypatch.setattr(eigensolve, "lanczos_smallest",
                         lambda op, k, **kw: solved.append(op) or lanczos(op, k, **kw))
     monkeypatch.setattr(eigensolve, "assemble_dense",

@@ -53,7 +53,7 @@ def kernel_for(shape):
 
 
 def kernel_project(kernel, u):
-    return kernel.synthesize(kernel.coefficients(u))
+    return kernel.synthesize(kernel.coefficients(u) * kernel.band)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (9, 8, 10)])
@@ -125,6 +125,20 @@ def test_band_follows_the_rule_on_even_and_odd_axes(shape, count):
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (9, 8, 10)])
+def test_coefficients_have_one_layout_and_derivatives_stay_on_the_band(shape):
+    # coefficients and divergences share the band mask's real-FFT layout;
+    # synthesize inverts coefficients, and ik drops every off-band mode
+    kernel = kernel_for(shape)
+    u = RNG.standard_normal((2,) + shape)
+    c = kernel.coefficients(u)
+    assert c.shape == (2,) + kernel.band.shape
+    assert np.allclose(kernel.synthesize(c), u, atol=1e-13)
+    div = kernel.divergence(RNG.standard_normal((len(shape),) + shape))
+    assert div.shape == kernel.band.shape and np.all(div[~kernel.band] == 0.0)
+    assert all(np.all(ik[~kernel.band] == 0.0) for ik in kernel.ik)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 8, 10)])
 def test_kernel_matches_the_numpy_reference(shape):
     # band projection and partials against full complex FFTs
     kernel = kernel_for(shape)
@@ -147,12 +161,16 @@ def test_symbol_and_multiply_give_the_constant_metric_laplacian():
     assert mu.shape == kernel.band.shape
     assert np.all(mu[~kernel.band] == 0.0)
     assert mu[2, 3] == 4 * 4 + 9 * 9 and mu[-2, 3] == mu[2, 3]
+
+    def multiply(f):
+        return kernel.synthesize(kernel.coefficients(f) * mu)
+
     u = np.cos(2 * theta[..., 0]) * np.sin(3 * theta[..., 1])
-    assert np.allclose(kernel.multiply(u, mu), 97.0 * u, atol=1e-11)
+    assert np.allclose(multiply(u), 97.0 * u, atol=1e-11)
     saw = np.cos(4 * theta[..., 0])
-    assert np.max(np.abs(kernel.multiply(saw, mu))) <= 1e-12
+    assert np.max(np.abs(multiply(saw))) <= 1e-12
     batch = np.stack([u, 2 * u])
-    assert np.allclose(kernel.multiply(batch, mu), 97.0 * batch, atol=1e-11)
+    assert np.allclose(multiply(batch), 97.0 * batch, atol=1e-11)
 
 
 

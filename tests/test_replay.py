@@ -25,7 +25,7 @@ from paneitzlab.catalog import expand_lines, paneitz_spectrum
 from paneitzlab.discrete import build_bundle
 from paneitzlab.eigensolve import spectrum
 from paneitzlab.fourier import FourierTerm
-from paneitzlab.replay import replay_theorem
+from paneitzlab.replay import REPLAY_TOL_NUMERICAL, replay_theorem
 from paneitzlab.report import constants_block
 
 ANALYTIC_STEPS = (
@@ -232,6 +232,18 @@ def _grid_run(radii, amp, k):
 @pytest.fixture(scope="module")
 def flat_t5_run():
     return _grid_run((1.0,) * 5, 0.0, 7)
+
+
+def test_curved_torus_chain_fails_only_the_laplacian_coordinate_step():
+    # curved T^4 on 8^4 (amplitude 0.1): every step but one clears the
+    # numerical floor.  laplacian_coordinate_identity compares the band-cut
+    # grid Laplacian of y with the uncut n H and reads about -2.8e-2 here
+    # (ROADMAP item 2); fixing that step must update this assertion.
+    bundle, result = _grid_run((1.0,) * 4, 0.1, 9)
+    rep = replay_proof("thm_1_1", result, bundle)
+    failing = {s.name for s in rep.steps if s.slack < -REPLAY_TOL_NUMERICAL}
+    assert failing == {"laplacian_coordinate_identity"}
+    assert not rep.ok
 
 
 @pytest.mark.parametrize("theorem, n, r", [
