@@ -25,7 +25,8 @@ the kernel's symbol g^{ij} k_i k_j of the grid-mean metric on band modes
 (squared for P), and sigma mean(1/sqrt(g)) off them (the penalty below).
 A constant metric has no curvature, so there the multiplier is the
 operator: one forward FFT, one multiply, one inverse FFT.  On every bundle
-the preconditioner multiplies by the reciprocal of it plus the unit.  No
+the preconditioner multiplies by the reciprocal of it plus the unit, and
+the iterative solver starts from the Fourier modes of its smallest values.  No
 code here transforms a field itself; every FFT goes through the kernel,
 and every coefficient array has its one real-FFT layout.
 
@@ -388,7 +389,7 @@ class PaneitzOperator:
         """The operator as a Fourier multiplier of the grid-mean metric, on the
         real-FFT layout: the -Lap symbol mu on band modes (mu^2 for P), and
         penalty * mean(1/sqrt(g)) off the band.  On a flat bundle it is the
-        operator itself."""
+        operator itself; on every bundle its values predict the spectrum."""
         bundle = self.bundle
         mu = bundle.kernel.symbol(self._mean_g_inv)
         off_band = self.penalty * float(np.mean(bundle.inv_sqrt_det))

@@ -6,9 +6,12 @@ their spectra agree to solver tolerance on any metric, flat or not:
 
 * iterative, the default: preconditioned block LOBPCG (Knyazev 2001) with
   soft locking, matrix-free, with the mean-metric symbol inverted by FFT as
-  preconditioner.  Its iteration count does not grow with the grid.  Spec
-  files, reports and the API still call this route `lanczos`, after the
-  Krylov solver it replaced.
+  preconditioner.  It starts from the spectrum that symbol predicts: the
+  Fourier modes of its smallest values, exact on a flat bundle (where the
+  solve ends at iteration 0) and O(eps) from the answer on a curved one,
+  plus a few preconditioned random guard columns.  Its iteration count does
+  not grow with the grid.  Spec files, reports and the API still call this
+  route `lanczos`, after the Krylov solver it replaced.
 * dense, on request: assemble the matrix LOBPCG applies, A = W^{1/2} Op
   W^{-1/2} in the variables sqrt(w) u (W the quadrature weights), and eigh
   it; bit-for-bit reproducible.  Kept as the oracle on small grids.
@@ -46,6 +49,8 @@ DEFAULT_SEED = 0x5EED
 CLUSTER_RTOL = 1e-6
 TOL_EIG = 1e-8
 MAX_ITER = 500
+#: random columns after the predicted modes in LOBPCG's start block
+GUARDS = 4
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,8 @@ class SpectrumResult:
     defect: float | None = None         # dense-path asymmetry defect
     iterations: int | None = None       # LOBPCG iterations used
     penalty: float | None = None
+    block: int | None = None            # LOBPCG start block width
+    applied_columns: int | None = None  # operator columns LOBPCG applied
 
     @classmethod
     def closed_form(cls, lines, k: int) -> SpectrumResult:
@@ -77,6 +84,11 @@ class SpectrumResult:
         values = np.repeat([v for v, _ in clusters], [c for _, c in clusters])
         return cls(eigenvalues=values, eigenfunctions=None, residuals=np.zeros(k),
                    clusters=tuple(clusters), method="closed_form")
+
+
+def _cluster_edge(value: float, unit: float) -> float:
+    """The top of the cluster that holds `value`: the certificate's edge."""
+    return value + CLUSTER_RTOL * max(unit, abs(value))
 
 
 def cluster_eigenvalues(values, rtol: float = CLUSTER_RTOL):
@@ -156,15 +168,27 @@ def _rayleigh_ritz(x, ax, search, m: int):
 def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -> SpectrumResult:
     """k smallest eigenpairs of `op` by preconditioned block LOBPCG.
 
-    The name is kept from the Lanczos solver this replaced.  From k + 4
-    random vectors X (fixed seed), each iteration runs Rayleigh-Ritz on X,
-    the active pairs' residuals preconditioned by `op.precondition` and their
-    previous steps; if the Gram factorization fails, the steps are dropped
-    and the iteration retried once.  A pair passing ||op u - lambda u||_w <=
-    10 TOL_EIG max(op.unit, |lambda|) leaves the active set but stays in X
-    (soft locking); once the k wanted pairs pass on a fresh apply of op, the
-    top Ritz value must clear the k-th value's cluster (relative gap
-    CLUSTER_RTOL) or X grows.  A breakdown or more than MAX_ITER iterations
+    The name is kept from the Lanczos solver this replaced.  The start block
+    X is read from the spectrum `op._symbol` predicts (the grid-mean-metric
+    multiplier, which on a flat bundle is op itself): the real Fourier modes
+    (constant, cos k.x, sin k.x) of its smallest values, through the end of
+    the predicted cluster holding the k-th value (the certificate's edge
+    below), then GUARDS random columns (drawn from `seed`), each passed once
+    through `op.precondition`.  The guards keep every Fourier sector in the
+    span, so a cluster the prediction cuts cannot hide a wanted eigenvalue;
+    preconditioning them keeps the penalty's large values out of the
+    Rayleigh-Ritz matrix.  X is at most op.size wide.
+
+    Each iteration runs Rayleigh-Ritz on X, the active pairs' residuals
+    preconditioned by `op.precondition` and their previous steps; if the
+    Gram factorization fails, the steps are dropped and the iteration
+    retried once.  A pair passing ||op u - lambda u||_w <= 10 TOL_EIG
+    max(op.unit, |lambda|) leaves the active set but stays in X (soft
+    locking); once the k wanted pairs pass on a fresh apply of op, the top
+    Ritz value must clear the k-th value's cluster (relative gap
+    CLUSTER_RTOL) or X grows by more guards.  On a flat bundle the start
+    block holds the exact eigenvectors, and the solve ends at iteration 0
+    after one apply of X.  A breakdown or more than MAX_ITER iterations
     raises SolverFailureError with the last residuals.
     """
     shape, size = op.shape, op.size
@@ -173,17 +197,31 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
     if k > size:
         raise ValueError(f"k = {k} exceeds the {size}-dimensional space")
     root_w = np.sqrt(op.bundle.weights.reshape(size))
+    applied = 0
 
     def scaled(fn, v):
         """fn on the rows of v in the variables sqrt(w) u, where <., .>_w is
         the plain dot product and op is a symmetric matrix."""
         return root_w * fn((v / root_w).reshape((-1,) + shape)).reshape(v.shape)
 
+    def apply(v):
+        nonlocal applied
+        applied += len(v)
+        return scaled(op.apply, v)
+
     rng = np.random.default_rng(seed)
-    m = min(k + 4, size)
+
+    def guards(count):
+        return scaled(op.precondition, rng.standard_normal((count, size)))
+
     target, unit = 10.0 * TOL_EIG, op.unit
-    x = rng.standard_normal((m, size))
-    ax, search = scaled(op.apply, x), []
+    kernel = op.bundle.kernel
+    predicted = kernel.mode_values(op._symbol)
+    end = int(np.searchsorted(predicted, _cluster_edge(predicted[k - 1], unit), side="right"))
+    block = m = min(end + GUARDS, size)
+    modes = kernel.real_modes(op._symbol, end).reshape(end, size)
+    x = np.vstack([root_w * modes, guards(m - end)])
+    ax, search = apply(x), []
     iterations, residuals = 0, np.empty(0)
     while True:
         try:
@@ -199,13 +237,12 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
         converged = residuals <= target * np.maximum(unit, np.abs(theta))
         if converged[:k].all():
             if search:  # confirm on a fresh image: ax is otherwise a recurrence
-                ax, search = scaled(op.apply, x), []
+                ax, search = apply(x), []
                 continue
-            edge = theta[k - 1] + CLUSTER_RTOL * max(unit, abs(theta[k - 1]))
-            if m == size or theta[-1] > edge:
+            if m == size or theta[-1] > _cluster_edge(theta[k - 1], unit):
                 break
-            new = rng.standard_normal((min(m - k, size - m), size))
-            x, ax = np.vstack([x, new]), np.vstack([ax, scaled(op.apply, new)])
+            new = guards(min(m - k, size - m))
+            x, ax = np.vstack([x, new]), np.vstack([ax, apply(new)])
             m = len(x)
             continue
         if iterations >= MAX_ITER:
@@ -215,7 +252,7 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
                 residuals=residuals[:k].tolist())
         d, _ = _orthonormalize(scaled(op.precondition, r[~converged]), None, [(x, ax)])
         del r  # the residuals are spent: free their block before the next allocations
-        basis = [(x, ax), (d, scaled(op.apply, d))]
+        basis = [(x, ax), (d, apply(d))]
         if search:  # the previous steps of the active pairs
             basis.append(_orthonormalize(p[~converged], ap[~converged], basis))
         search = basis[1:]
@@ -229,6 +266,8 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
         method="lanczos",
         iterations=iterations,
         penalty=op.penalty,
+        block=block,
+        applied_columns=applied,
     )
 
 

@@ -73,7 +73,9 @@ class SpectralKernel:
     |k| < m/2 per axis there.  Every method transforms the trailing n axes
     and batches over the leading ones.  The gradient, divergence and
     partials carry the vector index as the first axis, one component per
-    torus axis.  The instance holds only wavenumbers and the band mask.
+    torus axis.  The grid's real Fourier modes, the eigenfunctions of every
+    even multiplier, are evaluated directly (`real_modes`).  The instance
+    holds only wavenumbers and the band mask.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -139,6 +141,44 @@ class SpectralKernel:
         k = self._k
         mu = sum(g_inv[i, j] * k[i] * k[j] for i in range(self.n) for j in range(self.n))
         return np.where(self.band, mu, 0.0)
+
+    def _real_basis(self, symbol: np.ndarray):
+        """The grid's real Fourier basis, one mode per wavenumber k: cos k.x for
+        the first of each pair {k, -k} in C order (and for k = -k), sin k.x for
+        the second.  Returns the even multiplier `symbol`'s value on each mode,
+        the modes' wavenumbers as indices 0..m-1 of the full FFT layout (n,
+        size) and their cosine flags, in ascending value, ties in C order."""
+        shape = self.grid.shape
+        index = np.indices(shape).reshape(self.n, -1)
+        mirror = (-index) % np.array(shape)[:, None]
+        # the real-FFT layout holds one of k, -k; symbol takes one value on both
+        values = symbol[tuple(np.where(index[-1] <= shape[-1] // 2, index, mirror))]
+        cosine = np.arange(self.grid.size) <= np.ravel_multi_index(tuple(mirror), shape)
+        order = np.argsort(values, kind="stable")
+        return values[order], index[:, order], cosine[order]
+
+    def mode_values(self, symbol: np.ndarray) -> np.ndarray:
+        """The values of a real, even multiplier on the real-FFT layout at the
+        grid's real Fourier modes, ascending: its eigenvalues as an operator
+        on grid fields, with multiplicity (grid.size of them)."""
+        return self._real_basis(symbol)[0]
+
+    def real_modes(self, symbol: np.ndarray, count: int) -> np.ndarray:
+        """The first `count` real Fourier modes in the order of `mode_values`
+        (the constant, cos k.x and sin k.x with unit amplitude), shape
+        (count, *grid.shape): eigenfunctions of the multiplier, mutually
+        orthogonal on the grid.
+
+        Evaluated, not transformed: e^{ik.x} is the product of one factor per
+        axis, each read from the exact integer phase k_a p_a mod m_a, so the
+        transcendentals are taken on per-axis tables only."""
+        _, index, cosine = self._real_basis(symbol)
+        lead = (count,) + (1,) * self.n
+        wave = functools.reduce(np.multiply, (
+            np.exp(2j * math.pi * (np.outer(k[:count], np.arange(m)) % m) / m)
+            .reshape(lead[:a + 1] + (m,) + lead[a + 2:])
+            for a, (k, m) in enumerate(zip(index, self.grid.shape))))
+        return np.where(cosine[:count].reshape(lead), wave.real, wave.imag)
 
 
 def _along(k: np.ndarray, axis: int, n: int) -> np.ndarray:

@@ -57,6 +57,8 @@ def spectrum_block(result: SpectrumResult) -> dict:
         block["defect"] = result.defect
     if result.iterations is not None:
         block["iterations"] = result.iterations
+        block["block"] = result.block
+        block["applied_columns"] = result.applied_columns
     if result.penalty is not None:
         block["penalty"] = result.penalty
     return block

@@ -133,6 +133,28 @@ def test_spectrum_perturbed_torus_is_deterministic(spec_file, tmp_path, capsys):
     assert len(values) == 7 and values == sorted(values)
 
 
+@pytest.mark.parametrize("text,k,block,flat", [
+    (T5_ZERO_MODE.replace("k: 7", "k: 11"), 11, 15, True),
+    (BUMP_LANCZOS, 7, 11, False),
+], ids=["flat-T5", "curved-T3"])
+def test_iterative_report_counts_its_work_and_is_reproducible(spec_file, tmp_path, capsys,
+                                                              text, k, block, flat):
+    docs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        assert main(["spectrum", "--spec", spec_file(text), "--quiet", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc.pop("timings")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    got = docs[0]["spectrum"]
+    assert got["method"] == "lanczos" and len(got["values"]) == k and got["block"] == block
+    if flat:  # the start block holds the eigenvectors: one apply of it, no iteration
+        assert got["iterations"] == 0 and got["applied_columns"] == block
+    else:
+        assert got["iterations"] > 0 and got["applied_columns"] > block
+
+
 @pytest.mark.parametrize("command,outer", [("spectrum", "solve"), ("verify", "spectrum")])
 def test_grid_reports_time_the_bundle(spec_file, tmp_path, capsys, command, outer):
     # a grid spectrum's timing includes its bundle, which is also reported on
@@ -483,6 +505,18 @@ def test_commands_leave_scipy_linalg_and_sparse_unloaded(spec_file):
         " '--quiet']) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
     )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.fft is imported on a grid's first transform; a module-level scipy
+    # import anywhere in the program would add to every interpreter start
+    script = ("import sys, paneitzlab.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -147,6 +147,67 @@ def test_auto_solver_is_iterative_at_every_size(shape):
     assert result.eigenvalues[1] == pytest.approx(1.0, abs=1e-8)
 
 
+# --------------------------------------------------------------------------
+# the start block read from the predicted spectrum
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("radii,shape,k,block", [
+    ((1.0, 0.5, 2.0), (8, 8, 8), 10, 15),
+    ((1.0,) * 4, (8,) * 4, 9, 13),
+    ((1.0,) * 5, (8,) * 5, 11, 15),
+    ((1.0,) * 3, (9,) * 3, 7, 11),
+])
+def test_flat_solves_end_at_iteration_zero(radii, shape, k, block):
+    # on a flat bundle the grid-mean symbol is the operator, so the start
+    # block's Fourier modes are eigenvectors: one apply of it, no iteration
+    imm, grid = clifford_torus(radii), TorusGrid(shape)
+    bundle = build_bundle(imm, grid)
+    exact = np.asarray(expand_lines(paneitz_spectrum(flat_torus(radii), count=k + 4).lines, k))
+    for seed in (1, 2):
+        result = spectrum(imm, grid, paneitz_coefficients(len(shape)), k, bundle=bundle,
+                          seed=seed)
+        assert result.iterations == 0
+        assert result.block == result.applied_columns == block
+        assert np.abs(result.eigenvalues - exact).max() <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def curved_case():
+    imm, grid = perturbed_torus(amp=0.1), TorusGrid((8, 8, 8))
+    bundle = build_bundle(imm, grid)
+    dense = spectrum(imm, grid, paneitz_coefficients(3), 20, bundle=bundle, solver="dense")
+    return imm, grid, bundle, dense
+
+
+@pytest.mark.parametrize("k,block", [(5, 9), (8, 15), (10, 15), (13, 19), (20, 31)])
+def test_cut_predicted_clusters_hide_no_eigenvalue(curved_case, k, block):
+    # the mean-metric prediction splits the 12 modes of |k|^2 = 2 into three
+    # clusters of 4, while the true values near 3.96..4.07 interleave them:
+    # k = 8 and 10 cut the true cluster, and the guards must still find it
+    imm, grid, bundle, dense = curved_case
+    result = spectrum(imm, grid, paneitz_coefficients(3), k, bundle=bundle, seed=3)
+    assert result.block == block and result.applied_columns > block
+    assert np.abs(result.eigenvalues - dense.eigenvalues[:k]).max() <= 1e-8
+
+
+def test_start_near_a_cut_cluster_converges_in_fewer_iterations(curved_case):
+    # k = 8 sits on the lowest value of the |k|^2 = 2 cluster; a random
+    # start block took 98 iterations
+    imm, grid, bundle, _ = curved_case
+    result = spectrum(imm, grid, paneitz_coefficients(3), 8, bundle=bundle, seed=3)
+    assert result.iterations <= 40
+
+
+def test_start_block_is_capped_at_the_grid_size():
+    # k = size: the start block is the whole real Fourier basis, no guards
+    imm, grid = donut_torus(2.0, 1.0), TorusGrid((8, 8))
+    bundle = build_bundle(imm, grid)
+    dense = spectrum(imm, grid, None, grid.size, bundle=bundle, solver="dense")
+    lanc = spectrum(imm, grid, None, grid.size, bundle=bundle, solver="lanczos")
+    assert lanc.block == grid.size
+    assert np.abs(lanc.eigenvalues - dense.eigenvalues).max() <= 1e-8
+
+
 def test_cluster_eigenvalues_groups_by_relative_gap():
     vals = [0.0, 1e-12, 1.0, 1.0 + 5e-7, 2.5]
     assert cluster_eigenvalues(vals) == (
@@ -205,9 +266,10 @@ def test_unknown_solver_is_refused():
 
 
 def test_failed_gram_factorization_drops_the_step_directions(monkeypatch):
-    # k = 5 keeps a block of 9: every Gram of the block, the residual
-    # directions and the previous steps (more than 18 rows) fails to factor,
-    # so each iteration is retried without the steps and still converges
+    # k = 5 keeps a block of 9 (5 predicted modes, 4 guards): every Gram of
+    # the block, the residual directions and the previous steps (more than
+    # 18 rows) fails to factor, so each iteration is retried without the
+    # steps and still converges
     cholesky = np.linalg.cholesky
     retried = []
 

@@ -173,6 +173,39 @@ def test_symbol_and_multiply_give_the_constant_metric_laplacian():
     assert np.allclose(multiply(batch), 97.0 * batch, atol=1e-11)
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (9, 8, 10)])
+def test_real_modes_are_an_orthogonal_eigenbasis_of_a_multiplier(shape):
+    # the grid's real Fourier modes, ordered by an anisotropic multiplier
+    # with a constant off-band value, as the solver's start block reads them
+    kernel = kernel_for(shape)
+    n, size = kernel.n, kernel.grid.size
+    g_inv = np.eye(n) + 0.1 * np.ones((n, n))
+    symbol = np.where(kernel.band, kernel.symbol(g_inv) ** 2, 37.0)
+    values = kernel.mode_values(symbol)
+    modes = kernel.real_modes(symbol, size)
+    assert values.shape == (size,) and modes.shape == (size,) + shape
+    assert np.all(np.diff(values) >= 0.0) and values[0] == 0.0
+    assert np.allclose(modes[0], 1.0, atol=1e-15)
+    flat = modes.reshape(size, size)
+    gram = flat @ flat.T
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-10
+    assert np.diag(gram).min() >= size / 2 - 1e-9  # no sine of a self-conjugate k
+    applied = kernel.synthesize(kernel.coefficients(modes) * symbol)
+    assert np.abs(applied - values.reshape((-1,) + (1,) * n) * modes).max() <= 1e-10
+    assert np.array_equal(kernel.real_modes(symbol, 5), modes[:5])
+
+
+def test_real_modes_are_cosines_and_sines_of_the_wavenumbers():
+    kernel = kernel_for((8, 12))
+    theta = kernel.grid.points()
+    mu = np.where(kernel.band, kernel.symbol(np.diag([4.0, 9.0])), 1e3)
+    # the constant, then k = (1, 0) and its mirror (-1, 0), in C order: 4 k_x^2
+    values, modes = kernel.mode_values(mu), kernel.real_modes(mu, 3)
+    assert values[:4].tolist() == [0.0, 4.0, 4.0, 9.0]
+    assert np.allclose(modes[1], np.cos(theta[..., 0]), atol=1e-15)
+    assert np.allclose(modes[2], -np.sin(theta[..., 0]), atol=1e-15)
+
+
 
 # -------------------------------------------------------------- immersions
 
