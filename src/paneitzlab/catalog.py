@@ -43,7 +43,8 @@ class SphereFactor:
 
     def __post_init__(self):
         """Refuse a radius whose volume scale r^p or fourth-order scale r^-4
-        is not a finite nonzero float: the closed forms are built on both."""
+        is not a finite nonzero float, and a factor whose volume is not one:
+        the closed forms are built on all three."""
         if not isinstance(self.p, int) or self.p < 1:
             raise ValueError(f"factor dimension must be a positive integer, got {self.p!r}")
         if not self.r > 0:
@@ -55,6 +56,13 @@ class SphereFactor:
         if not all(0.0 < x < math.inf for x in scales):
             raise ValueError(f"factor radius {self.r!r} is out of range: r^{self.p} and r^-4 "
                              f"must be finite nonzero floats")
+        try:
+            volume = self.volume
+        except OverflowError:   # Gamma((p + 1) / 2), at any radius from p = 343 on
+            volume = math.nan
+        if not 0.0 < volume < math.inf:
+            raise ValueError(f"factor S{self.p}(r={self.r:.12g}) is out of range: its volume "
+                             f"must be a finite nonzero float")
 
     @property
     def volume(self) -> float:

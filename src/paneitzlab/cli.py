@@ -10,8 +10,9 @@ diagnostics go to stderr.
 There is one solve path, `_solve`: a spec's spectrum comes from the catalog
 in closed form when one exists and from the grid otherwise, both as a
 `SpectrumResult`.  `spectrum`, `verify` and `replay` reach it from a spec
-file; a sweep family maps each parameter to a `ManifoldSpec` and reaches it
-the same way, one sample per spec.
+file; a sweep family maps each parameter to a `ManifoldSpec`, built by the
+catalog and immersion constructors the spec parser uses, and reaches it the
+same way, one sample per spec.
 
 ``PANEITZ_LAB_THREADS`` caps how many sweep samples run concurrently.
 """
@@ -41,7 +42,13 @@ from .bounds import (
     summarize_model,
     u1_from_result,
 )
-from .catalog import ModelManifold, first_eigenfunction_info, paneitz_spectrum
+from .catalog import (
+    ModelManifold,
+    first_eigenfunction_info,
+    paneitz_spectrum,
+    round_sphere,
+    sphere_product,
+)
 from .coefficients import paneitz_coefficients
 from .discrete import CurvatureBundle, build_bundle
 from .eigensolve import DEFAULT_SEED, SpectrumResult
@@ -71,7 +78,8 @@ from .report import (
     spectrum_block,
     sweep_csv,
 )
-from .specfile import ManifoldSpec, SpecModeTerm, load_manifold_spec
+from .fourier import FourierTerm, TorusGrid, clifford_torus
+from .specfile import ManifoldSpec, load_manifold_spec
 
 EXIT_OK, EXIT_VIOLATION, EXIT_INVALID, EXIT_SOLVER = 0, 1, 2, 3
 
@@ -122,12 +130,11 @@ def _solve(spec: ManifoldSpec, count: int, seed: int, timings: dict,
     has it (unless on_grid), else on the spec's grid, where timings["bundle"]
     gets the seconds spent sampling the bundle.  Every command and sweep
     sample reaches its spectrum here."""
-    if spec.analytic and not on_grid:
-        model = spec.to_model()
+    model = spec.model
+    if model is not None and not on_grid:
         result = SpectrumResult.closed_form(paneitz_spectrum(model, count).lines, count)
         return Solution(result, summarize_model(model), None, model)
-    imm = spec.to_immersion()
-    grid = spec.to_grid()
+    imm, grid = spec.immersion, TorusGrid(spec.grid)
     tick = time.perf_counter()
     bundle = build_bundle(imm, grid)
     timings["bundle"] = time.perf_counter() - tick
@@ -269,10 +276,10 @@ def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
     else on the grid spectrum, solved here unless sol already holds one; u1
     is the bounds' ground state of sol, reused by the grid chain."""
     theorem = replay_theorem(spec.dim)
-    if spec.kind == "sphere":
-        return replay_proof_analytic(theorem, spec.to_model(),
+    if spec.model is not None and spec.model.kind == "sphere":
+        return replay_proof_analytic(theorem, spec.model,
                                      tol=tol if tol is not None else REPLAY_TOL_ANALYTIC)
-    if not spec.gridable:
+    if spec.immersion is None:
         raise GateError("replay needs a round sphere (closed form) or a "
                         "gridable torus immersion")
     if spec.grid is None:
@@ -333,15 +340,15 @@ def _clifford_spec(param: float, n: int, seed: int) -> ManifoldSpec:
     if not (0.0 < param < 1.0):
         raise GateError(f"clifford_ratio parameter is r1^2, needs (0,1); got {param}")
     factors = ((2, math.sqrt(param)), (2, math.sqrt(1.0 - param)))
-    return ManifoldSpec(kind="sphere_product", dim=n, ambient="unit_sphere",
-                        factors=factors, seed=seed)
+    return ManifoldSpec(model=sphere_product(factors, ambient="unit_sphere"), seed=seed)
 
 
 def _fourier_spec(param: float, n: int, seed: int) -> ManifoldSpec:
     """The unit Clifford n-torus with param cos(x_1 + x_2) added to its first
     coordinate, on 8^n."""
-    mode = SpecModeTerm(k=(1, 1) + (0,) * (n - 2), amp=(param,) + (0.0,) * (2 * n - 1))
-    return ManifoldSpec(kind="fourier_immersion", dim=n, radii=(1.0,) * n, fourier=(mode,),
+    mode = FourierTerm(k=(1, 1) + (0,) * (n - 2), cos=(param,) + (0.0,) * (2 * n - 1),
+                       sin=(0.0,) * (2 * n))
+    return ManifoldSpec(immersion=clifford_torus((1.0,) * n).perturbed([mode]),
                         grid=(8,) * n, solver="lanczos", seed=seed)
 
 
@@ -351,7 +358,7 @@ def _fourier_spec(param: float, n: int, seed: int) -> ManifoldSpec:
 #: the bound covers.
 _FAMILIES = {
     "sphere_radius": (None, False,
-                      lambda param, n, seed: ManifoldSpec(kind="sphere", dim=n, r=param, seed=seed)),
+                      lambda param, n, seed: ManifoldSpec(model=round_sphere(n, param), seed=seed)),
     "clifford_ratio": (4, True, _clifford_spec),
     # n = 4 only: curved 8^5 grids push each sample past desk scale
     "fourier_perturbation": (4, False, _fourier_spec),

@@ -277,8 +277,10 @@ class FourierImmersion:
 
 
 def unit_sphere_deviation(y: np.ndarray) -> float:
-    """max | |y|^2 - 1 | over sampled ambient points y (..., N)."""
-    return float(np.max(np.abs(np.sum(y * y, axis=-1) - 1.0)))
+    """max | |y|^2 - 1 | over sampled ambient points y (..., N); inf, without
+    a warning, where |y|^2 overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(np.sum(y * y, axis=-1) - 1.0)))
 
 
 def clifford_torus(radii) -> FourierImmersion:

@@ -12,7 +12,7 @@ Top-level keys::
     ambient: euclidean | unit_sphere          (default euclidean)
     params:  kind-specific geometry, see below
     fourier: list of {k, amp, trig} extra modes  (fourier_immersion only)
-    grid:    points per axis, int or list     (gridable kinds only)
+    grid:    points per axis, int or list     (torus kinds only)
     solver:  lanczos (runs LOBPCG) | dense    (default: lanczos)
     k:       eigenvalue count                 (default 8)
     seed:    RNG seed for the iterative solver, >= 0
@@ -24,6 +24,12 @@ coordinate j on top of the block torus; ``trig`` is ``cos`` (default) or
 ``sin``, and ``amp`` must have one entry per ambient coordinate (2 dim).
 Each wavevector needs |k_i| < m_i / 2 on every grid axis of m_i points, and
 every number must be finite.
+
+A parsed `ManifoldSpec` holds the geometry it declares, built once by the
+catalog and immersion constructors (a refusal becomes a located error): the
+`ModelManifold` of every kind with a closed form and the `FourierImmersion`
+of the two torus kinds.  The grid stays a shape, sampled only by a solve.
+The sweep families in `cli` build the same record from the same constructors.
 """
 
 from __future__ import annotations
@@ -47,23 +53,16 @@ DEFAULT_COUNT = 8
 
 
 @dataclass(frozen=True)
-class SpecModeTerm:
-    """One extra Fourier mode of a perturbed torus immersion."""
-
-    k: tuple[int, ...]
-    amp: tuple[float, ...]
-    trig: str = "cos"
-
-
-@dataclass(frozen=True)
 class ManifoldSpec:
-    kind: str
-    dim: int
-    ambient: str = "euclidean"
-    r: float | None = None
-    radii: tuple[float, ...] | None = None
-    factors: tuple[tuple[int, float], ...] | None = None
-    fourier: tuple[SpecModeTerm, ...] = ()
+    """The geometry a spec declares, as built, with its solve settings.
+
+    model is the closed-form catalog manifold, None for a perturbed torus;
+    immersion is the torus immersion a grid samples, None for spheres and
+    their products.  grid is the validated shape, None when none is declared.
+    """
+
+    model: ModelManifold | None = None
+    immersion: FourierImmersion | None = None
     grid: tuple[int, ...] | None = None
     solver: str | None = None
     k: int = DEFAULT_COUNT
@@ -72,40 +71,9 @@ class ManifoldSpec:
     text: str = field(default="", repr=False)
 
     @property
-    def analytic(self) -> bool:
-        """True when closed-form spectra exist (everything but perturbed tori)."""
-        return self.kind != "fourier_immersion"
-
-    @property
-    def gridable(self) -> bool:
-        return self.kind in ("flat_torus", "fourier_immersion")
-
-    def to_model(self) -> ModelManifold:
-        if self.kind == "sphere":
-            return round_sphere(self.dim, self.r, ambient=self.ambient)
-        if self.kind == "sphere_product":
-            return sphere_product(self.factors, ambient=self.ambient)
-        if self.kind == "flat_torus":
-            return flat_torus(self.radii, ambient=self.ambient)
-        raise ValueError(f"{self.kind} has no closed-form model")
-
-    def to_immersion(self) -> FourierImmersion:
-        if not self.gridable:
-            raise ValueError(f"{self.kind} is not realized as a torus immersion")
-        base = clifford_torus(self.radii)
-        extra = []
-        for t in self.fourier:
-            zero = (0.0,) * len(t.amp)
-            if t.trig == "cos":
-                extra.append(FourierTerm(k=t.k, cos=t.amp, sin=zero))
-            else:
-                extra.append(FourierTerm(k=t.k, cos=zero, sin=t.amp))
-        return base.perturbed(extra) if extra else base
-
-    def to_grid(self) -> TorusGrid:
-        if self.grid is None:
-            raise ValueError("spec has no grid")
-        return TorusGrid(self.grid)
+    def dim(self) -> int:
+        """The intrinsic dimension n of the built geometry."""
+        return self.model.n if self.model is not None else self.immersion.n
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +188,7 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
         params = _keyed(top["params"], "params", ("factors",))
         if "factors" not in params:
             raise _err(top["params"], "sphere_product params need a 'factors' list")
-        facs = []
+        factors = []
         for item in _sequence(params["factors"], "factors"):
             entry = _keyed(item, "factor", ("p", "r"))
             if "p" not in entry or "r" not in entry:
@@ -231,8 +199,7 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
                 raise _err(entry["p"], f"factor dimension must be >= 1, got {p}")
             if rad <= 0:
                 raise _err(entry["r"], f"factor radius must be positive, got {rad}")
-            facs.append((p, rad))
-        factors = tuple(facs)
+            factors.append((p, rad))
         total = sum(p for p, _ in factors)
         if total != dim:
             raise _err(top["dim"], f"dim = {dim} but factors sum to {total}")
@@ -246,7 +213,7 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
         if any(rad <= 0 for rad in radii):
             raise _err(params["radii"], "radii must all be positive")
 
-    fourier: list[SpecModeTerm] = []
+    terms: list[FourierTerm] = []
     k_nodes = []
     if "fourier" in top:
         if kind != "fourier_immersion":
@@ -263,7 +230,9 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
             if len(amp) != 2 * dim:
                 raise _err(entry["amp"],
                            f"amp length {len(amp)} != ambient dimension {2 * dim}")
-            fourier.append(SpecModeTerm(k=kvec, amp=amp, trig=trig))
+            zero = (0.0,) * len(amp)
+            terms.append(FourierTerm(k=kvec, cos=amp, sin=zero) if trig == "cos"
+                         else FourierTerm(k=kvec, cos=zero, sin=amp))
             k_nodes.append(entry["k"])
     elif kind == "fourier_immersion":
         raise _err(root, "fourier_immersion needs a 'fourier' list (may perturb by zero)")
@@ -283,7 +252,7 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
             raise _err(node, f"grid sizes must be >= 8 per axis, got {grid}")
     elif kind == "fourier_immersion":
         raise _err(root, "fourier_immersion needs a 'grid' (no closed form exists)")
-    for term, node in zip(fourier, k_nodes):   # the coarse grid must resolve each mode
+    for term, node in zip(terms, k_nodes):   # the coarse grid must resolve each mode
         if any(2 * abs(k) >= m for k, m in zip(term.k, grid)):
             raise _err(node, f"wavevector {list(term.k)} aliases on grid {grid}: "
                              f"need |k_i| < m_i / 2 on every axis")
@@ -296,27 +265,28 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
     if seed < 0:
         raise _err(top["seed"], f"seed must be >= 0, got {seed}")
 
-    spec = ManifoldSpec(kind=kind, dim=dim, ambient=ambient, r=r, radii=radii,
-                        factors=factors, fourier=tuple(fourier), grid=grid,
-                        solver=solver, k=count, seed=seed, source=source, text=text)
-    _cross_validate(spec, root, top.get("ambient"))
-    return spec
-
-
-def _cross_validate(spec: ManifoldSpec, root, ambient_node) -> None:
-    """Geometry-level checks routed through the catalog constructors; an
-    immersion declared in the unit sphere must lie on it at every grid point."""
+    model = immersion = None
     try:
-        geometry = spec.to_model() if spec.analytic else spec.to_immersion()
+        if kind == "sphere":
+            model = round_sphere(dim, r, ambient=ambient)
+        elif kind == "sphere_product":
+            model = sphere_product(factors, ambient=ambient)
+        elif kind == "flat_torus":
+            model = flat_torus(radii, ambient=ambient)
+        if radii is not None:
+            immersion = clifford_torus(radii).perturbed(terms)
     except ValueError as exc:
         raise _err(root, str(exc)) from None
-    if spec.ambient == "unit_sphere" and not spec.analytic:
-        dev = geometry.sphere_deviation(spec.to_grid())
+    if ambient == "unit_sphere" and model is None:
+        # no catalog constructor checks it: the immersion must lie on the sphere
+        dev = immersion.sphere_deviation(TorusGrid(grid))
         if dev > SPHERE_DEVIATION_TOL:
-            raise _err(ambient_node,
+            raise _err(top["ambient"],
                        f"ambient unit_sphere declared, but the immersion leaves the unit "
                        f"sphere: max | |y|^2 - 1 | = {dev:.3g} on the grid "
                        f"(tolerance {SPHERE_DEVIATION_TOL:g})")
+    return ManifoldSpec(model=model, immersion=immersion, grid=grid, solver=solver, k=count,
+                        seed=seed, source=source, text=text)
 
 
 def load_manifold_spec(path) -> ManifoldSpec:

@@ -130,7 +130,7 @@ def test_verify_selection_is_pinned(case, n, tmp_path, capsys):
     text = SPECS[case](n)
     spec = tmp_path / "m.yaml"
     spec.write_text(text)
-    label = parse_manifold_spec(text).to_model().describe()
+    label = parse_manifold_spec(text).model.describe()
     for bound, cell in zip(COLUMNS, EXPECTED[(case, n)]):
         out = tmp_path / f"{bound}.json"
         code = main(["verify", "--spec", str(spec), "--bound", bound, "--quiet",

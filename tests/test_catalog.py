@@ -255,3 +255,12 @@ def test_spectra_scale_as_r_to_the_minus_four(make, r):
 def test_radius_out_of_float_range_is_refused(p, r):
     with pytest.raises(ValueError, match="out of range"):
         SphereFactor(p=p, r=r)
+
+
+@pytest.mark.parametrize("p, r", [(343, 1.0), (400, 1.0), (300, 0.2)])
+def test_factor_volume_out_of_float_range_is_refused(p, r):
+    # Gamma((p + 1) / 2) overflows from p = 343 on, whatever the radius; at
+    # p = 300 a radius of 0.2 keeps r^p a float but the volume underflows
+    with pytest.raises(ValueError, match="its volume must be a finite nonzero float"):
+        SphereFactor(p=p, r=r)
+    assert 0.0 < SphereFactor(p=342, r=1.0).volume < math.inf

@@ -12,6 +12,7 @@ import pytest
 from paneitzlab import cli, discrete
 from paneitzlab.cli import _eigen_row, _sweep_row, main
 from paneitzlab.errors import PaneitzLabError, SolverFailureError
+from paneitzlab.specfile import parse_manifold_spec
 
 S4 = "kind: sphere\ndim: 4\nparams:\n  r: 1.0\n"
 S5 = "kind: sphere\ndim: 5\nparams:\n  r: 1.0\n"
@@ -649,6 +650,36 @@ def test_fourier_family_flat_sample_matches_catalog():
     assert row["eigenvalues"][0] == pytest.approx(1.0, abs=1e-9)  # the kernel is dropped
 
 
+#: each sweep family's spec at (param, n, seed), written as a spec file
+FAMILY_FILES = {
+    "sphere_radius": lambda param, n, seed: (
+        f"kind: sphere\ndim: {n}\nparams:\n  r: {param!r}\nseed: {seed}\n"),
+    "clifford_ratio": lambda param, n, seed: (
+        f"kind: sphere_product\ndim: {n}\nambient: unit_sphere\nparams:\n  factors:\n"
+        f"    - {{p: 2, r: {math.sqrt(param)!r}}}\n"
+        f"    - {{p: 2, r: {math.sqrt(1.0 - param)!r}}}\nseed: {seed}\n"),
+    "fourier_perturbation": lambda param, n, seed: (
+        f"kind: fourier_immersion\ndim: {n}\nparams:\n  radii: {[1.0] * n}\nfourier:\n"
+        f"  - {{k: {[1, 1] + [0] * (n - 2)}, amp: {[param] + [0] * (2 * n - 1)}}}\n"
+        f"grid: 8\nsolver: lanczos\nseed: {seed}\n"),
+}
+
+
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_family_spec_equals_its_spec_file(family):
+    # sweeps and spec files build their geometry through the same constructors
+    dim, _, build = cli._FAMILIES[family]
+    n, param, seed = dim or 5, 0.3, 7
+
+    def built(spec):
+        terms = None if spec.immersion is None else spec.immersion.terms
+        return spec.dim, spec.model, terms, spec.grid, spec.solver, spec.k, spec.seed
+
+    made = built(build(param, n, seed))
+    assert made[1:3] != (None, None)
+    assert made == built(parse_manifold_spec(FAMILY_FILES[family](param, n, seed)))
+
+
 def test_eigen_row_indexing():
     assert _eigen_row([1e-13, 1.0, 1.0, 2.0, 2.0, 3.0], 4) == [1.0, 1.0, 2.0, 2.0, 3.0]
     row5 = _eigen_row([1e-13, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0], 5)
@@ -676,6 +707,25 @@ def test_product_volume_out_of_float_range_is_a_spec_error(spec_file, capsys, ra
     err = capsys.readouterr().err
     assert err.startswith(f"paneitz-lab: spec error: volume {volume} of ")
     assert "(line 1, column 1)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [343, 400])
+@pytest.mark.parametrize("text", [
+    "kind: sphere\ndim: {p}\nparams:\n  r: 1.0\n",
+    "kind: sphere_product\ndim: {n}\nparams:\n  factors:\n"
+    "    - {{p: {p}, r: 1.0}}\n    - {{p: 1, r: 1.0}}\n",
+], ids=["sphere", "factor"])
+def test_factor_volume_out_of_float_range_is_a_spec_error(spec_file, capsys, text, p):
+    # Gamma((p + 1) / 2) leaves the float range from p = 343 on, at any radius
+    assert main(["spectrum", "--spec", spec_file(text.format(p=p, n=p + 1))]) == 2
+    assert capsys.readouterr().err == (
+        f"paneitz-lab: spec error: factor S{p}(r=1) is out of range: its volume must be a "
+        f"finite nonzero float (line 1, column 1)\n")
+
+
+def test_largest_sphere_with_a_float_volume_solves(spec_file):
+    assert main(["spectrum", "--quiet",
+                 "--spec", spec_file("kind: sphere\ndim: 342\nparams:\n  r: 1.0\n")]) == 0
 
 
 @pytest.mark.parametrize("span",["1:1e200:3", "1e-200:1:3"])

@@ -1,20 +1,25 @@
-"""Property tests of the batched jet and curvature products.
+"""Property tests of the batched jet and curvature products and of the
+spec parser.
 
 Random band-limited immersions of the n-torus, n = 2..5, into R^N with
 N <= 2n + 2: a Clifford torus with random radii in the first 2n coordinates,
 plus up to three random Fourier modes on all N.  The batched products are
 held to the plain forms in `helpers` (a loop over terms, one einsum per
-contraction) and to the Gauss equation.  Example counts stay small and the
-draws are derandomized, so the suite stays fast and repeatable.
+contraction) and to the Gauss equation.  Spec text is fuzzed by mutating one
+node of a valid spec per kind.  Example counts stay small and the draws are
+derandomized, so the suite stays fast and repeatable.
 """
 
 import numpy as np
+import pytest
+import yaml
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from paneitzlab.errors import DegenerateImmersionError
+from paneitzlab.errors import DegenerateImmersionError, SpecFileError
 from paneitzlab.fourier import FourierImmersion, FourierTerm
 from paneitzlab.geometry import curvature_point, gauss_identity_residual, induced_metric
+from paneitzlab.specfile import ManifoldSpec, parse_manifold_spec
 
 from helpers import reference_curvature, reference_jet
 
@@ -81,3 +86,69 @@ def test_curvature_matches_the_plain_contractions(case):
     # the Gauss equation at roundoff, on the scale of its two sides
     scale = max(np.abs(curv.scalar).max(), np.abs(curv.s_norm).max(), 1.0)
     assert gauss_identity_residual(curv, jet.dim) <= 1e-13 * scale
+
+
+#: one valid spec per kind; no grid entry exceeds 16, nor may a mutation make it
+VALID_SPECS = {
+    "sphere": "kind: sphere\ndim: 4\nparams:\n  r: 1.0\nk: 5\nseed: 2\n",
+    "sphere_product": "kind: sphere_product\ndim: 4\nambient: unit_sphere\nparams:\n"
+                      "  factors:\n    - {p: 2, r: 0.7071067811865476}\n"
+                      "    - {p: 2, r: 0.7071067811865476}\n",
+    "flat_torus": "kind: flat_torus\ndim: 3\nparams:\n  radii: [1.0, 0.5, 1.0]\n"
+                  "grid: [8, 10, 8]\nsolver: dense\n",
+    "fourier_immersion": "kind: fourier_immersion\ndim: 3\nambient: unit_sphere\nparams:\n"
+                         "  radii: [0.5773502691896257, 0.5773502691896257, 0.5773502691896257]\n"
+                         "fourier:\n  - {k: [1, 1, 0], amp: [0, 0, 0, 0, 0, 0], trig: sin}\n"
+                         "grid: 8\nk: 4\n",
+}
+TOKENS = ("0", "-1", "343", "1e308", "1e-320", ".nan", "[1]", "{}", "x", "0x10")
+
+
+def _sites(node, tokens=TOKENS):
+    """(container, i, tokens) of every mapping entry and scalar list item
+    under node, with the tokens its scalar may take."""
+    if isinstance(node, yaml.ScalarNode):
+        return
+    for i, item in enumerate(node.value):
+        pool = tokens
+        if isinstance(node, yaml.MappingNode):
+            key, item = item
+            if key.value == "grid":
+                pool = tuple(t for t in tokens if t != "343")
+        if isinstance(node, yaml.MappingNode) or isinstance(item, yaml.ScalarNode):
+            yield node, i, pool
+        yield from _sites(item, pool)
+
+
+def _mutants(text: str, site: int) -> list[str]:
+    """The texts made from text at its site-th site: its scalar set to each
+    of the site's tokens, then, for a mapping entry, the entry deleted."""
+    root = yaml.compose(text)
+    node, i, tokens = list(_sites(root))[site]
+    entry = isinstance(node, yaml.MappingNode)
+    old = node.value[i]
+    out = []
+    if isinstance(old[1] if entry else old, yaml.ScalarNode):
+        for token in tokens:
+            new = yaml.compose(token)
+            node.value[i] = (old[0], new) if entry else new
+            out.append(yaml.serialize(root))
+    if entry:
+        del node.value[i]
+        out.append(yaml.serialize(root))
+    return out
+
+
+@pytest.mark.parametrize("kind", VALID_SPECS)
+@PROPERTY
+@given(data=st.data())
+def test_mutated_spec_parses_or_is_a_located_spec_error(kind, data):
+    text = VALID_SPECS[kind]
+    site = data.draw(st.integers(0, len(list(_sites(yaml.compose(text)))) - 1))
+    for mutant in _mutants(text, site):
+        try:
+            spec = parse_manifold_spec(mutant)
+        except SpecFileError as exc:
+            assert exc.line is not None, exc
+        else:
+            assert isinstance(spec, ManifoldSpec)

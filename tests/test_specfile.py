@@ -1,12 +1,16 @@
 """Spec-file parsing: schema, defaults, and located errors."""
 
+import warnings
+
 import pytest
 
+from paneitzlab.bounds import SPHERE_DEVIATION_TOL
+from paneitzlab.catalog import flat_torus, round_sphere, sphere_product
 from paneitzlab.cli import main
 from paneitzlab.errors import SpecFileError
+from paneitzlab.fourier import TorusGrid
 from paneitzlab.specfile import (
     DEFAULT_SEED,
-    ManifoldSpec,
     load_manifold_spec,
     parse_manifold_spec,
 )
@@ -24,12 +28,9 @@ def parse_error(text):
 
 def test_sphere_spec_defaults():
     spec = parse_manifold_spec("kind: sphere\ndim: 4\nparams:\n  r: 1.0\n")
-    assert spec.kind == "sphere" and spec.dim == 4 and spec.r == 1.0
-    assert spec.ambient == "euclidean" and spec.solver is None
+    assert spec.model == round_sphere(4, 1.0, ambient="euclidean") and spec.dim == 4
+    assert spec.immersion is None and spec.grid is None and spec.solver is None
     assert spec.k == 8 and spec.seed == DEFAULT_SEED
-    assert spec.analytic and not spec.gridable
-    model = spec.to_model()
-    assert model.kind == "sphere" and model.n == 4
 
 
 def test_sphere_product_spec():
@@ -43,9 +44,8 @@ def test_sphere_product_spec():
         "    - {p: 2, r: 0.7071067811865476}\n"
     )
     spec = parse_manifold_spec(text)
-    assert spec.factors == ((2, 0.7071067811865476),) * 2
-    assert spec.to_model().ambient == "unit_sphere"
-    assert not spec.gridable
+    assert spec.model == sphere_product(((2, 0.7071067811865476),) * 2, ambient="unit_sphere")
+    assert spec.immersion is None
 
 
 def test_flat_torus_spec_broadcasts_grid():
@@ -62,9 +62,8 @@ def test_flat_torus_spec_broadcasts_grid():
     spec = parse_manifold_spec(text)
     assert spec.grid == (8, 8, 8) and spec.solver == "lanczos"
     assert spec.k == 7 and spec.seed == 0x5EED
-    assert spec.analytic and spec.gridable
-    assert spec.to_grid().shape == (8, 8, 8)
-    imm = spec.to_immersion()
+    assert spec.model == flat_torus((1.0, 0.5, 1.0))
+    imm = spec.immersion
     assert imm.n == 3 and len(imm.terms) == 3  # pure block torus, no extras
 
 
@@ -80,12 +79,12 @@ def test_perturbed_immersion_spec():
         "grid: [8, 8, 8]\n"
     )
     spec = parse_manifold_spec(text)
-    assert not spec.analytic and spec.gridable
-    assert spec.fourier[0].trig == "cos" and spec.fourier[1].trig == "sin"
-    imm = spec.to_immersion()
+    assert spec.model is None and spec.dim == 3
+    imm = spec.immersion
     assert len(imm.terms) == 5  # three base circles plus two extras
-    with pytest.raises(ValueError, match="closed-form"):
-        spec.to_model()
+    zero = (0.0,) * 6
+    assert imm.terms[3].cos == (0.05, 0, 0, 0, 0, 0) and imm.terms[3].sin == zero
+    assert imm.terms[4].cos == zero and imm.terms[4].sin == (0, 0.02, 0, 0, 0, 0)
 
 
 def test_load_from_file(tmp_path):
@@ -240,7 +239,7 @@ def test_aliased_wavevectors_are_located():
         assert f"wavevector {k} aliases on grid (8, 8, 8)" in str(err)
         assert (err.line, err.column) == (6, 9)
     spec = parse_manifold_spec(BUMP.format(k="[3, 0, 0]", amp=0.1, grid=8))
-    assert spec.fourier[0].k == (3, 0, 0)
+    assert spec.immersion.terms[-1].k == (3, 0, 0)
     assert "aliases" in str(parse_error(BUMP.format(k="[0, 0, 5]", amp=0.1, grid="[12, 8, 8]")))
     assert parse_manifold_spec(BUMP.format(k="[5, 0, 0]", amp=0.1, grid="[12, 8, 8]")).grid[0] == 12
 
@@ -264,14 +263,6 @@ def test_solver_and_count_validation():
         "kind: sphere\ndim: 4\nparams:\n  r: 1.0\nk: 0\n"))
 
 
-def test_grid_only_through_spec():
-    spec = ManifoldSpec(kind="sphere", dim=4, r=1.0)
-    with pytest.raises(ValueError, match="no grid"):
-        spec.to_grid()
-    with pytest.raises(ValueError, match="not realized"):
-        spec.to_immersion()
-
-
 def test_declared_unit_sphere_ambient_must_hold_on_the_grid():
     text = (
         "kind: fourier_immersion\n"
@@ -288,5 +279,9 @@ def test_declared_unit_sphere_ambient_must_hold_on_the_grid():
     assert (err.line, err.column) == (3, 10)
     r = repr(3 ** -0.5)
     spec = parse_manifold_spec(text.replace("[1.0, 1.0, 1.0]", f"[{r}, {r}, {r}]"))
-    assert spec.ambient == "unit_sphere"
-    assert parse_manifold_spec(text.replace("unit_sphere", "euclidean")).ambient == "euclidean"
+    assert spec.immersion.sphere_deviation(TorusGrid(spec.grid)) <= SPHERE_DEVIATION_TOL
+    assert parse_manifold_spec(text.replace("unit_sphere", "euclidean")).model is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # |y|^2 overflows: inf, without a numpy warning
+        err = parse_error(text.replace("amp: [0,", "amp: [1e308,"))
+    assert "= inf on the grid" in str(err) and (err.line, err.column) == (3, 10)
