@@ -42,7 +42,6 @@ from .catalog import (
     expand_lines,
     first_eigenfunction_info,
     flat_torus,
-    laplace_spectrum,
     model_constants,
     paneitz_form,
     paneitz_spectrum,
@@ -102,9 +101,8 @@ __all__ = [
     "curvature_point", "gauss_identity_residual",
     # catalog
     "ModelManifold", "SphereFactor", "SpectralLine", "round_sphere",
-    "sphere_product", "flat_torus", "model_constants", "laplace_spectrum",
-    "paneitz_form", "paneitz_spectrum", "expand_lines",
-    "first_eigenfunction_info",
+    "sphere_product", "flat_torus", "model_constants", "paneitz_form",
+    "paneitz_spectrum", "expand_lines", "first_eigenfunction_info",
     # fourier / discrete / solvers
     "TorusGrid", "FourierTerm", "FourierImmersion", "clifford_torus",
     "donut_torus", "CurvatureBundle", "build_bundle", "apply_laplacian",

@@ -9,8 +9,8 @@ lab needs has a closed form:
   factor, |Ric|^2, Q, and the extrinsic quantities |H|^2 = (1/n^2) sum p^2/r^2
   and S = sum p/r^2 (shifted by -1 and -n when the product sits inside the
   unit sphere and is viewed there);
-* Laplace spectrum: factor lines mu = k(k+p-1)/r^2 with the harmonic
-  multiplicity C(k+p, p) - C(k+p-2, p), convolved across factors;
+* factor Laplace lines: mu = k(k+p-1)/r^2 with the harmonic multiplicity
+  C(k+p, p) - C(k+p-2, p);
 * fourth-order operator spectrum: on a product eigenfunction with factor
   Laplace eigenvalues mu_i,
 
@@ -69,14 +69,14 @@ class SphereFactor:
         return 2.0 * math.pi ** ((self.p + 1) / 2.0) / math.gamma((self.p + 1) / 2.0) * self.r**self.p
 
     def laplace_lines(self, cap: float):
-        """Factor Laplace lines (mu, multiplicity, degree k) with mu <= cap."""
+        """Factor Laplace lines (mu, multiplicity), one per degree, with mu <= cap."""
         out = []
         k = 0
         while True:
             mu = k * (k + self.p - 1) / self.r**2
             if mu > cap:
                 break
-            out.append((mu, _harmonic_multiplicity(self.p, k), k))
+            out.append((mu, _harmonic_multiplicity(self.p, k)))
             k += 1
         return out
 
@@ -173,9 +173,8 @@ def flat_torus(radii, ambient: str = "euclidean") -> ModelManifold:
 class ModelConstants:
     """Curvature and volume constants of a catalog manifold.
 
-    mean_sq and s_norm refer to the declared ambient; the _euclidean fields
-    always refer to the block immersion into R^N (they differ by +1 and +n
-    for submanifolds of the unit sphere).
+    The _euclidean fields refer to the block immersion into R^N whatever the
+    declared ambient (in the unit sphere, |H|^2 and S are 1 and n less).
     """
 
     n: int
@@ -184,11 +183,8 @@ class ModelConstants:
     rho: tuple[float, ...]   # Ricci eigenvalue per factor
     ric_norm_sq: float
     q: float | None          # Q, None below n = 3 where the coefficients are singular
-    mean_sq: float
-    s_norm: float
     mean_sq_euclidean: float
     s_norm_euclidean: float
-    ambient: str
 
 
 def model_constants(m: ModelManifold) -> ModelConstants:
@@ -196,12 +192,6 @@ def model_constants(m: ModelManifold) -> ModelConstants:
     scalar = sum(f.p * (f.p - 1) / f.r**2 for f in m.factors)
     rho = tuple((f.p - 1) / f.r**2 for f in m.factors)
     ric2 = sum(f.p * rh**2 for f, rh in zip(m.factors, rho))
-    h2_e = sum(f.p**2 / f.r**2 for f in m.factors) / n**2
-    s_e = sum(f.p / f.r**2 for f in m.factors)
-    if m.ambient == "unit_sphere":
-        h2, s = h2_e - 1.0, s_e - n
-    else:
-        h2, s = h2_e, s_e
     q = None
     if n >= 3:
         q = q_curvature(paneitz_coefficients(n), ric2, scalar, 0.0)
@@ -212,11 +202,8 @@ def model_constants(m: ModelManifold) -> ModelConstants:
         rho=rho,
         ric_norm_sq=ric2,
         q=q,
-        mean_sq=h2,
-        s_norm=s,
-        mean_sq_euclidean=h2_e,
-        s_norm_euclidean=s_e,
-        ambient=m.ambient,
+        mean_sq_euclidean=sum(f.p**2 / f.r**2 for f in m.factors) / n**2,
+        s_norm_euclidean=sum(f.p / f.r**2 for f in m.factors),
     )
 
 
@@ -226,11 +213,14 @@ def model_constants(m: ModelManifold) -> ModelConstants:
 
 @dataclass(frozen=True)
 class SpectralLine:
-    """One spectral line: value, total multiplicity, contributing degree tuples."""
+    """One spectral line: value, total multiplicity, the number of degree
+    tuples it gathers, and the summed factor Laplace eigenvalue of its first
+    state (the -Lap energy of its eigenfunctions when one tuple makes it)."""
 
     value: float
     multiplicity: int
-    labels: tuple[tuple[int, ...], ...]
+    tuples: int
+    energy: float
 
 
 def _curvature_unit(m: ModelManifold) -> float:
@@ -238,54 +228,6 @@ def _curvature_unit(m: ModelManifold) -> float:
     radius, it scales as the Laplace lines (its square as the fourth-order
     lines), so no absolute number sets the spectra's floors and tolerances."""
     return 2.0 ** round(math.log2(max(f.r**-2 for f in m.factors)))
-
-
-def _merge_lines(entries, abs_tol: float) -> list[SpectralLine]:
-    """Cluster (value, mult, label) triples whose values agree to LINE_MERGE_RTOL."""
-    entries = sorted(entries, key=lambda t: t[0])
-    lines: list[SpectralLine] = []
-    for value, mult, label in entries:
-        if lines and math.isclose(lines[-1].value, value, rel_tol=LINE_MERGE_RTOL, abs_tol=abs_tol):
-            prev = lines[-1]
-            lines[-1] = SpectralLine(prev.value, prev.multiplicity + mult, prev.labels + (label,))
-        else:
-            lines.append(SpectralLine(value, mult, (label,)))
-    return lines
-
-
-def _enumerate_products(factor_lines, cap: float) -> list[tuple[float, int, tuple[int, ...]]]:
-    """Combinations of one line per factor whose summed mu stays <= cap.
-
-    Partial sums above the cap are dropped at each factor; Laplace lines are
-    >= 0, so no dropped prefix could come back under it.
-    """
-    combos = [(0.0, 1, ())]
-    for lines in factor_lines:
-        combos = [
-            (mu0 + mu, mult0 * mult, label0 + (k,))
-            for mu0, mult0, label0 in combos
-            for mu, mult, k in lines
-            if mu0 + mu <= cap
-        ]
-    return combos
-
-
-def laplace_spectrum(m: ModelManifold, count: int) -> list[SpectralLine]:
-    """The `count` smallest distinct eigenvalues of -Lap with multiplicities.
-
-    Factor lines are convolved; the enumeration cap doubles until the
-    requested number of complete lines sits strictly below it.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    unit = _curvature_unit(m)
-    cap = max(unit, max(f.p / f.r**2 for f in m.factors))
-    while True:
-        combos = _enumerate_products([f.laplace_lines(cap) for f in m.factors], cap)
-        lines = _merge_lines(combos, 1e-12 * unit)
-        if len(lines) >= count and lines[count - 1].value < cap * (1 - 1e-12):
-            return lines[:count]
-        cap *= 2.0
 
 
 @dataclass(frozen=True)
@@ -300,10 +242,6 @@ class ClosedFormPaneitz:
     zero_order: float
     lines: tuple[SpectralLine, ...] = field(default=())
 
-    def value(self, mus) -> float:
-        total = sum(mus)
-        return total**2 + sum(k * mu for k, mu in zip(self.kappas, mus)) + self.zero_order
-
 
 def paneitz_form(m: ModelManifold) -> ClosedFormPaneitz:
     """Just the closed form (kappas and zero order), without enumerating lines."""
@@ -316,34 +254,64 @@ def paneitz_form(m: ModelManifold) -> ClosedFormPaneitz:
     return ClosedFormPaneitz(kappas=kappas, zero_order=float(coeffs.q_factor) * consts.q)
 
 
+def _fold_states(m: ModelManifold, kappas, cap: float) -> dict:
+    """Degree tuples with summed mu <= cap, folded factor by factor into
+    states (S, K) = (sum mu_i, sum kappa_i mu_i) -> [multiplicity, tuples].
+
+    Tuples that reach one state merge as they are formed, so the work grows
+    with the number of states, not of tuples.  Partial sums above the cap
+    are dropped at each factor; Laplace lines are >= 0 and ascending, so no
+    dropped prefix could come back under it.
+    """
+    states = {(0.0, 0.0): [1, 1]}
+    for f, kappa in zip(m.factors, kappas):
+        lines = f.laplace_lines(cap)
+        folded: dict = {}
+        for (s, k), (mult, tuples) in states.items():
+            for mu, mu_mult in lines:
+                if s + mu > cap:
+                    break
+                acc = folded.setdefault((s + mu, k + kappa * mu), [0, 0])
+                acc[0] += mult * mu_mult
+                acc[1] += tuples
+        states = folded
+    return states
+
+
 def paneitz_spectrum(m: ModelManifold, count: int) -> ClosedFormPaneitz:
-    """The `count` smallest fourth-order lines, enumerated over factor degrees.
+    """The `count` smallest fourth-order lines, folded over factor degrees.
 
     Tuples with equal total mu but different per-factor split can carry
-    different lambda (unbalanced products), so enumeration runs over degree
-    tuples, not over Laplace lines.  The Laplace cap doubles until the
-    quadratic lower envelope lambda >= mu^2 - max(0, -min kappa) mu + z
-    certifies that no unseen tuple can undercut the collected lines.
+    different lambda (unbalanced products), so the fold keys on (S, K), not
+    on S alone; lambda = S^2 + K + zero_order is evaluated once per state,
+    and states whose values agree to LINE_MERGE_RTOL form one line.  The
+    Laplace cap doubles until the quadratic lower envelope
+    lambda >= mu^2 - max(0, -min kappa) mu + z certifies that no unseen
+    tuple can undercut the collected lines.
     """
     form = paneitz_form(m)
     neg = max(0.0, -min(form.kappas))
     unit = _curvature_unit(m)
     cap = max(unit, max(f.p / f.r**2 for f in m.factors), 2.0 * neg)
     while True:
-        combos = _enumerate_products([f.laplace_lines(cap) for f in m.factors], cap)
-        entries = [(form.value(_factor_mus(m, label)), mult, label)
-                   for _mu, mult, label in combos]
-        lines = _merge_lines(entries, 1e-12 * unit**2)
+        states = _fold_states(m, form.kappas, cap)
+        entries = sorted(((s**2 + k + form.zero_order, mult, tuples, s)
+                          for (s, k), (mult, tuples) in states.items()), key=lambda t: t[0])
+        lines: list[SpectralLine] = []
+        for value, mult, tuples, s in entries:
+            if lines and math.isclose(lines[-1].value, value, rel_tol=LINE_MERGE_RTOL,
+                                      abs_tol=1e-12 * unit**2):
+                prev = lines[-1]
+                lines[-1] = SpectralLine(prev.value, prev.multiplicity + mult,
+                                         prev.tuples + tuples, prev.energy)
+            else:
+                lines.append(SpectralLine(value, mult, tuples, s))
         if len(lines) >= count:
             lam_cut = lines[count - 1].value
             floor_beyond = cap**2 - neg * cap + form.zero_order
             if floor_beyond > lam_cut * (1 + 1e-12) + 1e-12 * unit**2:
                 return ClosedFormPaneitz(form.kappas, form.zero_order, tuple(lines[:count]))
         cap *= 2.0
-
-
-def _factor_mus(m: ModelManifold, label: tuple[int, ...]) -> tuple[float, ...]:
-    return tuple(k * (k + f.p - 1) / f.r**2 for f, k in zip(m.factors, label))
 
 
 def expand_lines(lines, k: int):
@@ -367,7 +335,6 @@ class FirstEigenfunctionInfo:
     lambda_1: float
     multiplicity: int
     grad_energy: float         # int |grad u_1|^2 dv, its -Lap eigenvalue at unit L^2 norm
-    label: tuple[int, ...]     # all zeros when u_1 is the constant
 
 
 def first_eigenfunction_info(m: ModelManifold) -> FirstEigenfunctionInfo:
@@ -379,16 +346,14 @@ def first_eigenfunction_info(m: ModelManifold) -> FirstEigenfunctionInfo:
     """
     spec = paneitz_spectrum(m, 2)
     bottom = spec.lines[0]
-    if len(bottom.labels) > 1:
+    if bottom.tuples > 1:
         raise AmbiguityError(
-            f"bottom line {bottom.value:.12g} is degenerate across degree tuples "
-            f"{bottom.labels}; no canonical bottom eigenfunction",
+            f"bottom line {bottom.value:.12g} is degenerate across {bottom.tuples} "
+            f"degree tuples; no canonical bottom eigenfunction",
             lines=spec.lines[:2],
         )
-    label = bottom.labels[0]
     return FirstEigenfunctionInfo(
         lambda_1=bottom.value,
         multiplicity=bottom.multiplicity,
-        grad_energy=sum(_factor_mus(m, label)),
-        label=label,
+        grad_energy=bottom.energy,
     )

@@ -27,11 +27,13 @@ and bounds read a closed-form spectrum as they read a grid one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import expand_lines
 from .coefficients import DimensionCoefficients
 from .discrete import (
     CurvatureBundle,
@@ -70,20 +72,12 @@ class SpectrumResult:
 
     @classmethod
     def closed_form(cls, lines, k: int) -> SpectrumResult:
-        """The k smallest values of exact spectral lines (ascending, each
-        with `value` and `multiplicity`), the last line cut at k."""
-        clusters, left = [], k
-        for line in lines:
-            if left <= 0:
-                break
-            take = min(line.multiplicity, left)
-            clusters.append((line.value, take))
-            left -= take
-        if left > 0:
-            raise ValueError(f"only {k - left} eigenvalues available, {k} requested")
-        values = np.repeat([v for v, _ in clusters], [c for _, c in clusters])
-        return cls(eigenvalues=values, eigenfunctions=None, residuals=np.zeros(k),
-                   clusters=tuple(clusters), method="closed_form")
+        """The k smallest values of exact spectral lines (ascending and
+        distinct), one cluster per line, the last line cut at k."""
+        values = expand_lines(lines, k)
+        clusters = tuple((v, len(list(run))) for v, run in itertools.groupby(values))
+        return cls(eigenvalues=np.array(values), eigenfunctions=None, residuals=np.zeros(k),
+                   clusters=clusters, method="closed_form")
 
 
 def _cluster_edge(value: float, unit: float) -> float:

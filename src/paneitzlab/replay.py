@@ -21,6 +21,11 @@ pointwise residuals it reads (``ChainInputs``).  Two routes supply them:
 Both take the pivot's integrals from ``bounds.pivot_integrals`` and the
 weight from a ``bounds.U1Data``, as the bounds do, so a chain's
 ``final_rhs`` is its bound's rhs; both emit the same step names.
+
+Inside a degenerate eigencluster the grid route's eigenfunctions are one
+basis among many, the one the solver happened to pick, and the per-step
+lhs and rhs values depend on it.  Only the slacks are comparable across
+solver changes.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from paneitzlab.catalog import (
     expand_lines,
     first_eigenfunction_info,
     flat_torus,
-    laplace_spectrum,
     model_constants,
     paneitz_form,
     paneitz_spectrum,
@@ -29,6 +28,10 @@ def lines_as_pairs(lines):
     return [(line.value, line.multiplicity) for line in lines]
 
 
+def energies_as_pairs(lines):
+    return [(line.energy, line.multiplicity) for line in lines]
+
+
 # ---------------------------------------------------------------- constants
 
 def test_s4_constants():
@@ -36,8 +39,8 @@ def test_s4_constants():
     assert c.scalar == pytest.approx(12.0, rel=1e-14)
     assert c.q == pytest.approx(6.0, rel=1e-14)
     assert c.volume == pytest.approx(8 * math.pi**2 / 3, rel=1e-12)
-    assert c.mean_sq == pytest.approx(1.0, rel=1e-14)
-    assert c.s_norm == pytest.approx(4.0, rel=1e-14)
+    assert c.mean_sq_euclidean == pytest.approx(1.0, rel=1e-14)
+    assert c.s_norm_euclidean == pytest.approx(4.0, rel=1e-14)
 
 
 def test_flat_torus_constants():
@@ -45,16 +48,15 @@ def test_flat_torus_constants():
     assert c.scalar == 0.0
     assert c.q == 0.0
     assert c.volume == pytest.approx((2 * math.pi) ** 5, rel=1e-12)
-    assert c.mean_sq == pytest.approx(1 / 5, rel=1e-14)   # Sum(Lap y)^2 = n^2|H|^2
-    assert c.s_norm == pytest.approx(5.0, rel=1e-14)
+    assert c.mean_sq_euclidean == pytest.approx(1 / 5, rel=1e-14)   # Sum(Lap y)^2 = n^2|H|^2
+    assert c.s_norm_euclidean == pytest.approx(5.0, rel=1e-14)
 
 
 def test_minimal_clifford_product_constants():
     r = math.sqrt(0.5)
     c = model_constants(sphere_product(((2, r), (2, r)), ambient="unit_sphere"))
     assert c.scalar == pytest.approx(8.0, rel=1e-13)
-    assert c.mean_sq == pytest.approx(0.0, abs=1e-13)          # minimal in the sphere
-    assert c.mean_sq_euclidean == pytest.approx(1.0, rel=1e-13)
+    assert c.mean_sq_euclidean == pytest.approx(1.0, rel=1e-13)  # in S^5: |H|^2 = 1 - 1, minimal
     assert c.q is not None
 
 
@@ -68,27 +70,25 @@ def test_unit_sphere_ambient_requires_unit_radius_sum():
 # ------------------------------------------------------------ Laplace lines
 
 def test_sphere_laplace_lines_with_multiplicities():
-    lines = laplace_spectrum(round_sphere(4), 4)
     # mu_k = k(k+3), mult C(k+4,4) - C(k+2,4)
-    assert lines_as_pairs(lines) == [(0.0, 1), (4.0, 5), (10.0, 14), (18.0, 30)]
+    assert SphereFactor(4, 1.0).laplace_lines(18.0) == [(0.0, 1), (4.0, 5), (10.0, 14), (18.0, 30)]
 
 
 def test_scaled_sphere_laplace_lines():
-    lines = laplace_spectrum(round_sphere(3, 2.0), 3)
-    assert lines_as_pairs(lines) == [(0.0, 1), (3 / 4, 4), (2.0, 9)]
+    assert SphereFactor(3, 2.0).laplace_lines(2.0) == [(0.0, 1), (3 / 4, 4), (2.0, 9)]
 
 
 def test_torus_laplace_lattice():
-    lines = laplace_spectrum(flat_torus((1.0, 1.0, 1.0)), 4)
-    # |k|^2 lattice values 0,1,2,3 with counts 1, 6, 12, 8
-    assert lines_as_pairs(lines) == [(0.0, 1), (1.0, 6), (2.0, 12), (3.0, 8)]
+    lines = paneitz_spectrum(flat_torus((1.0, 1.0, 1.0)), 4).lines
+    # lambda = |k|^2 squared; the energies are the lattice values 0,1,2,3 with counts 1, 6, 12, 8
+    assert energies_as_pairs(lines) == [(0.0, 1), (1.0, 6), (2.0, 12), (3.0, 8)]
 
 
 def test_product_laplace_convolution():
     r = math.sqrt(0.5)
-    lines = laplace_spectrum(sphere_product(((2, r), (2, r)), ambient="unit_sphere"), 3)
+    lines = paneitz_spectrum(sphere_product(((2, r), (2, r)), ambient="unit_sphere"), 3).lines
     # factor lines mu = k(k+1)/r^2 = 2k(k+1): 0,4,12 each with mult 2k+1
-    assert lines_as_pairs(lines) == [
+    assert energies_as_pairs(lines) == [
         (0.0, 1),
         (pytest.approx(4.0, rel=1e-13), 6),
         (pytest.approx(8.0, rel=1e-13), 9),
@@ -158,8 +158,10 @@ def test_expand_lines_flattens_multiplicity():
 
 def test_closed_form_value_matches_enumeration():
     spec = paneitz_spectrum(round_sphere(5), 2)
-    mu1 = 5.0
-    assert spec.value((mu1,)) == pytest.approx(945 / 16, rel=1e-13)
+    line = spec.lines[1]
+    assert line.energy == 5.0
+    assert line.value == line.energy**2 + spec.kappas[0] * line.energy + spec.zero_order
+    assert line.value == pytest.approx(945 / 16, rel=1e-13)
 
 
 def test_paneitz_form_refuses_n2():
@@ -171,7 +173,6 @@ def test_paneitz_form_refuses_n2():
 
 def test_first_eigenfunction_constant_on_s5():
     info = first_eigenfunction_info(round_sphere(5))
-    assert info.label == (0,)
     assert info.lambda_1 == pytest.approx(105 / 16, rel=1e-13)
     assert info.multiplicity == 1
     assert info.grad_energy == 0.0
@@ -181,43 +182,83 @@ def test_first_eigenfunction_constant_on_s5():
 
 def test_first_eigenfunction_constant_on_flat_torus():
     info = first_eigenfunction_info(flat_torus((1.0,) * 5))
-    assert info.label == (0,) * 5 and info.lambda_1 == 0.0 and info.grad_energy == 0.0
+    assert info.lambda_1 == 0.0 and info.grad_energy == 0.0
 
 
 def test_first_eigenfunction_tie_reported(monkeypatch):
     # the catalog families never tie at the bottom, so force the guard
-    merged = SpectralLine(value=1.0, multiplicity=2, labels=((1, 0), (0, 1)))
+    merged = SpectralLine(value=1.0, multiplicity=2, tuples=2, energy=1.0)
     fake = catalog.ClosedFormPaneitz(kappas=(0.0, 0.0), zero_order=0.0,
-                                     lines=(merged, SpectralLine(2.0, 1, ((1, 1),))))
+                                     lines=(merged, SpectralLine(2.0, 1, tuples=1, energy=2.0)))
     monkeypatch.setattr(catalog, "paneitz_spectrum", lambda m, count: fake)
     with pytest.raises(AmbiguityError) as err:
         first_eigenfunction_info(sphere_product(((2, 1.0), (2, 1.0))))
     assert len(err.value.lines) == 2
 
 
-def _full_product(factor_lines, cap):
-    """The whole cartesian product of factor lines, then the sums above the cap dropped."""
-    combos = []
-    for picks in itertools.product(*factor_lines):
-        mu = sum(line[0] for line in picks)
-        if mu <= cap:
-            combos.append((mu, math.prod(line[1] for line in picks),
-                           tuple(line[2] for line in picks)))
-    return combos
+def _full_product_lines(model, cap):
+    """The whole cartesian product of factor lines, each degree tuple
+    evaluated on its own, then clustered as the catalog clusters lines:
+    [(value, multiplicity, tuples)] of every tuple with summed mu <= cap.
+    The merge floor 1e-12 is the catalog's at unit radii."""
+    form = paneitz_form(model)
+    entries = []
+    for picks in itertools.product(*(f.laplace_lines(cap) for f in model.factors)):
+        mus = [mu for mu, _ in picks]
+        if sum(mus) <= cap:
+            value = sum(mus)**2 + sum(k * mu for k, mu in zip(form.kappas, mus)) + form.zero_order
+            entries.append((value, math.prod(mult for _, mult in picks)))
+    lines = []
+    for value, mult in sorted(entries, key=lambda t: t[0]):
+        if lines and math.isclose(lines[-1][0], value, rel_tol=catalog.LINE_MERGE_RTOL, abs_tol=1e-12):
+            lines[-1] = (lines[-1][0], lines[-1][1] + mult, lines[-1][2] + 1)
+        else:
+            lines.append((value, mult, 1))
+    return lines
 
 
-@pytest.mark.parametrize("model", [flat_torus((1.0,) * n) for n in (5, 6, 7, 8)]
-                         + [sphere_product(((2, 1.0), (3, 1.0)))],
-                         ids=["T5", "T6", "T7", "T8", "S2xS3"])
-def test_pruned_enumeration_matches_full_product(model, monkeypatch):
-    pruned_laplace = laplace_spectrum(model, 10)
-    pruned_paneitz = paneitz_spectrum(model, 10).lines
-    for cap in (1.0, 4.0):
-        factor_lines = [f.laplace_lines(cap) for f in model.factors]
-        assert catalog._enumerate_products(factor_lines, cap) == _full_product(factor_lines, cap)
-    monkeypatch.setattr(catalog, "_enumerate_products", _full_product)
-    assert laplace_spectrum(model, 10) == pruned_laplace
-    assert paneitz_spectrum(model, 10).lines == pruned_paneitz
+@pytest.mark.parametrize("model, count, cap",
+                         [(flat_torus((1.0,) * n), 8, 8.0) for n in (3, 4, 5, 6, 7, 8)]
+                         + [(sphere_product(((2, 1.0), (3, 1.0))), 10, 16.0)],
+                         ids=["T3", "T4", "T5", "T6", "T7", "T8", "S2xS3"])
+def test_pruned_enumeration_matches_full_product(model, count, cap):
+    # every tuple with summed mu <= cap is in the reference, so its lines are
+    # complete below cap^2 - neg cap + z, past the count-th line here
+    lines = paneitz_spectrum(model, count).lines
+    assert [(line.value, line.multiplicity, line.tuples) for line in lines] \
+        == _full_product_lines(model, cap)[:count]
+
+
+def _sum_of_squares_counts(n, top):
+    """r_n(j) for j <= top: coefficients of theta(q)^n, theta = 1 + 2 sum q^(i^2)."""
+    theta = [0] * (top + 1)
+    for i in range(math.isqrt(top) + 1):
+        theta[i * i] += 1 if i == 0 else 2
+    counts = [1] + [0] * top
+    for _ in range(n):
+        counts = [sum(counts[j - i] * theta[i] for i in range(j + 1)) for j in range(top + 1)]
+    return counts
+
+
+def test_flat_t24_lines_are_lattice_counts():
+    counts = _sum_of_squares_counts(24, 7)
+    assert counts == [1, 48, 1104, 16192, 170064, 1362336, 8662720, 44981376]
+    lines = paneitz_spectrum(flat_torus((1.0,) * 24), 8).lines
+    assert lines_as_pairs(lines) == [(float(j * j), c) for j, c in enumerate(counts)]
+
+
+@pytest.mark.parametrize("factors, make", [
+    (((2, 0.8), (3, 1.3), (1, 0.6)), sphere_product),
+    ((0.7, 1.0, 1.3, 0.9), flat_torus),
+], ids=["S2xS3xS1", "T4"])
+def test_lines_do_not_depend_on_factor_order(factors, make):
+    base = paneitz_spectrum(make(factors), 12).lines
+    for order in itertools.permutations(factors):
+        lines = paneitz_spectrum(make(order), 12).lines
+        assert [(line.multiplicity, line.tuples) for line in lines] \
+            == [(line.multiplicity, line.tuples) for line in base]
+        for line, ref in zip(lines, base):
+            assert line.value == pytest.approx(ref.value, rel=1e-12)
 
 
 # ------------------------------------------------------------- validation
