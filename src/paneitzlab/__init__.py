@@ -27,6 +27,7 @@ from .bounds import (
     optimal_delta,
     summarize_bundle,
     summarize_model,
+    u1_from_lines,
     u1_from_result,
     verify_cor_1_1,
     verify_cor_3_1,
@@ -40,7 +41,6 @@ from .catalog import (
     SpectralLine,
     SphereFactor,
     expand_lines,
-    first_eigenfunction_info,
     flat_torus,
     model_constants,
     paneitz_form,
@@ -102,7 +102,7 @@ __all__ = [
     # catalog
     "ModelManifold", "SphereFactor", "SpectralLine", "round_sphere",
     "sphere_product", "flat_torus", "model_constants", "paneitz_form",
-    "paneitz_spectrum", "expand_lines", "first_eigenfunction_info",
+    "paneitz_spectrum", "expand_lines",
     # fourier / discrete / solvers
     "TorusGrid", "FourierTerm", "FourierImmersion", "clifford_torus",
     "donut_torus", "CurvatureBundle", "build_bundle", "apply_laplacian",
@@ -111,7 +111,7 @@ __all__ = [
     # bounds / replay
     "GeometrySummary", "summarize_model", "summarize_bundle", "BoundReport",
     "EqualityDiagnosis", "diagnose_equality", "DeltaChoice", "optimal_delta",
-    "u1_from_result", "evaluate", "verify_thm_1_1", "verify_cor_1_1", "verify_thm_1_2",
-    "verify_thm_1_3", "verify_cor_3_1", "verify_intro_bounds",
+    "u1_from_result", "u1_from_lines", "evaluate", "verify_thm_1_1", "verify_cor_1_1",
+    "verify_thm_1_2", "verify_thm_1_3", "verify_cor_3_1", "verify_intro_bounds",
     "ProofStep", "ProofChainReport", "replay_proof", "replay_proof_analytic",
 ]

@@ -35,7 +35,7 @@ import numpy as np
 from .catalog import ModelManifold, model_constants
 from .coefficients import paneitz_coefficients
 from .discrete import CurvatureBundle, apply_laplacian, integrate
-from .errors import GateError, InvalidDimensionError, PositivityError
+from .errors import AmbiguityError, GateError, InvalidDimensionError, PositivityError
 from .fourier import unit_sphere_deviation
 
 #: relative equality tolerance for closed-form inputs
@@ -196,6 +196,21 @@ def constant_ground_state(geo: GeometrySummary, grad_energy: float = 0.0,
     only int w^2 = 1 and the energy reach the pivot."""
     return U1Data(w=np.full(geo.weights.shape, geo.volume ** -0.5),
                   grad_energy=grad_energy, multiple=multiple)
+
+
+def u1_from_lines(geo: GeometrySummary, lines) -> U1Data:
+    """The ground state of a catalog model from its closed-form lines
+    (`catalog.SpectralLine`, ascending).  A bottom line gathered from more
+    than one degree tuple has no canonical eigenfunction, which the gap
+    bounds need, so it is refused."""
+    bottom = lines[0]
+    if bottom.tuples > 1:
+        raise AmbiguityError(
+            f"bottom line {bottom.value:.12g} is degenerate across {bottom.tuples} "
+            f"degree tuples; no canonical bottom eigenfunction",
+            lines=lines[:2],
+        )
+    return constant_ground_state(geo, bottom.energy, bottom.multiplicity > 1)
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from .coefficients import paneitz_coefficients, q_curvature
-from .errors import AmbiguityError, InvalidDimensionError
+from .errors import InvalidDimensionError
 
 #: Relative tolerance used to merge coincident spectral values into one line.
 LINE_MERGE_RTOL = 1e-9
@@ -322,38 +322,3 @@ def expand_lines(lines, k: int):
         if len(values) >= k:
             return values[:k]
     raise ValueError(f"only {len(values)} eigenvalues available, {k} requested")
-
-
-# --------------------------------------------------------------------------
-# bottom eigenfunction
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FirstEigenfunctionInfo:
-    """What the bottom eigenfunction of the fourth-order operator looks like."""
-
-    lambda_1: float
-    multiplicity: int
-    grad_energy: float         # int |grad u_1|^2 dv, its -Lap eigenvalue at unit L^2 norm
-
-
-def first_eigenfunction_info(m: ModelManifold) -> FirstEigenfunctionInfo:
-    """Identify the bottom line and its eigenfunction data; refuse ties.
-
-    A tie (the bottom line assembled from more than one degree tuple, or two
-    lines closer than the merge tolerance) means there is no canonical
-    bottom eigenfunction, which the gap bounds need.
-    """
-    spec = paneitz_spectrum(m, 2)
-    bottom = spec.lines[0]
-    if bottom.tuples > 1:
-        raise AmbiguityError(
-            f"bottom line {bottom.value:.12g} is degenerate across {bottom.tuples} "
-            f"degree tuples; no canonical bottom eigenfunction",
-            lines=spec.lines[:2],
-        )
-    return FirstEigenfunctionInfo(
-        lambda_1=bottom.value,
-        multiplicity=bottom.multiplicity,
-        grad_energy=bottom.energy,
-    )

@@ -34,21 +34,15 @@ from .bounds import (
     BOUNDS,
     GeometrySummary,
     U1Data,
-    constant_ground_state,
     diagnose_equality,
     evaluate,
     snap_kernel,
     summarize_bundle,
     summarize_model,
+    u1_from_lines,
     u1_from_result,
 )
-from .catalog import (
-    ModelManifold,
-    first_eigenfunction_info,
-    paneitz_spectrum,
-    round_sphere,
-    sphere_product,
-)
+from .catalog import SpectralLine, paneitz_spectrum, round_sphere, sphere_product
 from .coefficients import paneitz_coefficients
 from .discrete import CurvatureBundle, build_bundle
 from .eigensolve import DEFAULT_SEED, SpectrumResult
@@ -108,20 +102,21 @@ def _thread_cap() -> int:
 
 @dataclass(frozen=True)
 class Solution:
-    """A spec's spectrum with the geometry it was computed on: the bundle on
-    a grid, the catalog model in closed form."""
+    """A spec's spectrum with what it was computed from: the bundle on a
+    grid, the catalog's closed-form lines otherwise."""
 
     result: SpectrumResult
     geo: GeometrySummary
     bundle: CurvatureBundle | None
-    model: ModelManifold | None
+    lines: tuple[SpectralLine, ...] = ()
 
     def u1(self) -> U1Data:
-        """The ground eigenfunction's data for the gap bounds."""
+        """The ground eigenfunction's data for the gap bounds: the computed
+        ground pair on a grid (`u1_from_result`), the bottom closed-form
+        line otherwise (`u1_from_lines`)."""
         if self.bundle is not None:
             return u1_from_result(self.bundle, self.result)
-        info = first_eigenfunction_info(self.model)
-        return constant_ground_state(self.geo, info.grad_energy, info.multiplicity > 1)
+        return u1_from_lines(self.geo, self.lines)
 
 
 def _solve(spec: ManifoldSpec, count: int, seed: int, timings: dict,
@@ -132,15 +127,16 @@ def _solve(spec: ManifoldSpec, count: int, seed: int, timings: dict,
     sample reaches its spectrum here."""
     model = spec.model
     if model is not None and not on_grid:
-        result = SpectrumResult.closed_form(paneitz_spectrum(model, count).lines, count)
-        return Solution(result, summarize_model(model), None, model)
+        lines = paneitz_spectrum(model, count).lines
+        return Solution(SpectrumResult.closed_form(lines, count), summarize_model(model), None,
+                        lines)
     imm, grid = spec.immersion, TorusGrid(spec.grid)
     tick = time.perf_counter()
     bundle = build_bundle(imm, grid)
     timings["bundle"] = time.perf_counter() - tick
     result = solve_spectrum(imm, grid, paneitz_coefficients(spec.dim), count, bundle=bundle,
                             solver=spec.solver, seed=seed)
-    return Solution(result, summarize_bundle(bundle), bundle, None)
+    return Solution(result, summarize_bundle(bundle), bundle)
 
 
 def _run_bounds(requested: str, values, geo, u1, tol_eq):
@@ -279,7 +275,7 @@ def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
     if spec.model is not None and spec.model.kind == "sphere":
         return replay_proof_analytic(theorem, spec.model,
                                      tol=tol if tol is not None else REPLAY_TOL_ANALYTIC)
-    if spec.immersion is None:
+    if spec.model is not None and spec.model.kind == "sphere_product":
         raise GateError("replay needs a round sphere (closed form) or a "
                         "gridable torus immersion")
     if spec.grid is None:

@@ -57,8 +57,8 @@ class ManifoldSpec:
     """The geometry a spec declares, as built, with its solve settings.
 
     model is the closed-form catalog manifold, None for a perturbed torus;
-    immersion is the torus immersion a grid samples, None for spheres and
-    their products.  grid is the validated shape, None when none is declared.
+    immersion is the torus immersion a grid samples, built only when a grid
+    is declared.  grid is the validated shape, None when none is declared.
     """
 
     model: ModelManifold | None = None
@@ -273,7 +273,7 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
             model = sphere_product(factors, ambient=ambient)
         elif kind == "flat_torus":
             model = flat_torus(radii, ambient=ambient)
-        if radii is not None:
+        if grid is not None:    # only a grid samples the immersion
             immersion = clifford_torus(radii).perturbed(terms)
     except ValueError as exc:
         raise _err(root, str(exc)) from None

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import paneitzlab.catalog as catalog
-from paneitzlab.bounds import constant_ground_state, summarize_model
+from paneitzlab.bounds import constant_ground_state, summarize_model, u1_from_lines
 from paneitzlab.catalog import (
     ModelManifold,
     SphereFactor,
     SpectralLine,
     expand_lines,
-    first_eigenfunction_info,
     flat_torus,
     model_constants,
     paneitz_form,
@@ -171,29 +170,38 @@ def test_paneitz_form_refuses_n2():
 
 # ------------------------------------------------------ first eigenfunction
 
+def _ground_state(m, count=2):
+    """u1 of a catalog model from its closed-form lines, with those lines."""
+    lines = paneitz_spectrum(m, count).lines
+    return u1_from_lines(summarize_model(m), lines), lines
+
+
 def test_first_eigenfunction_constant_on_s5():
-    info = first_eigenfunction_info(round_sphere(5))
-    assert info.lambda_1 == pytest.approx(105 / 16, rel=1e-13)
-    assert info.multiplicity == 1
-    assert info.grad_energy == 0.0
+    u1, lines = _ground_state(round_sphere(5))
+    assert lines[0].value == pytest.approx(105 / 16, rel=1e-13)
+    assert lines[0].multiplicity == 1 and not u1.multiple
+    assert u1.grad_energy == 0.0
     ground = constant_ground_state(summarize_model(round_sphere(5)))
     assert ground.w == pytest.approx([1 / math.sqrt(round_sphere(5).volume)], rel=1e-12)
+    assert np.array_equal(u1.w, ground.w)
 
 
 def test_first_eigenfunction_constant_on_flat_torus():
-    info = first_eigenfunction_info(flat_torus((1.0,) * 5))
-    assert info.lambda_1 == 0.0 and info.grad_energy == 0.0
+    u1, lines = _ground_state(flat_torus((1.0,) * 5))
+    assert lines[0].value == 0.0 and u1.grad_energy == 0.0
 
 
-def test_first_eigenfunction_tie_reported(monkeypatch):
-    # the catalog families never tie at the bottom, so force the guard
+def test_first_eigenfunction_tie_reported():
     merged = SpectralLine(value=1.0, multiplicity=2, tuples=2, energy=1.0)
-    fake = catalog.ClosedFormPaneitz(kappas=(0.0, 0.0), zero_order=0.0,
-                                     lines=(merged, SpectralLine(2.0, 1, tuples=1, energy=2.0)))
-    monkeypatch.setattr(catalog, "paneitz_spectrum", lambda m, count: fake)
+    fake = (merged, SpectralLine(2.0, 1, tuples=1, energy=2.0))
     with pytest.raises(AmbiguityError) as err:
-        first_eigenfunction_info(sphere_product(((2, 1.0), (2, 1.0))))
-    assert len(err.value.lines) == 2
+        u1_from_lines(summarize_model(sphere_product(((2, 1.0), (2, 1.0)))), fake)
+    assert err.value.lines == fake
+    # a catalog model that ties: on S^4(1) x S^1(1e5) the circle's first line
+    # sits 4.2e-10 relative above the constants' 1.5625, inside LINE_MERGE_RTOL,
+    # so the two degree tuples merge into one bottom line
+    with pytest.raises(AmbiguityError, match="bottom line 1.5625 is degenerate across 2"):
+        _ground_state(sphere_product(((4, 1.0), (1, 1e5))))
 
 
 def _full_product_lines(model, cap):
@@ -288,7 +296,7 @@ def test_spectra_scale_as_r_to_the_minus_four(make, r):
     assert [line.multiplicity for line in scaled] == [line.multiplicity for line in base]
     for line, ref in zip(scaled, base):
         assert line.value * r**4 == pytest.approx(ref.value, rel=1e-12)
-    assert first_eigenfunction_info(make(r)).multiplicity == 1
+    assert not u1_from_lines(summarize_model(make(r)), scaled).multiple
 
 
 @pytest.mark.parametrize("p, r", [(5, 1e200), (5, 1e150), (5, 1e-200), (1, 1e-170),

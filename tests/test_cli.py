@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from paneitzlab import cli, discrete
+from paneitzlab import catalog, cli, discrete
 from paneitzlab.cli import _eigen_row, _sweep_row, main
 from paneitzlab.errors import PaneitzLabError, SolverFailureError
 from paneitzlab.specfile import parse_manifold_spec
@@ -566,6 +566,24 @@ def test_sweep_sphere_radius_gap_bound(spec_file, tmp_path, capsys):
     assert first[5] == "true"
     # lambda_1 of the rescaled sphere round-trips at full precision
     assert float(first[6]) == pytest.approx((105.0 / 16.0) / 0.8**4, rel=1e-15)
+
+
+def test_closed_form_is_solved_once_per_command_and_sample(spec_file, tmp_path, monkeypatch):
+    # the ground state of the gap bounds reads the lines the solve returned
+    calls = []
+    real = catalog.paneitz_spectrum
+
+    def counted(m, count):
+        calls.append(count)
+        return real(m, count)
+
+    monkeypatch.setattr(catalog, "paneitz_spectrum", counted)
+    monkeypatch.setattr(cli, "paneitz_spectrum", counted)
+    assert main(["verify", "--spec", spec_file(S5), "--quiet"]) == 0
+    assert len(calls) == 1
+    assert main(["sweep", "--family", "sphere_radius", "--bound", "thm_1_2", "--quiet",
+                 "--range", "0.8:1.2:3", "--csv", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 1 + 3
 
 
 def test_sweep_clifford_ratio_peaks_at_symmetry(spec_file, tmp_path, capsys):

@@ -279,9 +279,9 @@ def test_multiple_ground_state_flag_is_one_name(flat_t5_run, tmp_path, monkeypat
     assert "first_eigenvalue_multiple" in chain.flags
 
     # the closed form: the catalog never doubles the bottom line, so pretend it does
-    real = cli.first_eigenfunction_info
-    monkeypatch.setattr(cli, "first_eigenfunction_info",
-                        lambda m: replace(real(m), multiplicity=2))
+    real = cli.u1_from_lines
+    monkeypatch.setattr(cli, "u1_from_lines",
+                        lambda geo, lines: replace(real(geo, lines), multiple=True))
     spec, out = tmp_path / "s5.yaml", tmp_path / "v.json"
     spec.write_text("kind: sphere\ndim: 5\nparams:\n  r: 1.0\n")
     assert cli.main(["verify", "--spec", str(spec), "--bound", "thm_1_2", "--quiet",

@@ -8,7 +8,7 @@ from paneitzlab.bounds import SPHERE_DEVIATION_TOL
 from paneitzlab.catalog import flat_torus, round_sphere, sphere_product
 from paneitzlab.cli import main
 from paneitzlab.errors import SpecFileError
-from paneitzlab.fourier import TorusGrid
+from paneitzlab.fourier import TorusGrid, clifford_torus
 from paneitzlab.specfile import (
     DEFAULT_SEED,
     load_manifold_spec,
@@ -65,6 +65,17 @@ def test_flat_torus_spec_broadcasts_grid():
     assert spec.model == flat_torus((1.0, 0.5, 1.0))
     imm = spec.immersion
     assert imm.n == 3 and len(imm.terms) == 3  # pure block torus, no extras
+
+
+def test_flat_torus_builds_its_immersion_only_with_a_grid():
+    # the catalog route never reads the immersion; only a grid samples it
+    text = "kind: flat_torus\ndim: 3\nparams:\n  radii: [1.0, 0.5, 1.0]\n"
+    spec = parse_manifold_spec(text)
+    assert spec.model == flat_torus((1.0, 0.5, 1.0))
+    assert spec.immersion is None and spec.grid is None
+    gridded = parse_manifold_spec(text + "grid: 8\n")
+    assert gridded.model == spec.model and gridded.grid == (8, 8, 8)
+    assert gridded.immersion.terms == clifford_torus((1.0, 0.5, 1.0)).terms
 
 
 def test_perturbed_immersion_spec():
