@@ -2,8 +2,8 @@
 
 The flat T^4 attains the four-dimensional sum bound.  Adding a single cosine
 mode of amplitude eps to one ambient coordinate curves the immersion; the
-slack opens at O(eps^2).  Each sample solves an 8^4 eigenproblem, so the
-default three samples take about 15 seconds.
+slack opens at O(eps^2).  Each sample solves an 8^4 eigenproblem; the
+default three samples take about a second.
 """
 
 import argparse

@@ -118,6 +118,7 @@ def summarize_bundle(bundle: CurvatureBundle) -> GeometrySummary:
 
 @dataclass(frozen=True)
 class BoundReport:
+    # the JSON report's bounds entries are these fields, in this order
     bound_id: str
     lhs: float
     rhs: float
@@ -152,9 +153,10 @@ def _report(bound_id, lhs, rhs, geo, k, flags, strict=False, tol_eq=None) -> Bou
 
 @dataclass(frozen=True)
 class EqualityDiagnosis:
+    # the JSON report's equality_diagnosis is these fields, in this order
     umbilical: bool
-    constant_H: bool
-    constant_R: bool
+    constant_mean_curvature: bool
+    constant_scalar_curvature: bool
     minimal_in_sphere: bool
     matched_case: str             # round_sphere | minimal_const_R_in_sphere | none
 
@@ -433,8 +435,8 @@ def diagnose_equality(geo: GeometrySummary) -> EqualityDiagnosis:
         matched = "none"
     return EqualityDiagnosis(
         umbilical=umbilical,
-        constant_H=constant_h,
-        constant_R=constant_r,
+        constant_mean_curvature=constant_h,
+        constant_scalar_curvature=constant_r,
         minimal_in_sphere=minimal,
         matched_case=matched,
     )

@@ -30,8 +30,10 @@ from dataclasses import dataclass, field
 from .coefficients import paneitz_coefficients, q_curvature
 from .errors import InvalidDimensionError
 
-#: Relative tolerance used to merge coincident spectral values into one line.
-LINE_MERGE_RTOL = 1e-9
+#: Relative tolerance used to merge coincident spectral values into one line:
+#: roundoff only, as coarser merges join distinct lines (the bottom two of
+#: S^4(1) x S^1(1e5) are 4.2e-10 apart, relative).
+LINE_MERGE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)

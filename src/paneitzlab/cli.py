@@ -63,12 +63,9 @@ from .replay import (
     replay_theorem,
 )
 from .report import (
-    bound_block,
     build_report,
     constants_block,
-    diagnosis_block,
     dump_report,
-    replay_block,
     spectrum_block,
     sweep_csv,
 )
@@ -253,13 +250,13 @@ def cmd_verify(args) -> int:
     sections = {
         "spectrum": spectrum_block(sol.result),
         "constants": constants_block(geo),
-        "bounds": [bound_block(r) for r in reports],
-        "equality_diagnosis": diagnosis_block(diagnosis),
+        "bounds": reports,
+        "equality_diagnosis": diagnosis,
     }
     if refusals:
         sections["refusals"] = refusals
     if replay_rep is not None:
-        sections["replay"] = replay_block(replay_rep)
+        sections["replay"] = replay_rep
     _write_report(args, "verify", spec, timings, **sections)
 
     ok = all(r.ok for r in reports) and (replay_rep is None or replay_rep.ok)
@@ -299,7 +296,7 @@ def cmd_replay(args) -> int:
     _say(args, f"  delta* = {rep.delta:.12g}")
     _say(args, f"  final: {rep.final_lhs:.12g} <= {rep.final_rhs:.12g} "
                f"(worst slack {rep.worst_slack:+.3e})")
-    _write_report(args, "replay", spec, timings, replay=replay_block(rep))
+    _write_report(args, "replay", spec, timings, replay=rep)
     return EXIT_OK if rep.ok else EXIT_VIOLATION
 
 

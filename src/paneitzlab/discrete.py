@@ -442,7 +442,8 @@ def assemble_dense(op: PaneitzOperator) -> DenseAssembly:
     _ASSEMBLY_BATCH columns per apply."""
     size, shape = op.size, op.shape
     if size > DENSE_CAP:
-        raise ValueError(f"grid has {size} points, dense cap is {DENSE_CAP}; use the Lanczos path")
+        raise ValueError(f"grid has {size} points, dense cap is {DENSE_CAP}; "
+                         "use solver: lanczos (LOBPCG)")
     root_w = np.sqrt(op.bundle.weights.reshape(size))
     A = np.empty((size, size))
     for start in range(0, size, _ASSEMBLY_BATCH):

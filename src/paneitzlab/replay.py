@@ -66,17 +66,19 @@ class ProofStep:
 
 @dataclass(frozen=True)
 class ProofChainReport:
+    # the JSON report's replay section is these fields (and those of each
+    # ProofStep), in this order
     theorem_id: str
     route: str                      # "analytic" | "numerical"
     label: str
-    steps: tuple[ProofStep, ...]
     gram_schmidt_residual: float
     delta: float
     final_lhs: float
     final_rhs: float
     tol: float
     ok: bool
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...]
+    steps: tuple[ProofStep, ...]
 
     @property
     def worst_slack(self) -> float:

@@ -12,14 +12,14 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, EqualityDiagnosis, GeometrySummary
+from .bounds import GeometrySummary
 from .eigensolve import SpectrumResult
-from .replay import ProofChainReport
 
 #: sign/normalization choices a reader needs to compare numbers elsewhere
 CONVENTION_NOTE = (
@@ -29,8 +29,15 @@ CONVENTION_NOTE = (
 )
 
 
+#: value types json.dumps writes as they are
+_LEAVES = (str, int, float, bool)
+
+
 def _plain(x):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
+    """Recursively convert numpy scalars/arrays so json.dumps accepts them;
+    a dataclass instance becomes a dict of its fields in declaration order."""
+    if x is None or type(x) in _LEAVES:
+        return x
     if isinstance(x, dict):
         return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -39,6 +46,8 @@ def _plain(x):
         return [_plain(v) for v in x.tolist()]
     if isinstance(x, (np.floating, np.integer, np.bool_)):
         return x.item()
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
     return x
 
 
@@ -78,52 +87,6 @@ def constants_block(geo: GeometrySummary) -> dict:
         "second_form_sq": stats(geo.s_norm),
         "scalar_curvature": stats(geo.scalar),
         "q_curvature": stats(geo.q),
-    }
-
-
-def bound_block(rep: BoundReport) -> dict:
-    return {
-        "bound_id": rep.bound_id,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "relative_slack": rep.relative_slack,
-        "equality": rep.equality,
-        "strictness_expected": rep.strictness_expected,
-        "ok": rep.ok,
-        "tol_eq": rep.tol_eq,
-        "inputs": dict(rep.inputs),
-        "flags": list(rep.flags),
-    }
-
-
-def diagnosis_block(diag: EqualityDiagnosis) -> dict:
-    return {
-        "umbilical": diag.umbilical,
-        "constant_mean_curvature": diag.constant_H,
-        "constant_scalar_curvature": diag.constant_R,
-        "minimal_in_sphere": diag.minimal_in_sphere,
-        "matched_case": diag.matched_case,
-    }
-
-
-def replay_block(rep: ProofChainReport) -> dict:
-    return {
-        "theorem_id": rep.theorem_id,
-        "route": rep.route,
-        "label": rep.label,
-        "gram_schmidt_residual": rep.gram_schmidt_residual,
-        "delta": rep.delta,
-        "final_lhs": rep.final_lhs,
-        "final_rhs": rep.final_rhs,
-        "tol": rep.tol,
-        "ok": rep.ok,
-        "flags": list(rep.flags),
-        "steps": [
-            {"name": s.name, "kind": s.kind, "lhs": s.lhs, "rhs": s.rhs,
-             "slack": s.slack, "note": s.note}
-            for s in rep.steps
-        ],
     }
 
 

@@ -305,7 +305,7 @@ def test_equality_diagnosis_is_scale_covariant():
         return diagnose_equality(summarize_bundle(build_bundle(imm, TorusGrid((8, 8)))))
 
     unit, scaled = diagnosis(1.0), diagnosis(100.0)
-    assert not unit.constant_H and not unit.constant_R
+    assert not unit.constant_mean_curvature and not unit.constant_scalar_curvature
     assert scaled == unit
 
 

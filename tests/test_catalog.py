@@ -197,11 +197,12 @@ def test_first_eigenfunction_tie_reported():
     with pytest.raises(AmbiguityError) as err:
         u1_from_lines(summarize_model(sphere_product(((2, 1.0), (2, 1.0)))), fake)
     assert err.value.lines == fake
-    # a catalog model that ties: on S^4(1) x S^1(1e5) the circle's first line
-    # sits 4.2e-10 relative above the constants' 1.5625, inside LINE_MERGE_RTOL,
-    # so the two degree tuples merge into one bottom line
-    with pytest.raises(AmbiguityError, match="bottom line 1.5625 is degenerate across 2"):
-        _ground_state(sphere_product(((4, 1.0), (1, 1e5))))
+    # the circle's first line on S^4(1) x S^1(1e5) sits 6.5e-10 above the
+    # constants' 1.5625: a distinct line, so the bottom is the constant alone
+    u1, lines = _ground_state(sphere_product(((4, 1.0), (1, 1e5))))
+    assert lines[0].value == 1.5625 and lines[0].tuples == 1
+    assert lines[1].value - lines[0].value == pytest.approx(6.5e-10, rel=0.01)
+    assert u1.grad_energy == 0.0 and not u1.multiple
 
 
 def _full_product_lines(model, cap):

@@ -445,6 +445,32 @@ def test_verify_replay_on_a_small_torus(spec_file, capsys):
     assert captured.err == ""
 
 
+BOUND_KEYS = ["bound_id", "lhs", "rhs", "slack", "relative_slack", "equality",
+              "strictness_expected", "ok", "tol_eq", "inputs", "flags"]
+DIAGNOSIS_KEYS = ["umbilical", "constant_mean_curvature", "constant_scalar_curvature",
+                  "minimal_in_sphere", "matched_case"]
+REPLAY_KEYS = ["theorem_id", "route", "label", "gram_schmidt_residual", "delta",
+               "final_lhs", "final_rhs", "tol", "ok", "flags", "steps"]
+STEP_KEYS = ["name", "kind", "lhs", "rhs", "slack", "note"]
+
+
+@pytest.mark.parametrize("text, route", [(S4, "analytic"), (T4_GRID, "numerical")],
+                         ids=["round_sphere", "flat_grid"])
+def test_verify_replay_report_schema(text, route, spec_file, tmp_path):
+    # these sections are their records' fields in declaration order: renaming
+    # or reordering a field must show up here, not silently in the JSON
+    out_path = tmp_path / "verify.json"
+    assert main(["verify", "--replay", "--spec", spec_file(text), "--quiet",
+                 "--out", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["bounds"] and all(list(b) == BOUND_KEYS for b in doc["bounds"])
+    assert list(doc["bounds"][0]["inputs"]) == ["manifold", "n", "k", "tol_eq"]
+    assert list(doc["equality_diagnosis"]) == DIAGNOSIS_KEYS
+    replay = doc["replay"]
+    assert list(replay) == REPLAY_KEYS and replay["route"] == route
+    assert replay["steps"] and all(list(s) == STEP_KEYS for s in replay["steps"])
+
+
 def test_kernel_snap_and_clusters_are_scale_covariant(spec_file, tmp_path, capsys):
     # radii 300 scale the spectrum by 300^-4: the kernel must stay a cluster
     # of its own and the flat torus an equality case, as at radii 1

@@ -9,11 +9,10 @@ import pytest
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# perturbation_breaks_equality.py solves three 8^4 grids (~15 s) and is left
-# to manual runs
 @pytest.mark.parametrize("name", ["clifford_equality.py", "sphere_spectrum.py",
                                   "proof_replay.py", "donut_curvature.py",
-                                  "flat_torus_grid.py"])
+                                  "flat_torus_grid.py",
+                                  "perturbation_breaks_equality.py"])
 def test_demo_runs(name, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name])
     runpy.run_path(str(DEMOS / name), run_name="__main__")
