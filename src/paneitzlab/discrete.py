@@ -17,8 +17,9 @@ grid; a 3/2 dealiasing grid would only move that error to higher modes, at
 spectral rate either way.  The Paneitz apply shares the gradient of f
 between the first Laplacian and the curvature term, and sums the fluxes
 sqrt(g) g^{-1} grad(Lap f) - coeff_flux grad f before its single divergence.
-A block of fields is applied in batches of columns, so that its gradient and
-flux arrays stay within a fixed number of bytes (`_APPLY_BYTES`).
+On both paths, flat and curved, a block of fields is applied in batches of
+columns, each batch from its own forward FFT, so that its coefficient,
+gradient and flux arrays stay within a fixed number of bytes (`_APPLY_BYTES`).
 
 Every operator carries one Fourier multiplier, `PaneitzOperator._symbol`:
 the kernel's symbol g^{ij} k_i k_j of the grid-mean metric on band modes
@@ -81,14 +82,15 @@ _CONST_TOL = 1e-12
 _ASSEMBLY_BATCH = 64
 
 #: grid points per block when build_bundle samples jet, metric and curvature:
-#: the 2-jet and curvature temporaries of one block (~4 MB each for N = 10,
-#: n = 5) bound the sampling memory whatever the grid size
-_SAMPLE_BLOCK = 2048
+#: one block's temporaries bound the sampling memory whatever the grid size.
+#: For N = 10, n = 5 they peak at 5.4 MB (the 2-jet's d2y is 1.0 MB of it),
+#: against 21 MB for 2048 points, which built no faster
+_SAMPLE_BLOCK = 512
 
-#: bytes one (n, columns, grid) array of a general-path apply may take: wider
-#: blocks are applied in batches of columns, so the gradient and fluxes of an
-#: apply stay bounded whatever the block width (on an 8^5 grid one column is
-#: 1.3 MB and a batch holds 12 columns; on 8^3 a batch holds 1365)
+#: bytes one (n, columns, grid) array of an apply may take: wider blocks are
+#: applied in batches of columns on both paths, so the spectrum, gradient and
+#: fluxes of an apply stay bounded whatever the block width (on an 8^5 grid
+#: one column is 1.3 MB and a batch holds up to 12 columns; on 8^3, 1365)
 _APPLY_BYTES = 16 * 2**20
 
 
@@ -282,14 +284,17 @@ def apply_paneitz(bundle: CurvatureBundle, coeffs: DimensionCoefficients, f: np.
     return PaneitzOperator(bundle, coeffs).apply(f)
 
 
-def _by_columns(bundle: CurvatureBundle, part, coef: np.ndarray) -> np.ndarray:
-    """part(coef) for kernel coefficients with any leading axes, computed in
+def _by_columns(bundle: CurvatureBundle, part, f: np.ndarray) -> np.ndarray:
+    """part(f) for grid fields with any leading axes, computed in equal
     batches of leading columns whose (n, columns, grid) arrays fit
-    _APPLY_BYTES; part maps coefficients to grid fields."""
+    _APPLY_BYTES; part maps a batch of fields (columns, *grid.shape) to grid
+    fields, from its own forward FFT."""
     n = bundle.n
-    lead = coef.shape[: coef.ndim - n]
-    columns = coef.reshape((-1,) + coef.shape[coef.ndim - n:])
-    batch = max(1, _APPLY_BYTES // (n * bundle.grid.size * np.dtype(float).itemsize))
+    lead = f.shape[: f.ndim - n]
+    columns = f.reshape((-1,) + bundle.grid.shape)
+    cap = max(1, _APPLY_BYTES // (n * bundle.grid.size * np.dtype(float).itemsize))
+    batches = max(1, math.ceil(len(columns) / cap))     # the fewest within the cap,
+    batch = max(1, math.ceil(len(columns) / batches))   # of equal width
     out = np.empty((len(columns),) + bundle.grid.shape)
     for start in range(0, len(columns), batch):
         out[start:start + batch] = part(columns[start:start + batch])
@@ -340,13 +345,17 @@ class PaneitzOperator:
         self.size = bundle.grid.size
 
     def apply(self, f: np.ndarray) -> np.ndarray:
+        return _by_columns(self.bundle, self._apply_batch, f)
+
+    def _apply_batch(self, f: np.ndarray) -> np.ndarray:
+        """apply on one batch of columns (columns, *grid.shape)."""
         bundle = self.bundle
         kernel = bundle.kernel
         coef = kernel.coefficients(f)
         if bundle.constant_coefficient:
             # curvature terms vanish identically; see build_bundle's flatness gate
             return kernel.synthesize(coef * self._symbol)
-        out = _by_columns(bundle, self._differentiated, coef)
+        out = self._differentiated(coef)
         if self.coeffs is not None:
             # a new array, not +=: the sum takes the memory order of its
             # operands, and the replay's reductions follow that order

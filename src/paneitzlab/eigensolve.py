@@ -6,11 +6,12 @@ their spectra agree to solver tolerance on any metric, flat or not:
 
 * iterative, the default: preconditioned block LOBPCG (Knyazev 2001) with
   soft locking, matrix-free, with the mean-metric symbol inverted by FFT as
-  preconditioner.  It starts from the spectrum that symbol predicts: the
-  Fourier modes of its smallest values, exact on a flat bundle (where the
-  solve ends at iteration 0) and O(eps) from the answer on a curved one,
-  plus a few preconditioned random guard columns.  Its iteration count does
-  not grow with the grid.  Spec files, reports and the API still call this
+  preconditioner, weighted so that it is symmetric in the solver's
+  variables, as the operator is.  It starts from the spectrum that symbol
+  predicts: the Fourier modes of its smallest values, exact on a flat
+  bundle (where the solve ends at iteration 0) and O(eps) from the answer
+  on a curved one, plus a few preconditioned random guard columns.  Its
+  iteration count does not grow with the grid.  Spec files, reports and the API still call this
   route `lanczos`, after the Krylov solver it replaced.
 * dense, on request: assemble the matrix LOBPCG applies, A = W^{1/2} Op
   W^{-1/2} in the variables sqrt(w) u (W the quadrature weights), and eigh
@@ -159,6 +160,25 @@ def _rayleigh_ritz(x, ax, search, m: int):
     return theta[:m], coef[0] @ x + p, coef[0] @ ax + ap, p, ap
 
 
+def _preconditioner(op: PaneitzOperator):
+    """op.precondition's multiplier T in LOBPCG's variables v = sqrt(w) u:
+    v -> W^{1/2} T W^{1/2} v / mean(w), symmetric there like the operator
+    (W^{1/2} T W^{-1/2} is not, where sqrt(g) varies).  In u it is T applied
+    to (w / mean(w)) u.  On a flat bundle that ratio is taken as exactly 1,
+    and the map is computed as W^{1/2} T W^{-1/2}, which it equals there."""
+    weights = op.bundle.weights.reshape(op.size)
+    root_w = np.sqrt(weights)
+    flat = op.bundle.constant_coefficient
+    mean_w = float(np.mean(weights))
+
+    def precondition(v):
+        u = v / root_w if flat else root_w * v
+        t = root_w * op.precondition(u.reshape((-1,) + op.shape)).reshape(v.shape)
+        return t if flat else t / mean_w
+
+    return precondition
+
+
 def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -> SpectrumResult:
     """k smallest eigenpairs of `op` by preconditioned block LOBPCG.
 
@@ -168,13 +188,13 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
     (constant, cos k.x, sin k.x) of its smallest values, through the end of
     the predicted cluster holding the k-th value (the certificate's edge
     below), then GUARDS random columns (drawn from `seed`), each passed once
-    through `op.precondition`.  The guards keep every Fourier sector in the
+    through `_preconditioner`.  The guards keep every Fourier sector in the
     span, so a cluster the prediction cuts cannot hide a wanted eigenvalue;
     preconditioning them keeps the penalty's large values out of the
     Rayleigh-Ritz matrix.  X is at most op.size wide.
 
     Each iteration runs Rayleigh-Ritz on X, the active pairs' residuals
-    preconditioned by `op.precondition` and their previous steps; if the
+    preconditioned the same way and their previous steps; if the
     Gram factorization fails, the steps are dropped and the iteration
     retried once.  A pair passing ||op u - lambda u||_w <= 10 TOL_EIG
     max(op.unit, |lambda|) leaves the active set but stays in X (soft
@@ -203,10 +223,11 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
         applied += len(v)
         return scaled(op.apply, v)
 
+    precondition = _preconditioner(op)
     rng = np.random.default_rng(seed)
 
     def guards(count):
-        return scaled(op.precondition, rng.standard_normal((count, size)))
+        return precondition(rng.standard_normal((count, size)))
 
     target, unit = 10.0 * TOL_EIG, op.unit
     kernel = op.bundle.kernel
@@ -244,7 +265,7 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
                 f"LOBPCG did not converge within {MAX_ITER} iterations "
                 f"(residuals {np.array2string(residuals[:k], precision=2)})",
                 residuals=residuals[:k].tolist())
-        d, _ = _orthonormalize(scaled(op.precondition, r[~converged]), None, [(x, ax)])
+        d, _ = _orthonormalize(precondition(r[~converged]), None, [(x, ax)])
         del r  # the residuals are spent: free their block before the next allocations
         basis = [(x, ax), (d, apply(d))]
         if search:  # the previous steps of the active pairs

@@ -22,6 +22,10 @@ Both take the pivot's integrals from ``bounds.pivot_integrals`` and the
 weight from a ``bounds.U1Data``, as the bounds do, so a chain's
 ``final_rhs`` is its bound's rhs; both emit the same step names.
 
+The grid route takes the gradients of the rotated coordinates one coordinate
+at a time, so no array of it spans the grid times both the ambient and the
+torus dimension.
+
 Inside a degenerate eigencluster the grid route's eigenfunctions are one
 basis among many, the one the solver happened to pick, and the per-step
 lhs and rhs values depend on it.  Only the slacks are comparable across
@@ -38,7 +42,7 @@ import numpy as np
 from .bounds import (BOUNDS, U1Data, constant_ground_state, optimal_delta, pivot_integrals,
                      snap_kernel, summarize_bundle, summarize_model, u1_from_result)
 from .catalog import ModelManifold, paneitz_form
-from .discrete import CurvatureBundle, apply_laplacian, apply_paneitz, raised_curvature_matrix
+from .discrete import CurvatureBundle, apply_laplacian, apply_paneitz
 from .eigensolve import SpectrumResult
 from .errors import GateError, InvalidDimensionError
 
@@ -362,14 +366,20 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     # ---- operator applications and pointwise fields
     p_trial = apply_paneitz(bundle, bundle.coeffs, trial)
     lz = apply_laplacian(bundle, z)
-    dz = np.moveaxis(bundle.kernel.partials(z), 0, -1)
-    g_inv = bundle.metric.g_inv
-    gz2 = np.einsum("a...i,...ij,a...j->a...", dz, g_inv, dz)
-    gzw = np.einsum("a...i,...ij,...j->a...", dz, g_inv, dw)
+    g_inv, ric = bundle.metric.g_inv, bundle.curv.ric
     gw2 = np.einsum("...i,...ij,...j->...", dw, g_inv, dw)
-
-    raised_b = raised_curvature_matrix(bundle.coeffs, bundle.metric, bundle.curv)
-    quad_b = np.einsum("a...i,...ij,a...j->a...", dz, raised_b, dz)
+    # one rotated coordinate at a time: with v = g^{-1} grad z_a, |grad z_a|^2
+    # = g(v, v) is grad z_a . v, and the curvature form is a R |grad z_a|^2
+    # + b Ric(v, v)
+    a_coef, b_coef = float(bundle.coeffs.a), float(bundle.coeffs.b)
+    gz2, gzw, quad_b = (np.empty((big_n,) + grid.shape) for _ in range(3))
+    for a in range(big_n):
+        dz = np.moveaxis(bundle.kernel.partials(z[a]), 0, -1)
+        v = np.einsum("...ij,...j->...i", g_inv, dz)
+        gz2[a] = np.einsum("...i,...i->...", dz, v)
+        gzw[a] = np.einsum("...i,...i->...", v, dw)
+        quad_b[a] = (a_coef * bundle.curv.scalar * gz2[a]
+                     + b_coef * np.einsum("...i,...ij,...j->...", v, ric, v))
 
     # the integrated-by-parts identity behind the Rayleigh-Ritz numerator
     flux = w * lz + 2.0 * gzw

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -238,12 +239,28 @@ def test_curved_torus_chain_fails_only_the_laplacian_coordinate_step():
     # curved T^4 on 8^4 (amplitude 0.1): every step but one clears the
     # numerical floor.  laplacian_coordinate_identity compares the band-cut
     # grid Laplacian of y with the uncut n H and reads about -2.8e-2 here
-    # (ROADMAP item 2); fixing that step must update this assertion.
+    # (ROADMAP item 4); fixing that step must update this assertion.
     bundle, result = _grid_run((1.0,) * 4, 0.1, 9)
     rep = replay_proof("thm_1_1", result, bundle)
     failing = {s.name for s in rep.steps if s.slack < -REPLAY_TOL_NUMERICAL}
     assert failing == {"laplacian_coordinate_identity"}
     assert not rep.ok
+
+
+def test_flat_five_torus_replay_memory_is_bounded(flat_t5_run):
+    # gradients taken for all 10 rotated coordinates at once, with the raised
+    # curvature matrix over the grid, peaked at 53.5 MB here; one coordinate
+    # at a time the peak is the per-coordinate fields (10 x 8^5 values each)
+    # and one gradient, measured 33.8 MB: the bound is that plus 20 %
+    bundle, result = flat_t5_run
+    tracemalloc.start()
+    try:
+        rep = replay_proof("thm_1_2", result, bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 41e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("theorem, n, r", [
