@@ -12,9 +12,10 @@ in closed form when one exists and from the grid otherwise, both as a
 `SpectrumResult`.  `spectrum`, `verify` and `replay` reach it from a spec
 file; a sweep family maps each parameter to a `ManifoldSpec`, built by the
 catalog and immersion constructors the spec parser uses, and reaches it the
-same way, one sample per spec.
-
-``PANEITZ_LAB_THREADS`` caps how many sweep samples run concurrently.
+same way, one sample per spec.  A family whose specs declare a grid runs
+its samples on a pool of up to 4 threads, since the FFTs and array work of
+a grid solve release the interpreter lock; closed-form samples take less
+time than a pool costs, so they run in one loop.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,19 +78,6 @@ EXIT_OK, EXIT_VIOLATION, EXIT_INVALID, EXIT_SOLVER = 0, 1, 2, 3
 def _say(args, text: str):
     if not args.quiet:
         print(text)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("PANEITZ_LAB_THREADS")
-    if raw is None:
-        return max(1, min(4, os.cpu_count() or 1))
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"paneitz-lab: ignoring non-integer PANEITZ_LAB_THREADS={raw!r}",
-              file=sys.stderr)
-        return 1
-    return max(1, cap)
 
 
 # --------------------------------------------------------------------------
@@ -358,16 +345,13 @@ _FAMILIES = {
 }
 
 
-def _sweep_row(family: str, bound: str, param: float, tol: float | None, seed: int) -> dict:
-    """One sample: the family's spec at param, its n + 3 lowest values and
-    the bound on them."""
-    rule = BOUNDS[bound]
-    dim, _, build = _FAMILIES[family]
-    n = dim or rule.lowest_dim
-    spec = build(float(param), n, seed)
+def _sweep_row(bound: str, param: float, spec: ManifoldSpec, tol: float | None) -> dict:
+    """One sample: the n + 3 lowest values of spec, the family's spec at
+    param, and the bound on them."""
+    n = spec.dim
     sol = _solve(spec, n + 3, spec.seed, {})
     rep = evaluate(bound, sol.result.eigenvalues, sol.geo,
-                   sol.u1() if rule.needs_u1 else None, tol)
+                   sol.u1() if BOUNDS[bound].needs_u1 else None, tol)
     return {"param": float(param), "lhs": rep.lhs, "rhs": rep.rhs,
             "slack": rep.slack, "relative_slack": rep.relative_slack,
             "equality": rep.equality, "ok": rep.ok,
@@ -398,13 +382,16 @@ def cmd_sweep(args) -> int:
     params = _parse_range(args.range)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
 
-    one = functools.partial(_sweep_row, family, bound, tol=args.tol, seed=seed)
-    workers = min(_thread_cap(), len(params))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, params))
+    dim, _, build = _FAMILIES[family]
+    specs = [build(float(p), dim or BOUNDS[bound].lowest_dim, seed) for p in params]
+    one = functools.partial(_sweep_row, bound, tol=args.tol)
+    if any(spec.grid is not None for spec in specs):
+        from concurrent.futures import ThreadPoolExecutor  # here only: closed forms skip it
+
+        with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1, len(specs))) as pool:
+            rows = list(pool.map(one, params, specs))
     else:
-        rows = [one(p) for p in params]
+        rows = list(map(one, params, specs))
 
     n = rows[0]["n"]
     sweep_csv(rows, eigen_count=n + 1, path=args.csv)

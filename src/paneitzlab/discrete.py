@@ -26,10 +26,11 @@ the kernel's symbol g^{ij} k_i k_j of the grid-mean metric on band modes
 (squared for P), and sigma mean(1/sqrt(g)) off them (the penalty below).
 A constant metric has no curvature, so there the multiplier is the
 operator: one forward FFT, one multiply, one inverse FFT.  On every bundle
-the preconditioner multiplies by the reciprocal of it plus the unit, and
-the iterative solver starts from the Fourier modes of its smallest values.  No
-code here transforms a field itself; every FFT goes through the kernel,
-and every coefficient array has its one real-FFT layout.
+the iterative solver (`eigensolve`) reads it twice: it starts from the
+Fourier modes of its smallest values, and its preconditioner divides each
+mode by it plus the unit.  No code here transforms a field itself; every
+FFT goes through the kernel, and every coefficient array has its one
+real-FFT layout.
 
 Summation by parts makes every term exactly symmetric in the weighted inner
 product <u, v> = sum u v sqrt(g) dx: the band projection is self-adjoint,
@@ -50,12 +51,12 @@ sigma from the metric, with no operator apply.  On a flat bundle, where
 sqrt(g) is constant, the penalty is the multiplier's off-band value.
 
 Scale.  Under y -> c y the operator's eigenvalues scale as c^-4 (c^-2 for
--Lap) and sqrt(g) as c^n.  The penalty, the preconditioner's shift and the
-iterative solver's residual floor are built on two units that scale the same
-way, `PaneitzOperator.unit` and the grid mean of sqrt(g), so no absolute
-number sets the conditioning.  Both units are rounded to powers of two, which
-multiply without rounding error (as in LAPACK's balancing): near unit scale
-they are exactly 1.
+-Lap) and sqrt(g) as c^n.  The penalty here, and the iterative solver's
+preconditioner shift and residual floor, are built on two units that scale
+the same way, `PaneitzOperator.unit` and the grid mean of sqrt(g), so no
+absolute number sets the conditioning.  Both units are rounded to powers of
+two, which multiply without rounding error (as in LAPACK's balancing): near
+unit scale they are exactly 1.
 """
 
 from __future__ import annotations
@@ -330,8 +331,8 @@ class PaneitzOperator:
     `penalty = 0` gives the plain operator P of apply_paneitz.  Instances
     with coeffs=None apply -Lap instead (apply_laplacian, and the only
     operator below n = 3).  `apply` is the one place either operator is
-    applied.  One instance serves a whole solve: LOBPCG applies and
-    preconditions it, and `assemble_dense` assembles it.
+    applied.  One instance serves a whole solve: LOBPCG applies it and
+    preconditions by its symbol, and `assemble_dense` assembles it.
     """
 
     def __init__(self, bundle: CurvatureBundle, coeffs: DimensionCoefficients | None,
@@ -403,13 +404,6 @@ class PaneitzOperator:
         mu = bundle.kernel.symbol(self._mean_g_inv)
         off_band = self.penalty * float(np.mean(bundle.inv_sqrt_det))
         return np.where(bundle.kernel.band, mu if self.coeffs is None else mu**2, off_band)
-
-    def precondition(self, f: np.ndarray) -> np.ndarray:
-        """Approximate inverse of `apply` by FFT (the iterative solver's
-        preconditioner): each mode divided by `_symbol` + unit, so on a flat
-        bundle it inverts apply + unit exactly."""
-        kernel = self.bundle.kernel
-        return kernel.synthesize(kernel.coefficients(f) * (1.0 / (self._symbol + self.unit)))
 
     def estimate_top(self) -> float:
         """The band's largest principal symbol: the largest eigenvalue of

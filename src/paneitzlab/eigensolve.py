@@ -86,12 +86,13 @@ def _cluster_edge(value: float, unit: float) -> float:
     return value + CLUSTER_RTOL * max(unit, abs(value))
 
 
-def cluster_eigenvalues(values, rtol: float = CLUSTER_RTOL):
-    """Group sorted eigenvalues whose gap is below rtol max(min(1, max|lambda|), |lambda|)."""
+def cluster_eigenvalues(values):
+    """Group sorted eigenvalues whose gap is below
+    CLUSTER_RTOL max(min(1, max|lambda|), |lambda|)."""
     floor = min(1.0, max((abs(v) for v in values), default=1.0))
     clusters: list[list[float]] = []
     for v in values:
-        if clusters and abs(v - clusters[-1][-1]) <= rtol * max(floor, abs(v)):
+        if clusters and abs(v - clusters[-1][-1]) <= CLUSTER_RTOL * max(floor, abs(v)):
             clusters[-1].append(float(v))
         else:
             clusters.append([float(v)])
@@ -161,20 +162,22 @@ def _rayleigh_ritz(x, ax, search, m: int):
 
 
 def _preconditioner(op: PaneitzOperator):
-    """op.precondition's multiplier T in LOBPCG's variables v = sqrt(w) u:
-    v -> W^{1/2} T W^{1/2} v / mean(w), symmetric there like the operator
-    (W^{1/2} T W^{-1/2} is not, where sqrt(g) varies).  In u it is T applied
-    to (w / mean(w)) u.  On a flat bundle that ratio is taken as exactly 1,
-    and the map is computed as W^{1/2} T W^{-1/2}, which it equals there."""
+    """LOBPCG's preconditioner in its variables v = sqrt(w) u:
+    v -> W^{1/2} T W^{1/2} v / mean(w), with T the approximate inverse of op
+    by FFT, each mode divided by `op._symbol` + op.unit.  It is symmetric in
+    v like the operator (W^{1/2} T W^{-1/2} is not, where sqrt(g) varies);
+    in u it is T applied to (w / mean(w)) u.  On a flat bundle, where w is
+    constant and `_symbol` is op, it inverts op + unit."""
     weights = op.bundle.weights.reshape(op.size)
     root_w = np.sqrt(weights)
-    flat = op.bundle.constant_coefficient
     mean_w = float(np.mean(weights))
+    kernel = op.bundle.kernel
+    inverse = 1.0 / (op._symbol + op.unit)
 
     def precondition(v):
-        u = v / root_w if flat else root_w * v
-        t = root_w * op.precondition(u.reshape((-1,) + op.shape)).reshape(v.shape)
-        return t if flat else t / mean_w
+        u = (root_w * v).reshape((-1,) + op.shape)
+        t = root_w * kernel.synthesize(kernel.coefficients(u) * inverse).reshape(v.shape)
+        return t / mean_w
 
     return precondition
 

@@ -104,11 +104,8 @@ def build_report(*, command: str, spec_text: str, source: str,
     return _plain(doc)
 
 
-def dump_report(doc: dict, path: str | Path | None = None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=False)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text
+def dump_report(doc: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -119,8 +116,7 @@ def _g17(x) -> str:
     return f"{float(x):.17g}"
 
 
-def sweep_csv(rows: list[dict], eigen_count: int,
-              path: str | Path | None = None) -> str:
+def sweep_csv(rows: list[dict], eigen_count: int, path: str | Path) -> None:
     """Fixed-order CSV: param, lhs, rhs, slack, relative_slack, equality,
     then lambda_1..lambda_{eigen_count}; floats at 17 significant digits."""
     header = ["param", "lhs", "rhs", "slack", "relative_slack", "equality"]
@@ -136,7 +132,4 @@ def sweep_csv(rows: list[dict], eigen_count: int,
         out += [_g17(v) for v in lams]
         out += [""] * (eigen_count - len(lams))
         writer.writerow(out)
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    Path(path).write_text(buf.getvalue())

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in-process."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from paneitzlab import catalog, cli, discrete
 from paneitzlab.cli import _eigen_row, _sweep_row, main
 from paneitzlab.errors import PaneitzLabError, SolverFailureError
+from paneitzlab.report import sweep_csv
 from paneitzlab.specfile import parse_manifold_spec
 
 S4 = "kind: sphere\ndim: 4\nparams:\n  r: 1.0\n"
@@ -652,17 +654,29 @@ def test_sweep_unwritable_csv_is_exit_2(tmp_path, capsys):
         f"paneitz-lab: cannot write {csv_path}: No such file or directory\n")
 
 
-def test_sweep_thread_cap(tmp_path, capsys, monkeypatch):
-    texts = []
-    for name, env in (("one.csv", "1"), ("four.csv", "4"), ("bad.csv", "soon")):
-        monkeypatch.setenv("PANEITZ_LAB_THREADS", env)
-        path = tmp_path / name
-        assert main(["sweep", "--family", "sphere_radius", "--bound",
-                     "chenli_l1", "--range", "0.5:1.5:5", "--quiet",
-                     "--csv", str(path)]) == 0
-        texts.append(path.read_text())
-    assert texts[0] == texts[1] == texts[2]  # worker count never reorders rows
-    assert "ignoring non-integer PANEITZ_LAB_THREADS" in capsys.readouterr().err
+def test_grid_sweep_writes_the_serial_rows_in_parameter_order(tmp_path):
+    # a grid family's samples run on a thread pool; the table is the one
+    # serial samples give, row for row
+    path, serial = tmp_path / "pool.csv", tmp_path / "serial.csv"
+    assert main(["sweep", "--family", "fourier_perturbation", "--bound", "thm_1_1",
+                 "--range", "0.02:0.04:2", "--seed", "3", "--quiet", "--csv", str(path)]) == 0
+    rows = [_sweep_row("thm_1_1", p, cli._fourier_spec(p, 4, 3), None) for p in (0.02, 0.04)]
+    sweep_csv(rows, eigen_count=5, path=serial)
+    assert path.read_text() == serial.read_text()
+
+
+def test_closed_form_sweep_starts_no_executor(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an executor was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    with pytest.raises(AssertionError, match="an executor"):  # a grid family takes the pool
+        main(["sweep", "--family", "fourier_perturbation", "--bound", "thm_1_1",
+              "--range", "0.02:0.04:2", "--quiet", "--csv", str(tmp_path / "grid.csv")])
+    for family, bound, span in (("sphere_radius", "chenli_l1", "0.5:1.5:5"),
+                                ("clifford_ratio", "cor_1_1", "0.2:0.8:4")):
+        assert main(["sweep", "--family", family, "--bound", bound, "--range", span,
+                     "--quiet", "--csv", str(tmp_path / f"{family}.csv")]) == 0
 
 
 def test_sweep_takes_no_count_or_out(tmp_path, capsys):
@@ -677,7 +691,7 @@ def test_sweep_takes_no_count_or_out(tmp_path, capsys):
 
 def test_clifford_row_matches_verify_on_its_spec(spec_file, tmp_path, capsys):
     # the family's spec at r1^2 = 1/2 is the minimal Clifford S^2 x S^2 file
-    row = _sweep_row("clifford_ratio", "cor_1_1", 0.5, None, seed=0)
+    row = _sweep_row("cor_1_1", 0.5, cli._clifford_spec(0.5, 4, 0), None)
     out_path = tmp_path / "v.json"
     assert main(["verify", "--spec", spec_file(CLIFFORD), "--bound", "cor_1_1", "--quiet",
                  "--out", str(out_path)]) == 0
@@ -688,7 +702,7 @@ def test_clifford_row_matches_verify_on_its_spec(spec_file, tmp_path, capsys):
 
 
 def test_fourier_family_flat_sample_matches_catalog():
-    row = _sweep_row("fourier_perturbation", "thm_1_1", 0.0, None, seed=3)
+    row = _sweep_row("thm_1_1", 0.0, cli._fourier_spec(0.0, 4, 3), None)
     assert row["n"] == 4 and row["equality"] and row["ok"]
     assert row["lhs"] == pytest.approx(4.0, abs=1e-9)
     assert row["eigenvalues"][0] == pytest.approx(1.0, abs=1e-9)  # the kernel is dropped

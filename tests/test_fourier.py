@@ -1,6 +1,8 @@
 """Grids, the spectral kernel and trigonometric immersions."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +206,27 @@ def test_real_modes_are_cosines_and_sines_of_the_wavenumbers():
     assert values[:4].tolist() == [0.0, 4.0, 4.0, 9.0]
     assert np.allclose(modes[1], np.cos(theta[..., 0]), atol=1e-15)
     assert np.allclose(modes[2], -np.sin(theta[..., 0]), atol=1e-15)
+
+
+def test_real_modes_form_one_mode_at_a_time():
+    # a flat T^5 solve's start block on 8^5: the 15 modes are 3.9 MB, and
+    # the whole block's complex factor products peaked at 13.4 MB; one mode
+    # at a time peaks at 6.9 MB, bounded here with 20 %, bit for bit the same
+    kernel = kernel_for((8,) * 5)
+    symbol = kernel.symbol(np.eye(5))
+    tracemalloc.start()
+    try:
+        modes = kernel.real_modes(symbol, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.3e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    _, index, cosine = kernel._real_basis(symbol)
+    lead = (15,) + (1,) * 5
+    wave = functools.reduce(np.multiply, (
+        np.exp(2j * math.pi * (np.outer(k[:15], np.arange(8)) % 8) / 8)
+        .reshape(lead[:a + 1] + (8,) + lead[a + 2:]) for a, k in enumerate(index)))
+    assert np.array_equal(modes, np.where(cosine[:15].reshape(lead), wave.real, wave.imag))
 
 
 
