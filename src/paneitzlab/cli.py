@@ -12,10 +12,7 @@ in closed form when one exists and from the grid otherwise, both as a
 `SpectrumResult`.  `spectrum`, `verify` and `replay` reach it from a spec
 file; a sweep family maps each parameter to a `ManifoldSpec`, built by the
 catalog and immersion constructors the spec parser uses, and reaches it the
-same way, one sample per spec.  A family whose specs declare a grid runs
-its samples on a pool of up to 4 threads, since the FFTs and array work of
-a grid solve release the interpreter lock; closed-form samples take less
-time than a pool costs, so they run in one loop.
+same way, one sample per spec, in one loop.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -384,14 +380,7 @@ def cmd_sweep(args) -> int:
 
     dim, _, build = _FAMILIES[family]
     specs = [build(float(p), dim or BOUNDS[bound].lowest_dim, seed) for p in params]
-    one = functools.partial(_sweep_row, bound, tol=args.tol)
-    if any(spec.grid is not None for spec in specs):
-        from concurrent.futures import ThreadPoolExecutor  # here only: closed forms skip it
-
-        with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1, len(specs))) as pool:
-            rows = list(pool.map(one, params, specs))
-    else:
-        rows = list(map(one, params, specs))
+    rows = [_sweep_row(bound, p, spec, args.tol) for p, spec in zip(params, specs)]
 
     n = rows[0]["n"]
     sweep_csv(rows, eigen_count=n + 1, path=args.csv)

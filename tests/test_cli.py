@@ -1,6 +1,5 @@
 """End-to-end command-line behavior, run in-process."""
 
-import concurrent.futures
 import json
 import math
 import os
@@ -655,28 +654,13 @@ def test_sweep_unwritable_csv_is_exit_2(tmp_path, capsys):
 
 
 def test_grid_sweep_writes_the_serial_rows_in_parameter_order(tmp_path):
-    # a grid family's samples run on a thread pool; the table is the one
-    # serial samples give, row for row
-    path, serial = tmp_path / "pool.csv", tmp_path / "serial.csv"
+    # the table is the one single _sweep_row calls give, row for row
+    path, serial = tmp_path / "sweep.csv", tmp_path / "serial.csv"
     assert main(["sweep", "--family", "fourier_perturbation", "--bound", "thm_1_1",
                  "--range", "0.02:0.04:2", "--seed", "3", "--quiet", "--csv", str(path)]) == 0
     rows = [_sweep_row("thm_1_1", p, cli._fourier_spec(p, 4, 3), None) for p in (0.02, 0.04)]
     sweep_csv(rows, eigen_count=5, path=serial)
     assert path.read_text() == serial.read_text()
-
-
-def test_closed_form_sweep_starts_no_executor(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an executor was started")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    with pytest.raises(AssertionError, match="an executor"):  # a grid family takes the pool
-        main(["sweep", "--family", "fourier_perturbation", "--bound", "thm_1_1",
-              "--range", "0.02:0.04:2", "--quiet", "--csv", str(tmp_path / "grid.csv")])
-    for family, bound, span in (("sphere_radius", "chenli_l1", "0.5:1.5:5"),
-                                ("clifford_ratio", "cor_1_1", "0.2:0.8:4")):
-        assert main(["sweep", "--family", family, "--bound", bound, "--range", span,
-                     "--quiet", "--csv", str(tmp_path / f"{family}.csv")]) == 0
 
 
 def test_sweep_takes_no_count_or_out(tmp_path, capsys):
