@@ -97,24 +97,24 @@ _APPLY_BYTES = 16 * 2**20
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Everything sampled once per (immersion, grid) pair.
+    """Everything sampled once per (immersion, grid) pair that is read after
+    the build.
 
-    Every member lives on the grid points.  y, the metric and the curvature
-    fields feed integrals, bounds, replays and the zero-order term (no
-    Christoffel symbols, no second fundamental form).  The flux fields feed
-    the differentiated terms.  A flux field is a symmetric matrix field
-    stored as its upper triangle, row by row: shape (n(n+1)/2, *grid.shape).
-    Flat bundles keep no flux field.  `coeffs`, `q_field` and `coeff_flux`
-    are None when n < 3 (the fourth-order coefficients are singular there;
-    the Laplacian still works).
+    Every member lives on the grid points.  y, g^{-1} and the curvature
+    fields feed integrals, bounds, replays and the operator's scales (no
+    g, Christoffel symbols, second fundamental form, |Ric|^2 or Lap R: they
+    end with the build).  The flux fields feed the differentiated terms.  A
+    flux field is a symmetric matrix field stored as its upper triangle, row
+    by row: shape (n(n+1)/2, *grid.shape).  Flat bundles keep no flux field.
+    `coeffs`, `q_field` and `coeff_flux` are None when n < 3 (the
+    fourth-order coefficients are singular there; the Laplacian still works).
     """
 
-    immersion: FourierImmersion
     grid: TorusGrid
     kernel: SpectralKernel       # every FFT: coefficients, grad/div, symbols
     y: np.ndarray                # immersion values (*shape, N)
-    metric: MetricData           # g, g^{-1}, sqrt(g)
-    curv: CurvatureFields        # H, |H|^2, S, Ric, |Ric|^2, R
+    g_inv: np.ndarray            # g^{-1} (*shape, n, n)
+    curv: CurvatureFields        # H, |H|^2, S, Ric, R
     weights: np.ndarray          # sqrt(g) dx per point
     volume: float
     inv_sqrt_det: np.ndarray     # 1/sqrt(g)
@@ -122,7 +122,6 @@ class CurvatureBundle:
     coeffs: DimensionCoefficients | None
     coeff_flux: np.ndarray | None   # sqrt(g) g^{-1} (a R g + b Ric) g^{-1}, packed
     q_field: np.ndarray | None      # Q with spectral Laplace of R
-    laplace_r: np.ndarray | None
     constant_coefficient: bool
 
     @property
@@ -180,22 +179,22 @@ def _sample_block(imm: FourierImmersion, grid: TorusGrid, start: int, stop: int)
 
 
 def _sample_coarse(imm: FourierImmersion, grid: TorusGrid):
-    """y, the metric and the CurvatureFields on the grid, block by block,
-    written into arrays allocated once."""
+    """y, the metric, the CurvatureFields and |Ric|^2 on the grid, block by
+    block, written into arrays allocated once."""
     out: dict[str, np.ndarray] = {}
     for start, stop in _blocks(grid.size):
         jet, metric = _sample_block(imm, grid, start, stop)
         curv = curvature_point(jet, metric)
-        block = {"y": jet.y, **vars(metric),
+        block = {"y": jet.y, **vars(metric), "ric_norm_sq": curv.ric_norm_sq,
                  **{f.name: getattr(curv, f.name) for f in fields(CurvatureFields)}}
         for name, value in block.items():
             if name not in out:
                 out[name] = np.empty((grid.size,) + value.shape[1:])
             out[name][start:stop] = value
     out = {name: value.reshape(grid.shape + value.shape[1:]) for name, value in out.items()}
-    y = out.pop("y")
+    y, ric_norm_sq = out.pop("y"), out.pop("ric_norm_sq")
     metric = MetricData(**{f.name: out.pop(f.name) for f in fields(MetricData)})
-    return y, metric, CurvatureFields(**out)
+    return y, metric, CurvatureFields(**out), ric_norm_sq
 
 
 def raised_curvature_matrix(coeffs: DimensionCoefficients, metric: MetricData,
@@ -211,10 +210,10 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     """Sample geometry at the grid points and form the flux fields there.
 
     The grid is sampled in blocks of _SAMPLE_BLOCK points: each block's jet,
-    metric and curvature are evaluated once, the fields the bundle keeps
-    are written into preallocated arrays, and the block's temporaries are
-    dropped.  The flux fields are then products of the stored metric and
-    curvature, with no further jet.
+    metric and curvature are evaluated once, the fields the build reads are
+    written into preallocated arrays, and the block's temporaries are
+    dropped.  The flux fields and Q are then products of those fields, with
+    no further jet; g, sqrt(g), |Ric|^2 and Lap R end with the build.
 
     Constant-coefficient (flat) immersions skip the flux fields: the
     operators reduce to Fourier symbols there and never touch them.
@@ -226,7 +225,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     n = grid.n
     kernel = SpectralKernel(grid)
 
-    y, metric, curv = _sample_coarse(imm, grid)
+    y, metric, curv, ric_norm_sq = _sample_coarse(imm, grid)
     weights = metric.sqrt_det * grid.dx
     inv_sqrt_det = 1.0 / metric.sqrt_det
 
@@ -237,7 +236,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
         float(np.max(np.ptp(metric.g.reshape(-1, n, n), axis=0))) <= _CONST_TOL * g_scale)
 
     coeffs = paneitz_coefficients(n) if n >= 3 else None
-    laplace_flux = coeff_flux = q_field = laplace_r = None
+    laplace_flux = coeff_flux = q_field = None
     if not flat:
         root = metric.sqrt_det[..., None, None]
         laplace_flux = _pack(root * metric.g_inv)
@@ -250,14 +249,13 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
             # Q needs Lap R; differentiate the sampled scalar-curvature field
             grad_r = kernel.gradient(kernel.coefficients(curv.scalar))
             laplace_r = _divergence(kernel, inv_sqrt_det, _flux(laplace_flux, grad_r))
-        q_field = q_curvature(coeffs, curv.ric_norm_sq, curv.scalar, laplace_r)
+        q_field = q_curvature(coeffs, ric_norm_sq, curv.scalar, laplace_r)
 
     return CurvatureBundle(
-        immersion=imm,
         grid=grid,
         kernel=kernel,
         y=y,
-        metric=metric,
+        g_inv=metric.g_inv,
         curv=curv,
         weights=weights,
         volume=float(np.sum(weights)),
@@ -266,7 +264,6 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
         coeffs=coeffs,
         coeff_flux=coeff_flux,
         q_field=q_field,
-        laplace_r=laplace_r,
         constant_coefficient=flat,
     )
 
@@ -313,11 +310,6 @@ def _require_coeffs(bundle: CurvatureBundle, coeffs: DimensionCoefficients):
 
 def integrate(bundle: CurvatureBundle, f: np.ndarray) -> float:
     return float(np.sum(f * bundle.weights))
-
-
-def inner(bundle: CurvatureBundle, f: np.ndarray, h: np.ndarray) -> float:
-    """Volume-weighted L^2 pairing on the grid."""
-    return float(np.sum(f * h * bundle.weights))
 
 
 def _power_of_two(x: float) -> float:
@@ -384,7 +376,7 @@ class PaneitzOperator:
     @cached_property
     def _mean_g_inv(self) -> np.ndarray:
         bundle = self.bundle
-        return bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n).mean(axis=0)
+        return bundle.g_inv.reshape(-1, bundle.n, bundle.n).mean(axis=0)
 
     @cached_property
     def unit(self) -> float:
@@ -410,7 +402,7 @@ class PaneitzOperator:
         g^{-1} over the grid points times the band's largest |k|^2, squared
         for the fourth-order operator.  Read from the metric, no apply."""
         bundle = self.bundle
-        g_inv = bundle.metric.g_inv.reshape(-1, bundle.n, bundle.n)
+        g_inv = bundle.g_inv.reshape(-1, bundle.n, bundle.n)
         k_sq = float(bundle.kernel.symbol(np.eye(bundle.n)).max())
         mu = float(np.linalg.eigvalsh(g_inv)[:, -1].max()) * k_sq
         return mu if self.coeffs is None else mu**2
@@ -418,11 +410,12 @@ class PaneitzOperator:
 
 def default_penalty(op: PaneitzOperator) -> float:
     """sigma = 10 (unit + estimate_top) mean sqrt(g) for op, the mean to a
-    power of two, read from the metric: even-grid sawtooth modes land far
-    above any eigenvalue of interest, and sigma / sqrt(g) scales with the
-    operator's eigenvalues.  op.penalty is not read, so a solve can set it
-    from this on the operator it sizes."""
-    density = _power_of_two(float(np.mean(op.bundle.metric.sqrt_det)))
+    power of two, read from the metric (the mean is the volume over that of
+    the parameter torus): even-grid sawtooth modes land far above any
+    eigenvalue of interest, and sigma / sqrt(g) scales with the operator's
+    eigenvalues.  op.penalty is not read, so a solve can set it from this on
+    the operator it sizes."""
+    density = _power_of_two(op.bundle.volume / (2.0 * math.pi) ** op.bundle.n)
     return 10.0 * (op.unit + op.estimate_top()) * density
 
 

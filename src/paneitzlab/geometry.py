@@ -88,8 +88,7 @@ class CurvatureFields:
     mean_sq: np.ndarray  # (...,), |H|^2
     s_norm: np.ndarray   # (...,), S = |h|^2
     ric: np.ndarray      # (..., n, n)
-    ric_norm_sq: np.ndarray  # (...,), |Ric|^2
-    scalar: np.ndarray       # (...,), R
+    scalar: np.ndarray   # (...,), R
 
 
 @dataclass
@@ -98,6 +97,7 @@ class CurvaturePoint(CurvatureFields):
 
     gamma: np.ndarray  # (..., n, n, n), Gam^k_ij indexed [k, i, j]
     h: np.ndarray      # (..., N, n, n), second fundamental form (normal valued)
+    ric_norm_sq: np.ndarray  # (...,), |Ric|^2, read only into Q
 
 
 def induced_metric(jet: ImmersionJet) -> MetricData:

@@ -366,7 +366,7 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     # ---- operator applications and pointwise fields
     p_trial = apply_paneitz(bundle, bundle.coeffs, trial)
     lz = apply_laplacian(bundle, z)
-    g_inv, ric = bundle.metric.g_inv, bundle.curv.ric
+    g_inv, ric = bundle.g_inv, bundle.curv.ric
     gw2 = np.einsum("...i,...ij,...j->...", dw, g_inv, dw)
     # one rotated coordinate at a time: with v = g^{-1} grad z_a, |grad z_a|^2
     # = g(v, v) is grad z_a . v, and the curvature form is a R |grad z_a|^2

@@ -20,7 +20,7 @@ from paneitzlab import (
     donut_torus,
     paneitz_coefficients,
 )
-from paneitzlab.discrete import inner, integrate
+from paneitzlab.discrete import integrate
 from paneitzlab.eigensolve import dense_spectrum, spectrum
 from paneitzlab.geometry import CurvatureFields, curvature_point, induced_metric
 from paneitzlab import discrete, eigensolve
@@ -151,9 +151,9 @@ def test_paneitz_self_adjoint(factory, shape):
     coeffs = paneitz_coefficients(3)
     fields = list(random_band_fields(grid, 40, seed=7))
     for f, h in zip(fields[:20], fields[20:]):
-        lhs = inner(bundle, apply_paneitz(bundle, coeffs, f), h)
-        rhs = inner(bundle, f, apply_paneitz(bundle, coeffs, h))
-        scale = math.sqrt(inner(bundle, f, f) * inner(bundle, h, h))
+        lhs = integrate(bundle, apply_paneitz(bundle, coeffs, f) * h)
+        rhs = integrate(bundle, f * apply_paneitz(bundle, coeffs, h))
+        scale = math.sqrt(integrate(bundle, f * f) * integrate(bundle, h * h))
         assert abs(lhs - rhs) <= 1e-8 * scale
 
 
@@ -163,9 +163,9 @@ def test_bilaplacian_is_square_of_laplacian():
     for f in random_band_fields(grid, 5, seed=3):
         lap = apply_laplacian(bundle, f)
         lap2 = apply_laplacian(bundle, lap)
-        quad = inner(bundle, lap, lap)
+        quad = integrate(bundle, lap * lap)
         assert quad >= 0.0
-        assert inner(bundle, lap2, f) == pytest.approx(quad, abs=1e-8 * (1 + quad))
+        assert integrate(bundle, lap2 * f) == pytest.approx(quad, abs=1e-8 * (1 + quad))
 
 
 def test_paneitz_refused_below_dimension_three():
@@ -190,12 +190,14 @@ def bundle_identity_residuals(imm, grid):
 
     Gradients of the (band-limited) coordinates are exact; the Laplacian
     carries the flux path's truncation error, so (4) and (5) measure how well
-    the grid resolves the metric.
+    the grid resolves the metric.  The metric is the inverse of the stored
+    g^{-1}, so the pullback residual checks that field.
     """
     bundle = build_bundle(imm, grid)
     jet = imm.jet(grid.points())
     n = grid.n
-    g, g_inv = bundle.metric.g, bundle.metric.g_inv
+    g_inv = bundle.g_inv
+    g = np.linalg.inv(g_inv)
     grad = np.einsum("...ij,...aj->...ai", g_inv, jet.dy)
     lap = np.stack([apply_laplacian(bundle, jet.y[..., a]) for a in range(jet.y.shape[-1])],
                    axis=-1)
@@ -251,10 +253,12 @@ def test_collocated_eigenvalues_converge_on_the_benchmark_torus():
 
 
 def test_scalar_curvature_laplacian_has_zero_mean():
+    # Lap R as Q reads it: the bundle's Laplacian of the sampled R
     bundle = build_bundle(perturbed_torus(), TorusGrid((8, 8, 8)))
-    scale = np.abs(bundle.laplace_r).max()
+    laplace_r = apply_laplacian(bundle, bundle.curv.scalar)
+    scale = np.abs(laplace_r).max()
     assert scale > 1e-6  # genuinely curved
-    assert abs(integrate(bundle, bundle.laplace_r)) < 1e-10 * scale * bundle.volume
+    assert abs(integrate(bundle, laplace_r)) < 1e-10 * scale * bundle.volume
 
 
 # --------------------------------------------------------------------------
@@ -277,10 +281,10 @@ def test_penalty_vanishes_on_band_and_is_symmetric():
     f, h = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
     want = 7.0 * bundle.inv_sqrt_det * (f - band_project(f, grid))
     assert np.abs(penalty(f) - want).max() <= 1e-12 * np.abs(want).max()
-    lhs = inner(bundle, penalty(f), h)
-    rhs = inner(bundle, f, penalty(h))
+    lhs = integrate(bundle, penalty(f) * h)
+    rhs = integrate(bundle, f * penalty(h))
     assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(lhs)))
-    assert inner(bundle, penalty(f), f) >= 0.0
+    assert integrate(bundle, penalty(f) * f) >= 0.0
 
 
 @pytest.mark.parametrize("factory", [
@@ -330,9 +334,9 @@ def power_top(op, steps=25):
     v = np.random.default_rng(0x5EED).standard_normal(op.shape)
     est = 0.0
     for _ in range(steps):
-        v = v / math.sqrt(inner(op.bundle, v, v))
+        v = v / math.sqrt(integrate(op.bundle, v * v))
         w = op.apply(v)
-        est = max(est, abs(inner(op.bundle, v, w)))
+        est = max(est, abs(integrate(op.bundle, v * w)))
         v = w
     return est
 
@@ -361,7 +365,7 @@ def test_metric_penalty_moves_curved_eigenvalues_toward_the_band_limit():
     bundle = build_bundle(perturbed_torus(0.3), TorusGrid((8, 8, 8)))
     coeffs = paneitz_coefficients(3)
     op = PaneitzOperator(bundle, coeffs)
-    density = discrete._power_of_two(float(np.mean(bundle.metric.sqrt_det)))
+    density = discrete._power_of_two(bundle.volume / TAU**3)
     sigma_power = 10.0 * (op.unit + power_top(op)) * density
     sigma = discrete.default_penalty(op)
     assert sigma > sigma_power
@@ -382,9 +386,9 @@ def test_metric_penalty_moves_curved_eigenvalues_toward_the_band_limit():
 # the coefficient-space kernel against the real-space composition
 # --------------------------------------------------------------------------
 
-def reference_fluxes(bundle):
+def reference_fluxes(imm, bundle):
     """Flux matrices (..., n, n) sampled afresh from the immersion at the grid points."""
-    jet = bundle.immersion.jet(bundle.grid.points())
+    jet = imm.jet(bundle.grid.points())
     metric = induced_metric(jet)
     laplace_flux = metric.sqrt_det[..., None, None] * metric.g_inv
     if bundle.coeffs is None:
@@ -404,6 +408,14 @@ def reference_laplace(bundle, flux, f):
     flow = np.einsum("...ij,...j->...i", flux, grad)
     div = sum(derivative(flow[..., i], i, grid) for i in range(grid.n))
     return bundle.inv_sqrt_det * band_project(div, grid)
+
+
+def reference_q(imm, bundle, laplace_flux):
+    """Q from a fresh jet at the grid points, with Lap R by reference_laplace."""
+    jet = imm.jet(bundle.grid.points())
+    curv = curvature_point(jet, induced_metric(jet))
+    laplace_r = reference_laplace(bundle, laplace_flux, curv.scalar)
+    return q_curvature(bundle.coeffs, curv.ric_norm_sq, curv.scalar, laplace_r)
 
 
 def reference_paneitz(bundle, fluxes, f):
@@ -426,17 +438,16 @@ def assert_matches(got, want, rtol):
     (lambda: donut_torus(2.0, 1.0), (16, 16), 3),
 ])
 def test_fused_kernel_matches_real_space_composition(factory, shape, columns):
-    grid = TorusGrid(shape)
-    bundle = build_bundle(factory(), grid)
+    imm, grid = factory(), TorusGrid(shape)
+    bundle = build_bundle(imm, grid)
     assert not bundle.constant_coefficient
-    fluxes = reference_fluxes(bundle)
+    fluxes = reference_fluxes(imm, bundle)
     rng = np.random.default_rng(23)
     f = rng.standard_normal(shape if columns is None else (columns,) + shape)
     assert_matches(apply_laplacian(bundle, f), reference_laplace(bundle, fluxes[0], f), 1e-13)
     if bundle.coeffs is None:
         return
-    assert_matches(bundle.laplace_r,
-                   reference_laplace(bundle, fluxes[0], bundle.curv.scalar), 1e-13)
+    assert_matches(bundle.q_field, reference_q(imm, bundle, fluxes[0]), 1e-13)
     assert_matches(apply_paneitz(bundle, bundle.coeffs, f),
                    reference_paneitz(bundle, fluxes, f), 1e-13)
 
@@ -541,11 +552,11 @@ def pack(field):
 def test_flux_fields_are_sampled_at_the_grid_points(factory, shape):
     # sqrt(g) g^{-1} and sqrt(g) times the raised curvature matrix, from a
     # fresh jet at the grid points, packed as upper triangles
-    grid = TorusGrid(shape)
-    bundle = build_bundle(factory(), grid)
+    imm, grid = factory(), TorusGrid(shape)
+    bundle = build_bundle(imm, grid)
     pairs = grid.n * (grid.n + 1) // 2
     assert bundle.laplace_flux.shape == bundle.coeff_flux.shape == (pairs,) + shape
-    jet = bundle.immersion.jet(grid.points())
+    jet = imm.jet(grid.points())
     metric = induced_metric(jet)
     root = metric.sqrt_det[..., None, None]
     raised = discrete.raised_curvature_matrix(bundle.coeffs, metric, curvature_point(jet, metric))
@@ -585,21 +596,20 @@ def test_blocked_sampling_matches_whole_grid(monkeypatch, factory, shape):
     metric = induced_metric(jet)
     curv = curvature_point(jet, metric)
     assert np.array_equal(bundle.y, jet.y)
-    for name in ("g", "g_inv", "sqrt_det"):
-        assert np.array_equal(getattr(bundle.metric, name), getattr(metric, name)), name
+    assert np.array_equal(bundle.g_inv, metric.g_inv)
     for field in dataclasses.fields(CurvatureFields):
         assert np.array_equal(getattr(bundle.curv, field.name),
                               getattr(curv, field.name)), field.name
-    assert not hasattr(bundle.curv, "h") and not hasattr(bundle.curv, "gamma")
+    for name in ("h", "gamma", "ric_norm_sq"):
+        assert not hasattr(bundle.curv, name), name
     if bundle.constant_coefficient:
         assert bundle.laplace_flux is None
         laplace_r = np.zeros(shape)
     else:
-        fluxes = reference_fluxes(bundle)
+        fluxes = reference_fluxes(imm, bundle)
         assert_matches(bundle.laplace_flux, pack(fluxes[0]), 1e-13)
         assert_matches(bundle.coeff_flux, pack(fluxes[1]), 1e-13)
         laplace_r = reference_laplace(bundle, fluxes[0], curv.scalar)
-        assert_matches(bundle.laplace_r, laplace_r, 1e-13)
     q_field = q_curvature(bundle.coeffs, curv.ric_norm_sq, curv.scalar, laplace_r)
     assert_matches(bundle.q_field, q_field, 1e-13)
 
@@ -657,11 +667,31 @@ def test_degenerate_point_keeps_its_grid_index(monkeypatch):
     assert str(blocked.value) == str(whole.value)
 
 
+def stored_bytes(record):
+    """Bytes of the arrays a dataclass record holds, nested records included."""
+    total = 0
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif dataclasses.is_dataclass(value):
+            total += stored_bytes(value)
+    return total
+
+
+def test_flat_five_torus_bundle_stores_only_what_is_read():
+    # y, g^{-1}, H, |H|^2, S, Ric, R, the weights, 1/sqrt(g) and Q: 19.0 MiB
+    # on 8^5, g^{-1} and Ric 12.5 of it.  Keeping g, sqrt(g), |Ric|^2 and
+    # Lap R past the build as well made 26.0 MiB
+    bundle = build_bundle(clifford_torus((1.0,) * 5), TorusGrid((8,) * 5))
+    assert stored_bytes(bundle) <= 19.5 * 2**20, f"{stored_bytes(bundle) / 2**20:.2f} MiB"
+
+
 def test_flat_five_torus_bundle_memory_is_bounded():
     # whole-grid sampling peaked at 412 MB here, and 2048-point blocks at
-    # 57.0 MB; 512-point blocks keep the peak to the stored coarse fields
-    # (~26 MB) plus one block's temporaries, measured 35.3 MB: the bound is
-    # that plus 20 %
+    # 57.0 MB; 512-point blocks keep the peak to the sampled coarse fields
+    # (~26 MB, 19 MiB of them kept) plus one block's temporaries, measured
+    # 35.3 MB: the bound is that plus 20 %
     grid = TorusGrid((8,) * 5)
     imm = clifford_torus((1.0,) * 5)
     tracemalloc.start()

@@ -16,7 +16,7 @@ from paneitzlab import (
     flat_torus,
 )
 from paneitzlab import discrete, eigensolve
-from paneitzlab.discrete import build_bundle, inner
+from paneitzlab.discrete import build_bundle, integrate
 from paneitzlab.eigensolve import cluster_eigenvalues, dense_spectrum, spectrum
 from paneitzlab.discrete import PaneitzOperator, assemble_dense
 
@@ -213,7 +213,7 @@ def test_eigenfunctions_orthonormal_with_positive_mean():
     grid = TorusGrid((8, 8, 8))
     bundle = build_bundle(imm, grid)
     result = spectrum(imm, grid, paneitz_coefficients(3), 5, bundle=bundle)
-    gram = np.array([[inner(bundle, fi, fj) for fj in result.eigenfunctions]
+    gram = np.array([[integrate(bundle, fi * fj) for fj in result.eigenfunctions]
                      for fi in result.eigenfunctions])
     assert np.abs(gram - np.eye(5)).max() < 1e-8
     # kernel of the flat operator is the constants; sign fix makes it positive
@@ -322,6 +322,28 @@ def test_start_block_is_capped_at_the_grid_size():
     dense = spectrum(imm, grid, None, grid.size, bundle=bundle, solver="dense")
     lanc = spectrum(imm, grid, None, grid.size, bundle=bundle, solver="lanczos")
     assert lanc.block == grid.size
+    assert np.abs(lanc.eigenvalues - dense.eigenvalues).max() <= 1e-8
+
+
+def test_uncleared_cluster_grows_the_block(monkeypatch):
+    # one guard: at k = 5 the block holds 6 columns, the converged top Ritz
+    # value fails to clear the 5th value's cluster once, and the block grows
+    # by guards before the solve ends (at 18 iterations)
+    monkeypatch.setattr(eigensolve, "GUARDS", 1)
+    widths = []
+    rayleigh_ritz = eigensolve._rayleigh_ritz
+
+    def recorded(x, ax, search, m):
+        widths.append(m)
+        return rayleigh_ritz(x, ax, search, m)
+
+    monkeypatch.setattr(eigensolve, "_rayleigh_ritz", recorded)
+    imm, grid = perturbed_torus(amp=0.1), TorusGrid((8, 8, 8))
+    bundle = build_bundle(imm, grid)
+    lanc = spectrum(imm, grid, paneitz_coefficients(3), 5, bundle=bundle, seed=3)
+    dense = spectrum(imm, grid, paneitz_coefficients(3), 5, bundle=bundle, solver="dense")
+    assert lanc.block == widths[0] == 6
+    assert max(widths) > lanc.block
     assert np.abs(lanc.eigenvalues - dense.eigenvalues).max() <= 1e-8
 
 

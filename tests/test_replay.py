@@ -285,6 +285,21 @@ def test_grid_bound_rhs_is_the_replayed_rhs(torus_run, flat_t5_run):
     assert _bound_meets_replay("thm_1_2", bundle, result, u1_from_result(bundle, result))
 
 
+def test_second_value_below_the_first_is_a_clamped_gap(flat_t5_run):
+    # lambda_2 moved 1e-2 below lambda_1, past the numerical tol_eq of 1e-4:
+    # the gap bound and its replay both clamp the negative gap and say so
+    bundle, result = flat_t5_run
+    values = result.eigenvalues.copy()
+    values[1] = values[0] - 1e-2
+    low = replace(result, eigenvalues=values)
+    rep = evaluate("thm_1_2", low.eigenvalues, summarize_bundle(bundle),
+                   u1_from_result(bundle, low))
+    chain = replay_proof("thm_1_2", low, bundle)
+    assert "negative_gap_clamped" in rep.flags
+    assert "negative_gap_clamped" in chain.flags
+    assert "negative_gap_clamped" not in replay_proof("thm_1_2", result, bundle).flags
+
+
 def test_multiple_ground_state_flag_is_one_name(flat_t5_run, tmp_path, monkeypatch):
     bundle, result = flat_t5_run
     (value, count), *rest = result.clusters
