@@ -30,11 +30,18 @@ catalog and immersion constructors (a refusal becomes a located error): the
 `ModelManifold` of every kind with a closed form and the `FourierImmersion`
 of the two torus kinds.  The grid stays a shape, sampled only by a solve.
 The sweep families in `cli` build the same record from the same constructors.
+
+Specs are composed by libyaml's scanner and parser where PyYAML was built
+with them, and by PyYAML's pure-Python ones otherwise.  Every text either
+engine refuses becomes a located `SpecFileError`: bad YAML, a character YAML
+does not allow, bytes that are not UTF-8, and collections nested deeper
+than 256 levels, past which the composers' stacks can overflow.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,12 +85,52 @@ class ManifoldSpec:
 
 # --------------------------------------------------------------------------
 # node-level parsing: yaml.compose keeps source marks, plain safe_load drops
-# them and unknown-key errors would lose their positions
+# them and unknown-key errors would lose their positions.  Composing runs no
+# constructor, so libyaml's CSafeLoader builds the same nodes as the
+# pure-Python SafeLoader, several times faster; SafeLoader is the engine of
+# a PyYAML built without libyaml.
 # --------------------------------------------------------------------------
+
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+#: Collections nest at most this deep.  libyaml composes recursively in C and
+#: overflows an 8 MiB stack near 25 000 nested lists; the pure-Python composer
+#: reaches the interpreter's recursion limit near 450.  No valid spec nests
+#: deeper than 4.
+_MAX_NESTING = 256
+#: every collection holds one of these indicators of its own, so a text with
+#: no more of them than _MAX_NESTING cannot nest deeper
+_INDICATORS = "[{-?:"
+#: the characters YAML does not allow in a stream, and its line breaks: read
+#: only to locate a refusal, so compiled there (the first takes ~8 ms)
+_UNPRINTABLE = r"[^\t\n\r\x20-\x7e\x85\xa0-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
+_BREAK = r"\r\n|[\r\n\x85\u2028\u2029]"
+
 
 def _err(node, msg: str) -> SpecFileError:
     mark = node.start_mark
     return SpecFileError(msg, line=mark.line + 1, column=mark.column + 1)
+
+
+def _err_at(text: str, index: int, msg: str) -> SpecFileError:
+    """msg located at text[index], lines counted at every YAML line break."""
+    breaks = list(re.finditer(_BREAK, text[:index]))
+    start = breaks[-1].end() if breaks else 0
+    return SpecFileError(msg, line=len(breaks) + 1, column=index - start + 1)
+
+
+def _compose(text: str):
+    """The root node of text, or None for an empty stream."""
+    if sum(map(text.count, _INDICATORS)) > _MAX_NESTING:
+        depth = 0   # the event stream is flat: walking it recurses nowhere
+        for event in yaml.parse(text, Loader=_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_NESTING:
+                    raise _err(event, f"collections nest deeper than {_MAX_NESTING} levels")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    return yaml.compose(text, Loader=_LOADER)
 
 
 def _mapping(node, what: str) -> list:
@@ -155,13 +202,22 @@ _TOP_KEYS = ("kind", "dim", "ambient", "params", "fourier", "grid", "solver", "k
 
 def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
     try:
-        root = yaml.compose(text)
+        root = _compose(text)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         raise SpecFileError(
             f"not valid YAML: {exc.problem}",
             line=(mark.line + 1) if mark else 0,
             column=(mark.column + 1) if mark else 0) from None
+    except (yaml.reader.ReaderError, UnicodeEncodeError):
+        # a character YAML does not allow.  The engines count its offset in
+        # different units (characters, UTF-8 bytes), and libyaml cannot even
+        # encode a lone surrogate, so it is found in the text itself.
+        index = re.search(_UNPRINTABLE, text).start()
+        raise _err_at(text, index, f"not valid YAML: character #x{ord(text[index]):04x} "
+                                   f"is not allowed") from None
+    except RecursionError:
+        raise SpecFileError("collections nest too deeply to compose", line=1, column=1) from None
     if root is None:
         raise SpecFileError("empty spec file", line=1, column=1)
 
@@ -292,7 +348,11 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
 def load_manifold_spec(path) -> ManifoldSpec:
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecFileError(f"cannot read {p}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:    # exc.object is the whole file's bytes
+        head = exc.object[:exc.start].decode("utf-8")
+        raise _err_at(head, len(head), f"not UTF-8: byte {exc.object[exc.start]:#04x} "
+                                       f"cannot be decoded") from None
     return parse_manifold_spec(text, source=str(p))

@@ -179,6 +179,38 @@ def test_spectrum_bad_spec_is_exit_2(spec_file, capsys):
     assert "(line 4, column 3)" in err
 
 
+def test_spectrum_unacceptable_character_is_exit_2(spec_file, capsys):
+    bad = spec_file("kind: sphere\ndim: 4\nparams:\n  r: 1.0\x07\n")
+    assert main(["spectrum", "--spec", bad]) == 2
+    err = capsys.readouterr().err
+    assert "paneitz-lab: spec error: not valid YAML" in err
+    assert "(line 4, column 9)" in err
+    assert "Traceback" not in err
+
+
+def test_spectrum_spec_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "m.yaml"
+    bad.write_bytes(b"\xff\xfekind: sphere\n")
+    assert main(["spectrum", "--spec", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "paneitz-lab: spec error: not UTF-8" in err
+    assert "(line 1, column 1)" in err
+
+
+def test_deeply_nested_spec_is_exit_2(spec_file):
+    # libyaml composes recursively in C: nesting this deep overflows its
+    # stack unless it is refused first, so the run gets its own process
+    bad = spec_file("kind: " + "[" * 30000 + "]" * 30000)
+    script = ("from paneitzlab.cli import main\n"
+              f"raise SystemExit(main(['spectrum', '--spec', {bad!r}]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "nest deeper than 256 levels (line 1, column 262)" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_spectrum_unwritable_out_is_exit_2(spec_file, tmp_path, capsys):
     out_path = tmp_path / "no" / "such" / "x.json"
     assert main(["spectrum", "--spec", spec_file(S4), "--quiet",

@@ -6,7 +6,9 @@ N <= 2n + 2: a Clifford torus with random radii in the first 2n coordinates,
 plus up to three random Fourier modes on all N.  The batched products are
 held to the plain forms in `helpers` (a loop over terms, one einsum per
 contraction) and to the Gauss equation.  Spec text is fuzzed by mutating one
-node of a valid spec per kind.  Example counts stay small and the draws are
+node of a valid spec per kind, and by inserting a character YAML does not
+allow or a byte that is not UTF-8; the spec parser's libyaml engine is held
+to PyYAML's pure-Python one on those texts.  Example counts stay small and the draws are
 derandomized, so the suite stays fast and repeatable.
 """
 
@@ -16,10 +18,11 @@ import yaml
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from paneitzlab import specfile
 from paneitzlab.errors import DegenerateImmersionError, SpecFileError
 from paneitzlab.fourier import FourierImmersion, FourierTerm
 from paneitzlab.geometry import curvature_point, gauss_identity_residual, induced_metric
-from paneitzlab.specfile import ManifoldSpec, parse_manifold_spec
+from paneitzlab.specfile import ManifoldSpec, load_manifold_spec, parse_manifold_spec
 
 from helpers import reference_curvature, reference_jet
 
@@ -152,3 +155,84 @@ def test_mutated_spec_parses_or_is_a_located_spec_error(kind, data):
             assert exc.line is not None, exc
         else:
             assert isinstance(spec, ManifoldSpec)
+
+
+#: characters YAML does not allow in a stream, and bytes that start no UTF-8
+#: character before an ASCII one
+UNACCEPTABLE = ("\x00", "\x07", "\x1b", "\x7f", "\ud800", b"\xff", b"\xc3", b"\x80")
+
+
+@pytest.mark.parametrize("kind", VALID_SPECS)
+@PROPERTY
+@given(data=st.data())
+def test_raw_mutant_is_a_spec_error_at_its_offset(kind, data, tmp_path_factory):
+    text = VALID_SPECS[kind]    # ASCII: a byte offset is a character offset
+    at = data.draw(st.integers(0, len(text)))
+    bad = data.draw(st.sampled_from(UNACCEPTABLE))
+    with pytest.raises(SpecFileError) as info:
+        if isinstance(bad, bytes):
+            path = tmp_path_factory.mktemp("raw") / "m.yaml"
+            path.write_bytes(text[:at].encode() + bad + text[at:].encode())
+            load_manifold_spec(path)
+        else:
+            parse_manifold_spec(text[:at] + bad + text[at:])
+    line_start = text.rfind("\n", 0, at) + 1
+    assert (info.value.line, info.value.column) == (text.count("\n", 0, at) + 1,
+                                                     at - line_start + 1)
+
+
+#: texts both engines refuse
+MALFORMED = {
+    "tab": "kind: sphere\ndim: 4\nparams:\n\tr: 1.0\n",
+    "unclosed-flow-mapping": "kind: sphere\ndim: 4\nparams: {r: 1.0\n",
+    "bad-indent": "kind: sphere\ndim: 4\nparams:\n  r: 1.0\n k: 5\n",
+    "stray-colon": "kind: sphere\ndim: 4\nparams: {r: 1.0: 2}\n",
+    "unclosed-quote": "kind: 'sphere\ndim: 4\n",
+    "two-documents": "kind: sphere\n---\nkind: sphere\n",
+    "undefined-alias": "kind: sphere\ndim: *four\n",
+    "non-ascii-first": "kind: sphère\ndim: 4\nparams: {r: 1.0: 2}\n",
+    "unclosed-list": "kind: sphere\ndim: 4\nparams:\n  radii: [1.0, 2.0\n",
+    "key-in-a-value": "kind: sphere\ndim: 4 k: 5\n",
+}
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML was built without libyaml")
+
+
+def _tree(node):
+    """(class, tag, value or children, start line, start column) of node and
+    of every node under it."""
+    if isinstance(node, yaml.ScalarNode):
+        value = node.value
+    elif isinstance(node, yaml.MappingNode):
+        value = [(_tree(key), _tree(item)) for key, item in node.value]
+    else:
+        value = [_tree(item) for item in node.value]
+    return type(node), node.tag, value, node.start_mark.line, node.start_mark.column
+
+
+def _composed(text: str, loader):
+    """The node tree loader composes text to, or the class and problem mark
+    of the error it refuses text with."""
+    try:
+        return _tree(yaml.compose(text, Loader=loader))
+    except yaml.MarkedYAMLError as exc:
+        return type(exc), exc.problem_mark.line, exc.problem_mark.column
+
+
+@needs_libyaml
+@pytest.mark.parametrize("kind", VALID_SPECS)
+def test_engines_compose_every_mutant_to_the_same_nodes(kind):
+    text = VALID_SPECS[kind]
+    texts = [text] + [mutant for site in range(len(list(_sites(yaml.compose(text)))))
+                      for mutant in _mutants(text, site)]
+    for each in texts:
+        assert _composed(each, specfile._LOADER) == _composed(each, yaml.SafeLoader), each
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", MALFORMED)
+def test_engines_refuse_malformed_text_at_the_same_mark(name):
+    text = MALFORMED[name]
+    refused = _composed(text, yaml.SafeLoader)
+    assert issubclass(refused[0], yaml.MarkedYAMLError)
+    assert _composed(text, specfile._LOADER) == refused

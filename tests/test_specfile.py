@@ -1,9 +1,13 @@
 """Spec-file parsing: schema, defaults, and located errors."""
 
+import inspect
+import sys
 import warnings
 
 import pytest
+import yaml
 
+from paneitzlab import specfile
 from paneitzlab.bounds import SPHERE_DEVIATION_TOL
 from paneitzlab.catalog import flat_torus, round_sphere, sphere_product
 from paneitzlab.cli import main
@@ -121,6 +125,67 @@ def test_unreadable_file_has_no_location(tmp_path):
 def test_invalid_yaml():
     err = parse_error("kind: [sphere\ndim: 4\n")
     assert "not valid YAML" in str(err)
+    assert (err.line, err.column) == (2, 4)
+
+
+#: the pure-Python engine, and libyaml where PyYAML was built with it
+ENGINES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def test_specs_compose_with_libyaml_where_it_is_installed():
+    assert specfile._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("text, where", [
+    ("kind: sphere\ndim: 4\nparams:\n  r: 1.0\x07\n", (4, 9)),
+    ("kind: sphere\ndim: 4\nparams:\n  r: 1.0\x00\n", (4, 9)),
+    # non-ASCII before the character: libyaml's offset counts UTF-8 bytes
+    ("kind: éé\x07\n", (1, 9)),
+    ("kind: sphère\r\ndim: 4\r\nparams:\r\n  r: 1.0\x00\r\n", (4, 9)),
+    # a lone surrogate, which libyaml cannot even encode
+    ("kind: sphere\ndim: \ud800\n", (2, 6)),
+], ids=["bel", "nul", "bel-after-non-ascii", "nul-after-non-ascii-crlf", "surrogate"])
+def test_unacceptable_character_is_located(monkeypatch, engine, text, where):
+    monkeypatch.setattr(specfile, "_LOADER", engine)
+    err = parse_error(text)
+    assert "is not allowed" in str(err)
+    assert (err.line, err.column) == where
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"\xff\xfekind: sphere\n", (1, 1)),
+    (b"kind: sph\xc3re\n", (1, 10)),
+    (b"kind: sph\xc3\xa8re\r\ndim: \xff\n", (2, 6)),
+], ids=["utf16-bom", "truncated-sequence", "after-non-ascii-crlf"])
+def test_bytes_that_are_not_utf8_are_located(tmp_path, data, where):
+    path = tmp_path / "m.yaml"
+    path.write_bytes(data)
+    with pytest.raises(SpecFileError) as info:
+        load_manifold_spec(path)
+    assert "not UTF-8" in str(info.value)
+    assert (info.value.line, info.value.column) == where
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+def test_deep_nesting_is_located(monkeypatch, engine):
+    monkeypatch.setattr(specfile, "_LOADER", engine)
+    err = parse_error("kind: " + "[" * 3000 + "]" * 3000)
+    assert "nest deeper than 256 levels" in str(err)
+    assert (err.line, err.column) == (1, 262)   # the root mapping is the first level
+
+
+def test_recursion_while_composing_is_a_spec_error(monkeypatch):
+    # nesting under the limit still overflows a composer called from deep enough
+    monkeypatch.setattr(specfile, "_LOADER", yaml.SafeLoader)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        err = parse_error("kind: " + "[" * 200 + "]" * 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "nest too deeply" in str(err)
+    assert (err.line, err.column) == (1, 1)
 
 
 def test_empty_spec():
