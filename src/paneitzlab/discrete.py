@@ -179,22 +179,34 @@ def _sample_block(imm: FourierImmersion, grid: TorusGrid, start: int, stop: int)
 
 
 def _sample_coarse(imm: FourierImmersion, grid: TorusGrid):
-    """y, the metric, the CurvatureFields and |Ric|^2 on the grid, block by
-    block, written into arrays allocated once."""
+    """y, g^{-1}, sqrt(g), the CurvatureFields, |Ric|^2 and (n >= 3) the
+    coefficient flux on the grid, block by block, written into arrays
+    allocated once, and the least and greatest value of each component of
+    g, which ends with its block."""
+    n = grid.n
+    coeffs = paneitz_coefficients(n) if n >= 3 else None
+    coeff_flux = None if coeffs is None else np.empty((n * (n + 1) // 2,) + grid.shape)
     out: dict[str, np.ndarray] = {}
+    g_min, g_max = np.inf, -np.inf
     for start, stop in _blocks(grid.size):
         jet, metric = _sample_block(imm, grid, start, stop)
         curv = curvature_point(jet, metric)
-        block = {"y": jet.y, **vars(metric), "ric_norm_sq": curv.ric_norm_sq,
+        block = {"y": jet.y, "g_inv": metric.g_inv, "sqrt_det": metric.sqrt_det,
+                 "ric_norm_sq": curv.ric_norm_sq,
                  **{f.name: getattr(curv, f.name) for f in fields(CurvatureFields)}}
         for name, value in block.items():
             if name not in out:
                 out[name] = np.empty((grid.size,) + value.shape[1:])
             out[name][start:stop] = value
+        if coeffs is not None:
+            raised = metric.sqrt_det[..., None, None] * raised_curvature_matrix(coeffs, metric, curv)
+            coeff_flux.reshape(len(coeff_flux), -1)[:, start:stop] = _pack(raised)
+        g_min = np.minimum(g_min, metric.g.min(axis=0))
+        g_max = np.maximum(g_max, metric.g.max(axis=0))
     out = {name: value.reshape(grid.shape + value.shape[1:]) for name, value in out.items()}
-    y, ric_norm_sq = out.pop("y"), out.pop("ric_norm_sq")
-    metric = MetricData(**{f.name: out.pop(f.name) for f in fields(MetricData)})
-    return y, metric, CurvatureFields(**out), ric_norm_sq
+    y, g_inv, sqrt_det, ric_norm_sq = (out.pop(name) for name in
+                                       ("y", "g_inv", "sqrt_det", "ric_norm_sq"))
+    return y, g_inv, sqrt_det, (g_min, g_max), CurvatureFields(**out), ric_norm_sq, coeff_flux
 
 
 def raised_curvature_matrix(coeffs: DimensionCoefficients, metric: MetricData,
@@ -210,12 +222,13 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     """Sample geometry at the grid points and form the flux fields there.
 
     The grid is sampled in blocks of _SAMPLE_BLOCK points: each block's jet,
-    metric and curvature are evaluated once, the fields the build reads are
-    written into preallocated arrays, and the block's temporaries are
-    dropped.  The flux fields and Q are then products of those fields, with
-    no further jet; g, sqrt(g), |Ric|^2 and Lap R end with the build.
+    metric and curvature are evaluated once, the fields the build reads
+    (with the coefficient flux, formed from the block's g) are written into
+    preallocated arrays, and the block's temporaries, g among them, are
+    dropped.  The Laplace flux and Q are then products of those fields,
+    with no further jet; sqrt(g), |Ric|^2 and Lap R end with the build.
 
-    Constant-coefficient (flat) immersions skip the flux fields: the
+    Constant-coefficient (flat) immersions drop the flux fields: the
     operators reduce to Fourier symbols there and never touch them.
     force_general forms them anyway and puts every apply on the flux path
     (cross-checks set it against the multiplier path).
@@ -225,23 +238,18 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
     n = grid.n
     kernel = SpectralKernel(grid)
 
-    y, metric, curv, ric_norm_sq = _sample_coarse(imm, grid)
-    weights = metric.sqrt_det * grid.dx
-    inv_sqrt_det = 1.0 / metric.sqrt_det
+    y, g_inv, sqrt_det, (g_min, g_max), curv, ric_norm_sq, coeff_flux = _sample_coarse(imm, grid)
+    weights = sqrt_det * grid.dx
+    inv_sqrt_det = 1.0 / sqrt_det
 
     # a constant metric has vanishing Christoffel symbols, so it is flat: the
-    # gate needs g alone
-    g_scale = float(np.max(np.abs(metric.g)))
-    flat = not force_general and (
-        float(np.max(np.ptp(metric.g.reshape(-1, n, n), axis=0))) <= _CONST_TOL * g_scale)
+    # gate needs the range of g alone
+    g_scale = float(np.max(np.abs([g_min, g_max])))
+    flat = not force_general and float(np.max(g_max - g_min)) <= _CONST_TOL * g_scale
 
     coeffs = paneitz_coefficients(n) if n >= 3 else None
-    laplace_flux = coeff_flux = q_field = None
-    if not flat:
-        root = metric.sqrt_det[..., None, None]
-        laplace_flux = _pack(root * metric.g_inv)
-        if coeffs is not None:
-            coeff_flux = _pack(root * raised_curvature_matrix(coeffs, metric, curv))
+    laplace_flux = None if flat else _pack(sqrt_det[..., None, None] * g_inv)
+    q_field = None
     if n >= 3:
         if flat:
             laplace_r = np.zeros(grid.shape)
@@ -255,14 +263,14 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
         grid=grid,
         kernel=kernel,
         y=y,
-        g_inv=metric.g_inv,
+        g_inv=g_inv,
         curv=curv,
         weights=weights,
         volume=float(np.sum(weights)),
         inv_sqrt_det=inv_sqrt_det,
         laplace_flux=laplace_flux,
         coeffs=coeffs,
-        coeff_flux=coeff_flux,
+        coeff_flux=None if flat else coeff_flux,
         q_field=q_field,
         constant_coefficient=flat,
     )
@@ -293,6 +301,8 @@ def _by_columns(bundle: CurvatureBundle, part, f: np.ndarray) -> np.ndarray:
     cap = max(1, _APPLY_BYTES // (n * bundle.grid.size * np.dtype(float).itemsize))
     batches = max(1, math.ceil(len(columns) / cap))     # the fewest within the cap,
     batch = max(1, math.ceil(len(columns) / batches))   # of equal width
+    if batches == 1:
+        return part(columns).reshape(lead + bundle.grid.shape)
     out = np.empty((len(columns),) + bundle.grid.shape)
     for start in range(0, len(columns), batch):
         out[start:start + batch] = part(columns[start:start + batch])
@@ -347,12 +357,11 @@ class PaneitzOperator:
         coef = kernel.coefficients(f)
         if bundle.constant_coefficient:
             # curvature terms vanish identically; see build_bundle's flatness gate
-            return kernel.synthesize(coef * self._symbol)
+            coef *= self._symbol
+            return kernel.synthesize(coef)
         out = self._differentiated(coef)
         if self.coeffs is not None:
-            # a new array, not +=: the sum takes the memory order of its
-            # operands, and the replay's reductions follow that order
-            out = out + float(self.coeffs.q_factor) * bundle.q_field * f
+            out += float(self.coeffs.q_factor) * bundle.q_field * f
         if self.penalty:
             # sigma (1/sqrt(g)) (I - Proj) f, projecting f by the coefficients above
             out += self.penalty * bundle.inv_sqrt_det * (f - kernel.synthesize(coef * kernel.band))

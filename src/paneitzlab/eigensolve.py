@@ -219,7 +219,8 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
     def scaled(fn, v):
         """fn on the rows of v in the variables sqrt(w) u, where <., .>_w is
         the plain dot product and op is a symmetric matrix."""
-        return root_w * fn((v / root_w).reshape((-1,) + shape)).reshape(v.shape)
+        out = fn((v / root_w).reshape((-1,) + shape)).reshape(v.shape)
+        return np.multiply(out, root_w, out=out)
 
     def apply(v):
         nonlocal applied
@@ -237,8 +238,8 @@ def lanczos_smallest(op: PaneitzOperator, k: int, *, seed: int = DEFAULT_SEED) -
     predicted = kernel.mode_values(op._symbol)
     end = int(np.searchsorted(predicted, _cluster_edge(predicted[k - 1], unit), side="right"))
     block = m = min(end + GUARDS, size)
-    modes = kernel.real_modes(op._symbol, end).reshape(end, size)
-    x = np.vstack([root_w * modes, guards(m - end)])
+    x = np.vstack([root_w * kernel.real_modes(op._symbol, end).reshape(end, size),
+                   guards(m - end)])
     ax, search = apply(x), []
     iterations, residuals = 0, np.empty(0)
     while True:

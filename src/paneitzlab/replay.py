@@ -22,9 +22,9 @@ Both take the pivot's integrals from ``bounds.pivot_integrals`` and the
 weight from a ``bounds.U1Data``, as the bounds do, so a chain's
 ``final_rhs`` is its bound's rhs; both emit the same step names.
 
-The grid route takes the gradients of the rotated coordinates one coordinate
-at a time, so no array of it spans the grid times both the ambient and the
-torus dimension.
+The grid route forms the rotated coordinates one at a time and keeps of
+each only its integrals, its pairings with the eigenfunctions and three
+running pointwise sums: it holds one coordinate's grid fields at a time.
 
 Inside a degenerate eigencluster the grid route's eigenfunctions are one
 basis among many, the one the solver happened to pick, and the per-step
@@ -39,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BOUNDS, U1Data, constant_ground_state, optimal_delta, pivot_integrals,
-                     snap_kernel, summarize_bundle, summarize_model, u1_from_result)
+from .bounds import (BOUNDS, GeometrySummary, U1Data, constant_ground_state, optimal_delta,
+                     pivot_integrals, snap_kernel, summarize_bundle, summarize_model,
+                     u1_from_result)
 from .catalog import ModelManifold, paneitz_form
-from .discrete import CurvatureBundle, apply_laplacian, apply_paneitz
+from .discrete import CurvatureBundle, PaneitzOperator
 from .eigensolve import SpectrumResult
 from .errors import GateError, InvalidDimensionError
 
@@ -302,100 +303,107 @@ def replay_proof(theorem_id: str, result: SpectrumResult,
     """
     n = bundle.n
     _check_theorem(theorem_id, n)
-    grid = bundle.grid
     geo = summarize_bundle(bundle)
     vals = snap_kernel(result.eigenvalues)
-    k = int(vals.size)
-    if k < n + 2:
-        raise GateError(f"replay needs at least n + 2 = {n + 2} eigenpairs, got {k}")
+    if vals.size < n + 2:
+        raise GateError(f"replay needs at least n + 2 = {n + 2} eigenpairs, got {vals.size}")
     if result.eigenfunctions is None:
         raise GateError("replay needs eigenfunctions alongside eigenvalues")
-
-    wq = bundle.weights
-    axes = tuple(range(-grid.n, 0))
-
-    def integ(field):
-        return np.sum(field * wq, axis=axes)
-
-    # ---- the weight function and its derivatives
     if n == 4:
         if vals[0] != 0.0:
             raise GateError("kernel eigenvalue not resolved; the n = 4 chain "
                             "anchors on the constant eigenfunction")
         u1 = constant_ground_state(geo)
-        dw = np.zeros(grid.shape + (grid.n,))
-        lw = np.zeros(grid.shape)
-    else:
-        if u1 is None:
-            u1 = u1_from_result(bundle, result)
-        dw = np.moveaxis(bundle.kernel.partials(u1.w), 0, -1)
-        lw = u1.lap
+    elif u1 is None:
+        u1 = u1_from_result(bundle, result)
+    inputs, gs_resid, flags = grid_chain_inputs(bundle, geo, result, u1)
+    label = f"{theorem_id} replay on grid {'x'.join(map(str, bundle.grid.shape))}"
+    return _chain(theorem_id, "numerical", label, inputs, gs_resid, tol, flags)
+
+
+def grid_chain_inputs(bundle: CurvatureBundle, geo: GeometrySummary, result: SpectrumResult,
+                      u1: U1Data) -> tuple[ChainInputs, float, list[str]]:
+    """The chain's inputs on the grid for the weight u1 (constant when it
+    carries no Laplacian), the Gram-Schmidt residual of the rotation, and
+    the flags raised on the way.
+
+    The rotation comes first, from the Gram matrix of the coordinates
+    against the weighted eigenfunctions after the weight.  Then one rotated
+    coordinate at a time: z_a, its trial function, P psi_a, Lap z_a and
+    grad z_a, reduced to their integrals, their pairings with the
+    eigenfunctions (matrix-vector products) and three running pointwise sums.
+    """
+    n, shape = bundle.n, bundle.grid.shape
+    vals = snap_kernel(result.eigenvalues)
+    wq, g_inv, curv = bundle.weights, bundle.g_inv, bundle.curv
     w, lam_w = u1.w, float(vals[0])
     flags = list(u1.flags)
+    if u1.lap is None:
+        dw, lw = np.zeros(shape + (n,)), np.zeros(shape)
+    else:
+        dw, lw = np.moveaxis(bundle.kernel.partials(w), 0, -1), u1.lap
 
-    # ---- rotated coordinates
-    y = bundle.y                                       # (*shape, N)
-    big_n = y.shape[-1]
-    b_avail = min(k - 1, big_n)
-    partners = result.eigenfunctions[1:1 + b_avail]    # u after the weight
-    partner_w = (partners * (w * wq)).reshape(b_avail, -1)
-    gram = y.reshape(-1, big_n).T @ partner_w.T        # (N, B)
+    def integ(field):
+        return float(np.sum(field * wq))
+
+    # ---- the rotation
+    y = bundle.y.reshape(-1, bundle.y.shape[-1])        # (points, N)
+    big_n = y.shape[1]
+    b_avail = min(vals.size - 1, big_n)
+    funcs = result.eigenfunctions.reshape(vals.size, -1)
+    partners, below = funcs[1:1 + b_avail], funcs[:b_avail]
+    ww = w * wq
+    gram = y.T @ (partners * ww.reshape(-1)).T          # (N, B)
     q_rot, r_tri = np.linalg.qr(gram, mode="complete")
     pivots = np.abs(np.diag(r_tri[:b_avail, :b_avail]))
-    scale_a = max(1.0, float(np.linalg.norm(gram)))
-    if np.any(pivots <= 1e-10 * scale_a):
+    if np.any(pivots <= 1e-10 * max(1.0, float(np.linalg.norm(gram)))):
         flags.append("degenerate_coordinate_configuration")
-    z = np.einsum("...g,ga->a...", y, q_rot)           # (N, *shape)
-
-    lower = z.reshape(big_n, -1) @ partner_w.T
-    gs_resid = float(np.max(np.abs(np.tril(lower, -1)))) if b_avail else 0.0
-
-    # ---- trial functions
-    center = integ(z * (w * w))
-    trial = (z - center.reshape((big_n,) + (1,) * grid.n)) * w
-    norms2 = integ(trial * trial)
-
     gaps = vals[1:1 + b_avail] - lam_w
     if np.any(gaps < 0):
         flags.append("negative_gap_clamped")
 
-    # pairings of the trial functions with the eigenfunctions below them
-    below_w = (result.eigenfunctions[:b_avail] * wq).reshape(b_avail, -1)
-    overlap = trial.reshape(big_n, -1) @ below_w.T
-
-    # ---- operator applications and pointwise fields
-    p_trial = apply_paneitz(bundle, bundle.coeffs, trial)
-    lz = apply_laplacian(bundle, z)
-    g_inv, ric = bundle.g_inv, bundle.curv.ric
-    gw2 = np.einsum("...i,...ij,...j->...", dw, g_inv, dw)
-    # one rotated coordinate at a time: with v = g^{-1} grad z_a, |grad z_a|^2
-    # = g(v, v) is grad z_a . v, and the curvature form is a R |grad z_a|^2
-    # + b Ric(v, v)
+    # ---- one rotated coordinate at a time: with v = g^{-1} grad z_a,
+    # |grad z_a|^2 = g(v, v) is grad z_a . v, and the curvature form is
+    # a R |grad z_a|^2 + b Ric(v, v)
+    lap_op, p_op = PaneitzOperator(bundle, None), PaneitzOperator(bundle, bundle.coeffs)
     a_coef, b_coef = float(bundle.coeffs.a), float(bundle.coeffs.b)
-    gz2, gzw, quad_b = (np.empty((big_n,) + grid.shape) for _ in range(3))
+    w2, w_lw = w * w, w * lw
+    rows, lower, overlap = [], [], []
+    lap_sum, res_sum, energy_sum = (np.zeros(shape) for _ in range(3))
+    max_grad_sq = -math.inf
     for a in range(big_n):
-        dz = np.moveaxis(bundle.kernel.partials(z[a]), 0, -1)
+        z = (y @ q_rot[:, a]).reshape(shape)
+        lower.append(partners @ (z * ww).reshape(-1))
+        trial = (z - integ(z * w2)) * w
+        overlap.append(below @ (trial * wq).reshape(-1))
+        lz = -lap_op.apply(z)
+        dz = np.moveaxis(bundle.kernel.partials(z), 0, -1)
         v = np.einsum("...ij,...j->...i", g_inv, dz)
-        gz2[a] = np.einsum("...i,...i->...", dz, v)
-        gzw[a] = np.einsum("...i,...i->...", v, dw)
-        quad_b[a] = (a_coef * bundle.curv.scalar * gz2[a]
-                     + b_coef * np.einsum("...i,...ij,...j->...", v, ric, v))
+        gz2 = np.einsum("...i,...i->...", dz, v)
+        gzw = np.einsum("...i,...i->...", v, dw)
+        quad_b = (a_coef * curv.scalar * gz2
+                  + b_coef * np.einsum("...i,...ij,...j->...", v, curv.ric, v))
+        # the integrated-by-parts identity behind the Rayleigh-Ritz numerator
+        flux = w * lz + 2.0 * gzw
+        norm2, t1 = integ(trial * trial), integ(flux * flux)
+        rows.append((norm2, integ(trial * p_op.apply(trial)) - lam_w * norm2,
+                     t1 + integ(quad_b * w2) - 2.0 * integ(gz2 * w_lw), t1,
+                     integ(trial * flux), integ(gz2 * w2)))
+        lap_sum += lz * lz
+        res_sum += gzw * gzw
+        energy_sum += gz2
+        max_grad_sq = max(max_grad_sq, float(np.max(gz2)))
+    norms2, rayleigh, rayleigh_ibp, t1, cross, grad_energy = np.array(rows).T
 
-    # the integrated-by-parts identity behind the Rayleigh-Ritz numerator
-    flux = w * lz + 2.0 * gzw
-    t1 = integ(flux * flux)
-    t2 = integ(quad_b * (w * w))
-    t3 = -2.0 * integ(gz2 * (w * lw))
-
+    gw2 = np.einsum("...i,...ij,...j->...", dw, g_inv, dw)
     inputs = ChainInputs(
-        n=n, norms2=norms2, rayleigh=integ(trial * p_trial) - lam_w * norms2,
-        rayleigh_ibp=t1 + t2 + t3, t1=t1, cross=integ(trial * flux),
-        grad_energy=integ(gz2 * (w * w)),
+        n=n, norms2=norms2, rayleigh=rayleigh, rayleigh_ibp=rayleigh_ibp, t1=t1,
+        cross=cross, grad_energy=grad_energy,
         gaps=gaps, root_gaps=np.sqrt(np.clip(vals[1:] - lam_w, 0.0, None)),
-        orthogonality=float(np.max(np.abs(np.tril(overlap)))),
-        laplacian=float(np.max(np.abs(np.sum(lz * lz, axis=0) - n**2 * geo.mean_sq))),
-        resolution=float(np.max(np.abs(np.sum(gzw * gzw, axis=0) - gw2))),
-        energy=float(np.max(np.abs(np.sum(gz2, axis=0) - n))),
-        max_grad_sq=float(np.max(gz2)), **vars(pivot_integrals(geo, u1)))
-    label = f"{theorem_id} replay on grid {'x'.join(map(str, grid.shape))}"
-    return _chain(theorem_id, "numerical", label, inputs, gs_resid, tol, flags)
+        orthogonality=float(np.max(np.abs(np.tril(np.array(overlap))))),
+        laplacian=float(np.max(np.abs(lap_sum - n**2 * geo.mean_sq))),
+        resolution=float(np.max(np.abs(res_sum - gw2))),
+        energy=float(np.max(np.abs(energy_sum - n))),
+        max_grad_sq=max_grad_sq, **vars(pivot_integrals(geo, u1)))
+    gs_resid = float(np.max(np.abs(np.tril(np.array(lower), -1)))) if b_avail else 0.0
+    return inputs, gs_resid, flags

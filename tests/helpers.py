@@ -10,7 +10,8 @@ complex numpy FFTs, one axis at a time where they can.
 
 `reference_jet` and `reference_curvature` are the plain forms of the batched
 products in `FourierImmersion.jet` and `geometry.curvature_point`: a loop
-over Fourier terms, and one einsum per contraction.
+over Fourier terms, and one einsum per contraction.  `reference_grid_inputs`
+is the batched form of the replay's streamed loop over rotated coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
+from paneitzlab.bounds import snap_kernel
+from paneitzlab.discrete import apply_laplacian, apply_paneitz
 from paneitzlab.geometry import ImmersionJet
 
 
@@ -94,6 +97,62 @@ def reference_curvature(jet, metric) -> dict:
         "ric": ric,
         "ric_norm_sq": np.einsum("...ik,...jl,...ij,...kl->...", g_inv, g_inv, ric, ric),
         "scalar": np.einsum("...ij,...ij->...", g_inv, ric),
+    }
+
+
+def reference_grid_inputs(bundle, result, u1) -> dict:
+    """The grid replay's per-coordinate integrals, pointwise maxima and
+    Gram-Schmidt residual for the weight u1 (constant when it carries no
+    Laplacian), every rotated coordinate at once, one einsum per contraction."""
+    n = bundle.n
+    axes = tuple(range(-n, 0))
+    wq, w, g_inv, curv = bundle.weights, u1.w, bundle.g_inv, bundle.curv
+    vals = snap_kernel(result.eigenvalues)
+    lam_w, big_n = vals[0], bundle.y.shape[-1]
+    b = min(vals.size - 1, big_n)
+    funcs = result.eigenfunctions
+
+    def integ(field):
+        return np.sum(field * wq, axis=axes)
+
+    def grad(f):
+        return np.moveaxis(bundle.kernel.partials(f), 0, -1)
+
+    def pairings(f, g):
+        """sum_x f_a(x) g_j(x) over the grid, for two stacks of fields."""
+        return f.reshape(len(f), -1) @ g.reshape(len(g), -1).T
+
+    partner_w = funcs[1:1 + b] * (w * wq)
+    q_rot = np.linalg.qr(pairings(np.moveaxis(bundle.y, -1, 0), partner_w), mode="complete")[0]
+    z = np.einsum("...g,ga->a...", bundle.y, q_rot)
+    trial = (z - integ(z * w * w)[(...,) + (None,) * n]) * w
+    dz = grad(z)
+    dw = np.zeros(dz.shape[1:]) if u1.lap is None else grad(w)
+    lw = np.zeros(w.shape) if u1.lap is None else u1.lap
+    gz2 = np.einsum("a...i,...ij,a...j->a...", dz, g_inv, dz)
+    gzw = np.einsum("a...i,...ij,...j->a...", dz, g_inv, dw)
+    raised = np.einsum("...ik,...kl,...lj->...ij", g_inv, curv.ric, g_inv)
+    quad = (float(bundle.coeffs.a) * curv.scalar * gz2
+            + float(bundle.coeffs.b) * np.einsum("a...i,...ij,a...j->a...", dz, raised, dz))
+    lz = apply_laplacian(bundle, z)
+    flux = w * lz + 2.0 * gzw
+    norms2, t1 = integ(trial * trial), integ(flux * flux)
+    return {
+        "norms2": norms2,
+        "rayleigh": integ(trial * apply_paneitz(bundle, bundle.coeffs, trial)) - lam_w * norms2,
+        "rayleigh_ibp": t1 + integ(quad * w * w) - 2.0 * integ(gz2 * w * lw),
+        "t1": t1,
+        "cross": integ(trial * flux),
+        "grad_energy": integ(gz2 * w * w),
+        "gaps": vals[1:1 + b] - lam_w,
+        "root_gaps": np.sqrt(np.clip(vals[1:] - lam_w, 0.0, None)),
+        "orthogonality": np.max(np.abs(np.tril(pairings(trial, funcs[:b] * wq)))),
+        "laplacian": np.max(np.abs(np.sum(lz * lz, axis=0) - n**2 * curv.mean_sq)),
+        "resolution": np.max(np.abs(np.sum(gzw * gzw, axis=0)
+                                    - np.einsum("...i,...ij,...j->...", dw, g_inv, dw))),
+        "energy": np.max(np.abs(np.sum(gz2, axis=0) - n)),
+        "max_grad_sq": np.max(gz2),
+        "gram_schmidt_residual": np.max(np.abs(np.tril(pairings(z, partner_w), -1))),
     }
 
 

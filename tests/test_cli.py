@@ -325,21 +325,21 @@ def test_each_command_solves_once(spec_file, capsys, monkeypatch, text, command,
 
 def test_verify_replay_builds_the_ground_state_once(spec_file, monkeypatch):
     # the n > 4 replay reads the bounds' U1Data: one Laplacian apply of the
-    # ground state per command (the coordinates' apply is a stack of fields)
-    from paneitzlab import bounds, replay
+    # ground state per command, besides the replay's one per rotated
+    # coordinate (10 on T^5)
+    from paneitzlab.discrete import PaneitzOperator
 
-    shapes = []
+    laplacians = []
+    apply = PaneitzOperator.apply
 
-    def counted(apply):
-        def wrapper(bundle, f):
-            shapes.append(np.shape(f))
-            return apply(bundle, f)
-        return wrapper
+    def counted(self, f):
+        if self.coeffs is None:
+            laplacians.append(np.shape(f))
+        return apply(self, f)
 
-    for module in (bounds, replay):
-        monkeypatch.setattr(module, "apply_laplacian", counted(module.apply_laplacian))
+    monkeypatch.setattr(PaneitzOperator, "apply", counted)
     assert main(["verify", "--replay", "--spec", spec_file(T5_ZERO_MODE), "--quiet"]) == 0
-    assert shapes.count((8,) * 5) == 1
+    assert laplacians == [(8,) * 5] * 11
 
 
 def test_solver_failure_is_exit_3(spec_file, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from paneitzlab import (
@@ -21,13 +22,16 @@ from paneitzlab import (
     summarize_bundle,
 )
 from paneitzlab import cli
-from paneitzlab.bounds import evaluate, summarize_model, u1_from_result
+from paneitzlab.bounds import (U1Data, constant_ground_state, evaluate, summarize_model,
+                               u1_from_result)
 from paneitzlab.catalog import expand_lines, paneitz_spectrum
-from paneitzlab.discrete import build_bundle
+from paneitzlab.discrete import apply_laplacian, build_bundle, integrate
 from paneitzlab.eigensolve import spectrum
 from paneitzlab.fourier import FourierTerm
-from paneitzlab.replay import REPLAY_TOL_NUMERICAL, replay_theorem
+from paneitzlab.replay import REPLAY_TOL_NUMERICAL, grid_chain_inputs, replay_theorem
 from paneitzlab.report import constants_block
+
+from helpers import reference_grid_inputs
 
 ANALYTIC_STEPS = (
     "trial_orthogonality",
@@ -235,23 +239,49 @@ def flat_t5_run():
     return _grid_run((1.0,) * 5, 0.0, 7)
 
 
-def test_curved_torus_chain_fails_only_the_laplacian_coordinate_step():
+@pytest.fixture(scope="module")
+def curved_t4_run():
+    return _grid_run((1.0,) * 4, 0.1, 9)
+
+
+def test_curved_torus_chain_fails_only_the_laplacian_coordinate_step(curved_t4_run):
     # curved T^4 on 8^4 (amplitude 0.1): every step but one clears the
     # numerical floor.  laplacian_coordinate_identity compares the band-cut
     # grid Laplacian of y with the uncut n H and reads about -2.8e-2 here
     # (ROADMAP item 4); fixing that step must update this assertion.
-    bundle, result = _grid_run((1.0,) * 4, 0.1, 9)
+    bundle, result = curved_t4_run
     rep = replay_proof("thm_1_1", result, bundle)
     failing = {s.name for s in rep.steps if s.slack < -REPLAY_TOL_NUMERICAL}
     assert failing == {"laplacian_coordinate_identity"}
     assert not rep.ok
 
 
+@pytest.mark.parametrize("run", ["curved_t4_run", "flat_t5_run"])
+def test_streamed_inputs_match_the_batched_formulas(run, request):
+    # the grid route forms one rotated coordinate at a time; its integrals,
+    # pointwise maxima and Gram-Schmidt residual are those of the batched
+    # formulas, for the replay's weight and for an excited eigenfunction,
+    # whose gradient enters the flux 2 g(grad z, grad w)
+    bundle, result = request.getfixturevalue(run)
+    geo = summarize_bundle(bundle)
+    excited = result.eigenfunctions[2]
+    lap = apply_laplacian(bundle, excited)
+    weights = (constant_ground_state(geo) if bundle.n == 4 else u1_from_result(bundle, result),
+               U1Data(w=excited, grad_energy=-integrate(bundle, excited * lap), lap=lap))
+    for u1 in weights:
+        inputs, gs_resid, _ = grid_chain_inputs(bundle, geo, result, u1)
+        for name, want in reference_grid_inputs(bundle, result, u1).items():
+            got = gs_resid if name == "gram_schmidt_residual" else getattr(inputs, name)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+
+
 def test_flat_five_torus_replay_memory_is_bounded(flat_t5_run):
-    # gradients taken for all 10 rotated coordinates at once, with the raised
-    # curvature matrix over the grid, peaked at 53.5 MB here; one coordinate
-    # at a time the peak is the per-coordinate fields (10 x 8^5 values each)
-    # and one gradient, measured 33.8 MB: the bound is that plus 20 %
+    # gradients taken for all 10 rotated coordinates at once peaked at 53.5
+    # MB here, and whole-grid fields of every coordinate (z, the trial
+    # functions, their operator images, fluxes) with one gradient at a time
+    # at 33.8 MB; one coordinate's fields at a time, with three running
+    # pointwise sums, measured 11.6 MB: the bound is that plus 20 %
     bundle, result = flat_t5_run
     tracemalloc.start()
     try:
@@ -260,7 +290,7 @@ def test_flat_five_torus_replay_memory_is_bounded(flat_t5_run):
     finally:
         tracemalloc.stop()
     assert rep.ok
-    assert peak < 41e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    assert peak < 14e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("theorem, n, r", [
