@@ -70,7 +70,7 @@ import numpy as np
 from .coefficients import DimensionCoefficients, paneitz_coefficients, q_curvature
 from .errors import DegenerateImmersionError, InvalidDimensionError
 from .fourier import FourierImmersion, SpectralKernel, TorusGrid
-from .geometry import CurvatureFields, MetricData, curvature_point, induced_metric
+from .geometry import CurvatureFields, CurvaturePoint, MetricData, curvature_point, induced_metric
 
 #: dense assembly refuses above this many grid points
 DENSE_CAP = 4096
@@ -101,20 +101,20 @@ class CurvatureBundle:
     the build.
 
     Every member lives on the grid points.  y, g^{-1} and the curvature
-    fields feed integrals, bounds, replays and the operator's scales (no
-    g, Christoffel symbols, second fundamental form, |Ric|^2 or Lap R: they
-    end with the build).  The flux fields feed the differentiated terms.  A
-    flux field is a symmetric matrix field stored as its upper triangle, row
-    by row: shape (n(n+1)/2, *grid.shape).  Flat bundles keep no flux field.
-    `coeffs`, `q_field` and `coeff_flux` are None when n < 3 (the
-    fourth-order coefficients are singular there; the Laplacian still works).
+    fields feed integrals, bounds, replays and the operator's scales (g,
+    Christoffel symbols, h, H, Ric, |Ric|^2 and Lap R end with the build).
+    The flux fields feed the differentiated terms, the coefficient flux also
+    the replay's curvature form.  A flux field is a symmetric matrix field
+    stored as its upper triangle, row by row: shape (n(n+1)/2, *grid.shape).
+    Flat bundles keep no flux field.  `coeffs`, `q_field` and `coeff_flux`
+    are None when n < 3, where the fourth-order coefficients are singular.
     """
 
     grid: TorusGrid
     kernel: SpectralKernel       # every FFT: coefficients, grad/div, symbols
     y: np.ndarray                # immersion values (*shape, N)
     g_inv: np.ndarray            # g^{-1} (*shape, n, n)
-    curv: CurvatureFields        # H, |H|^2, S, Ric, R
+    curv: CurvatureFields        # |H|^2, S, R
     weights: np.ndarray          # sqrt(g) dx per point
     volume: float
     inv_sqrt_det: np.ndarray     # 1/sqrt(g)
@@ -139,7 +139,7 @@ def _pack(field: np.ndarray) -> np.ndarray:
     return np.stack([field[..., i, j] for i, j in _upper_pairs(field.shape[-1])])
 
 
-def _flux(packed: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def packed_flux(packed: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """flow_i = sum_j S_ij grad_j for a packed symmetric S and a gradient (n, ...)."""
     n = grad.shape[0]
     pos = {}
@@ -210,7 +210,7 @@ def _sample_coarse(imm: FourierImmersion, grid: TorusGrid):
 
 
 def raised_curvature_matrix(coeffs: DimensionCoefficients, metric: MetricData,
-                            curv: CurvatureFields) -> np.ndarray:
+                            curv: CurvaturePoint) -> np.ndarray:
     """g^{-1} (a R g + b Ric) g^{-1}: the curvature term's coefficient matrix
     with both indices raised, pointwise (..., n, n)."""
     lower = float(coeffs.a) * curv.scalar[..., None, None] * metric.g + float(coeffs.b) * curv.ric
@@ -256,7 +256,7 @@ def build_bundle(imm: FourierImmersion, grid: TorusGrid,
         else:
             # Q needs Lap R; differentiate the sampled scalar-curvature field
             grad_r = kernel.gradient(kernel.coefficients(curv.scalar))
-            laplace_r = _divergence(kernel, inv_sqrt_det, _flux(laplace_flux, grad_r))
+            laplace_r = _divergence(kernel, inv_sqrt_det, packed_flux(laplace_flux, grad_r))
         q_field = q_curvature(coeffs, ric_norm_sq, curv.scalar, laplace_r)
 
     return CurvatureBundle(
@@ -375,11 +375,11 @@ class PaneitzOperator:
         bundle = self.bundle
         kernel = bundle.kernel
         grad = kernel.gradient(coef)
-        lap = _divergence(kernel, bundle.inv_sqrt_det, _flux(bundle.laplace_flux, grad))
+        lap = _divergence(kernel, bundle.inv_sqrt_det, packed_flux(bundle.laplace_flux, grad))
         if self.coeffs is None:
             return -lap
-        flow = _flux(bundle.laplace_flux, kernel.gradient(kernel.coefficients(lap)))
-        flow -= _flux(bundle.coeff_flux, grad)
+        flow = packed_flux(bundle.laplace_flux, kernel.gradient(kernel.coefficients(lap)))
+        flow -= packed_flux(bundle.coeff_flux, grad)
         return _divergence(kernel, bundle.inv_sqrt_det, flow)
 
     @cached_property

@@ -91,8 +91,8 @@ class SpectralKernel:
         #: True on the band modes of the real-FFT layout
         self.band = functools.reduce(
             np.logical_and, [np.abs(k) < m / 2.0 for k, m in zip(self._k, grid.shape)])
-        #: i k_j on the band and zero off it, one array per axis
-        self.ik = [1j * np.where(self.band, k, 0) for k in self._k]
+        #: i k_j on the band and zero off it, one row per axis
+        self.ik = np.stack([1j * np.where(self.band, k, 0) for k in self._k])
 
     @staticmethod
     def _fft():
@@ -115,9 +115,11 @@ class SpectralKernel:
         """Gradient (n, *lead, *grid.shape) of the field with coefficients c;
         modes off the band are annihilated.
 
-        One batched inverse FFT for all n components.
+        One product forms all n components' coefficients in one array, and
+        one batched inverse FFT takes them to the grid.
         """
-        return self.synthesize(np.stack([ik * c for ik in self.ik]))
+        ik = self.ik.reshape((self.n,) + (1,) * (c.ndim - self.n) + self.band.shape)
+        return self.synthesize(ik * c)
 
     def partials(self, u: np.ndarray) -> np.ndarray:
         """Partial derivatives (n, *lead, *grid.shape) of a grid field; modes

@@ -82,12 +82,10 @@ class MetricData:
 
 @dataclass
 class CurvatureFields:
-    """The curvature fields that integrals, bounds and replays read."""
+    """The curvature fields that integrals and bounds read."""
 
-    mean: np.ndarray   # (..., N), mean curvature vector H
     mean_sq: np.ndarray  # (...,), |H|^2
     s_norm: np.ndarray   # (...,), S = |h|^2
-    ric: np.ndarray      # (..., n, n)
     scalar: np.ndarray   # (...,), R
 
 
@@ -97,6 +95,8 @@ class CurvaturePoint(CurvatureFields):
 
     gamma: np.ndarray  # (..., n, n, n), Gam^k_ij indexed [k, i, j]
     h: np.ndarray      # (..., N, n, n), second fundamental form (normal valued)
+    mean: np.ndarray   # (..., N), mean curvature vector H
+    ric: np.ndarray    # (..., n, n), read only into the coefficient flux
     ric_norm_sq: np.ndarray  # (...,), |Ric|^2, read only into Q
 
 

@@ -26,10 +26,10 @@ The grid route forms the rotated coordinates one at a time and keeps of
 each only its integrals, its pairings with the eigenfunctions and three
 running pointwise sums: it holds one coordinate's grid fields at a time.
 
-Inside a degenerate eigencluster the grid route's eigenfunctions are one
-basis among many, the one the solver happened to pick, and the per-step
-lhs and rhs values depend on it.  Only the slacks are comparable across
-solver changes.
+Inside a degenerate eigencluster the grid route's eigenfunctions are the
+basis the solver happened to pick.  The per-step lhs and rhs depend on it,
+and so does the slack of ``gradient_pointwise_bound``, a grid maximum of
+gradients: across solver changes only the worst slack is comparable.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .bounds import (BOUNDS, GeometrySummary, U1Data, constant_ground_state, opt
                      pivot_integrals, snap_kernel, summarize_bundle, summarize_model,
                      u1_from_result)
 from .catalog import ModelManifold, paneitz_form
-from .discrete import CurvatureBundle, PaneitzOperator
+from .discrete import CurvatureBundle, PaneitzOperator, packed_flux
 from .eigensolve import SpectrumResult
 from .errors import GateError, InvalidDimensionError
 
@@ -335,16 +335,14 @@ def grid_chain_inputs(bundle: CurvatureBundle, geo: GeometrySummary, result: Spe
     """
     n, shape = bundle.n, bundle.grid.shape
     vals = snap_kernel(result.eigenvalues)
-    wq, g_inv, curv = bundle.weights, bundle.g_inv, bundle.curv
+    wq, g_inv, coeff_flux = bundle.weights, bundle.g_inv, bundle.coeff_flux
+    integ = geo.integrate
     w, lam_w = u1.w, float(vals[0])
     flags = list(u1.flags)
     if u1.lap is None:
         dw, lw = np.zeros(shape + (n,)), np.zeros(shape)
     else:
         dw, lw = np.moveaxis(bundle.kernel.partials(w), 0, -1), u1.lap
-
-    def integ(field):
-        return float(np.sum(field * wq))
 
     # ---- the rotation
     y = bundle.y.reshape(-1, bundle.y.shape[-1])        # (points, N)
@@ -363,11 +361,10 @@ def grid_chain_inputs(bundle: CurvatureBundle, geo: GeometrySummary, result: Spe
         flags.append("negative_gap_clamped")
 
     # ---- one rotated coordinate at a time: with v = g^{-1} grad z_a,
-    # |grad z_a|^2 = g(v, v) is grad z_a . v, and the curvature form is
-    # a R |grad z_a|^2 + b Ric(v, v)
+    # |grad z_a|^2 = g(v, v) is grad z_a . v, and the curvature form is the
+    # operator's own, grad z_a . (coeff_flux grad z_a) / sqrt(g) (0 when flat)
     lap_op, p_op = PaneitzOperator(bundle, None), PaneitzOperator(bundle, bundle.coeffs)
-    a_coef, b_coef = float(bundle.coeffs.a), float(bundle.coeffs.b)
-    w2, w_lw = w * w, w * lw
+    w2, w_lw, w2_inv_root = w * w, w * lw, w * w * bundle.inv_sqrt_det
     rows, lower, overlap = [], [], []
     lap_sum, res_sum, energy_sum = (np.zeros(shape) for _ in range(3))
     max_grad_sq = -math.inf
@@ -377,17 +374,18 @@ def grid_chain_inputs(bundle: CurvatureBundle, geo: GeometrySummary, result: Spe
         trial = (z - integ(z * w2)) * w
         overlap.append(below @ (trial * wq).reshape(-1))
         lz = -lap_op.apply(z)
-        dz = np.moveaxis(bundle.kernel.partials(z), 0, -1)
+        grad = bundle.kernel.partials(z)
+        dz = np.moveaxis(grad, 0, -1)
         v = np.einsum("...ij,...j->...i", g_inv, dz)
         gz2 = np.einsum("...i,...i->...", dz, v)
         gzw = np.einsum("...i,...i->...", v, dw)
-        quad_b = (a_coef * curv.scalar * gz2
-                  + b_coef * np.einsum("...i,...ij,...j->...", v, curv.ric, v))
+        curvature = 0.0 if coeff_flux is None else integ(np.einsum(
+            "i...,i...,...->...", grad, packed_flux(coeff_flux, grad), w2_inv_root))
         # the integrated-by-parts identity behind the Rayleigh-Ritz numerator
         flux = w * lz + 2.0 * gzw
         norm2, t1 = integ(trial * trial), integ(flux * flux)
         rows.append((norm2, integ(trial * p_op.apply(trial)) - lam_w * norm2,
-                     t1 + integ(quad_b * w2) - 2.0 * integ(gz2 * w_lw), t1,
+                     t1 + curvature - 2.0 * integ(gz2 * w_lw), t1,
                      integ(trial * flux), integ(gz2 * w2)))
         lap_sum += lz * lz
         res_sum += gzw * gzw

@@ -11,7 +11,9 @@ complex numpy FFTs, one axis at a time where they can.
 `reference_jet` and `reference_curvature` are the plain forms of the batched
 products in `FourierImmersion.jet` and `geometry.curvature_point`: a loop
 over Fourier terms, and one einsum per contraction.  `reference_grid_inputs`
-is the batched form of the replay's streamed loop over rotated coordinates.
+is the batched form of the replay's streamed loop over rotated coordinates,
+its geometry sampled afresh from the immersion rather than read from the
+bundle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sympy as sp
 
 from paneitzlab.bounds import snap_kernel
 from paneitzlab.discrete import apply_laplacian, apply_paneitz
-from paneitzlab.geometry import ImmersionJet
+from paneitzlab.geometry import ImmersionJet, curvature_point, induced_metric
 
 
 def chart_jet(components, variables, points) -> ImmersionJet:
@@ -100,15 +102,35 @@ def reference_curvature(jet, metric) -> dict:
     }
 
 
-def reference_grid_inputs(bundle, result, u1) -> dict:
+def sampled_geometry(imm, grid, chunk=4096):
+    """y, g^{-1}, |H|^2, R and Ric from the immersion's jet at the grid
+    points, chunk points at a time, shaped over the grid."""
+    points = grid.points().reshape(-1, grid.n)
+    parts = []
+    for start in range(0, len(points), chunk):
+        jet = imm.jet(points[start:start + chunk])
+        metric = induced_metric(jet)
+        curv = curvature_point(jet, metric)
+        parts.append((jet.y, metric.g_inv, curv.mean_sq, curv.scalar, curv.ric))
+    return [np.concatenate(field).reshape(grid.shape + field[0].shape[1:])
+            for field in zip(*parts)]
+
+
+def reference_grid_inputs(imm, bundle, result, u1) -> dict:
     """The grid replay's per-coordinate integrals, pointwise maxima and
     Gram-Schmidt residual for the weight u1 (constant when it carries no
-    Laplacian), every rotated coordinate at once, one einsum per contraction."""
+    Laplacian), every rotated coordinate at once, one einsum per contraction.
+
+    y, g^{-1} and the curvature come from the immersion's jet at the grid
+    points, and the curvature form is restated as a R |grad z|^2 +
+    b Ric(v, v), v = g^{-1} grad z: none of it is read from the bundle, so a
+    wrong coefficient flux there shows in rayleigh_ibp."""
     n = bundle.n
     axes = tuple(range(-n, 0))
-    wq, w, g_inv, curv = bundle.weights, u1.w, bundle.g_inv, bundle.curv
+    y, g_inv, mean_sq, scalar, ric = sampled_geometry(imm, bundle.grid)
+    wq, w = bundle.weights, u1.w
     vals = snap_kernel(result.eigenvalues)
-    lam_w, big_n = vals[0], bundle.y.shape[-1]
+    lam_w, big_n = vals[0], y.shape[-1]
     b = min(vals.size - 1, big_n)
     funcs = result.eigenfunctions
 
@@ -123,16 +145,16 @@ def reference_grid_inputs(bundle, result, u1) -> dict:
         return f.reshape(len(f), -1) @ g.reshape(len(g), -1).T
 
     partner_w = funcs[1:1 + b] * (w * wq)
-    q_rot = np.linalg.qr(pairings(np.moveaxis(bundle.y, -1, 0), partner_w), mode="complete")[0]
-    z = np.einsum("...g,ga->a...", bundle.y, q_rot)
+    q_rot = np.linalg.qr(pairings(np.moveaxis(y, -1, 0), partner_w), mode="complete")[0]
+    z = np.einsum("...g,ga->a...", y, q_rot)
     trial = (z - integ(z * w * w)[(...,) + (None,) * n]) * w
     dz = grad(z)
     dw = np.zeros(dz.shape[1:]) if u1.lap is None else grad(w)
     lw = np.zeros(w.shape) if u1.lap is None else u1.lap
     gz2 = np.einsum("a...i,...ij,a...j->a...", dz, g_inv, dz)
     gzw = np.einsum("a...i,...ij,...j->a...", dz, g_inv, dw)
-    raised = np.einsum("...ik,...kl,...lj->...ij", g_inv, curv.ric, g_inv)
-    quad = (float(bundle.coeffs.a) * curv.scalar * gz2
+    raised = np.einsum("...ik,...kl,...lj->...ij", g_inv, ric, g_inv)
+    quad = (float(bundle.coeffs.a) * scalar * gz2
             + float(bundle.coeffs.b) * np.einsum("a...i,...ij,a...j->a...", dz, raised, dz))
     lz = apply_laplacian(bundle, z)
     flux = w * lz + 2.0 * gzw
@@ -147,7 +169,7 @@ def reference_grid_inputs(bundle, result, u1) -> dict:
         "gaps": vals[1:1 + b] - lam_w,
         "root_gaps": np.sqrt(np.clip(vals[1:] - lam_w, 0.0, None)),
         "orthogonality": np.max(np.abs(np.tril(pairings(trial, funcs[:b] * wq)))),
-        "laplacian": np.max(np.abs(np.sum(lz * lz, axis=0) - n**2 * curv.mean_sq)),
+        "laplacian": np.max(np.abs(np.sum(lz * lz, axis=0) - n**2 * mean_sq)),
         "resolution": np.max(np.abs(np.sum(gzw * gzw, axis=0)
                                     - np.einsum("...i,...ij,...j->...", dw, g_inv, dw))),
         "energy": np.max(np.abs(np.sum(gz2, axis=0) - n)),

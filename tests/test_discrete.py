@@ -124,10 +124,10 @@ def test_takahashi_identity_on_donut():
     grid = TorusGrid((24, 24))
     imm = donut_torus(2.0, 1.0)
     bundle = build_bundle(imm, grid)
-    y = imm.jet(grid.points()).y
-    lap = np.stack([apply_laplacian(bundle, y[..., a]) for a in range(y.shape[-1])],
+    jet = imm.jet(grid.points())
+    lap = np.stack([apply_laplacian(bundle, jet.y[..., a]) for a in range(jet.ambient_dim)],
                    axis=-1)
-    assert np.abs(lap - 2.0 * bundle.curv.mean).max() < 1e-10
+    assert np.abs(lap - 2.0 * curvature_point(jet, induced_metric(jet)).mean).max() < 1e-10
 
 
 @pytest.mark.parametrize("factory,shape", [
@@ -600,7 +600,7 @@ def test_blocked_sampling_matches_whole_grid(monkeypatch, factory, shape):
     for field in dataclasses.fields(CurvatureFields):
         assert np.array_equal(getattr(bundle.curv, field.name),
                               getattr(curv, field.name)), field.name
-    for name in ("h", "gamma", "ric_norm_sq"):
+    for name in ("h", "gamma", "mean", "ric", "ric_norm_sq"):
         assert not hasattr(bundle.curv, name), name
     if bundle.constant_coefficient:
         assert bundle.laplace_flux is None
@@ -680,20 +680,30 @@ def stored_bytes(record):
 
 
 def test_flat_five_torus_bundle_stores_only_what_is_read():
-    # y, g^{-1}, H, |H|^2, S, Ric, R, the weights, 1/sqrt(g) and Q: 19.0 MiB
-    # on 8^5, g^{-1} and Ric 12.5 of it.  Keeping g, sqrt(g), |Ric|^2 and
-    # Lap R past the build as well made 26.0 MiB
+    # y, g^{-1}, |H|^2, S, R, the weights, 1/sqrt(g) and Q, 41 fields per
+    # point: 10.25 MiB on 8^5, g^{-1} 6.25 of it.  Keeping H and Ric as well
+    # made 19.0 MiB, and g, sqrt(g), |Ric|^2 and Lap R besides 26.0 MiB
     bundle = build_bundle(clifford_torus((1.0,) * 5), TorusGrid((8,) * 5))
-    assert stored_bytes(bundle) <= 19.5 * 2**20, f"{stored_bytes(bundle) / 2**20:.2f} MiB"
+    assert stored_bytes(bundle) <= 10.5 * 2**20, f"{stored_bytes(bundle) / 2**20:.2f} MiB"
+
+
+def test_curved_four_torus_bundle_stores_only_what_is_read():
+    # a curved bundle adds the two packed flux fields: 50 fields per point,
+    # 1.5625 MiB on 8^4 (74 fields, 2.31 MiB, with H and Ric kept)
+    imm = clifford_torus((1.0,) * 4).perturbed(
+        [FourierTerm(k=(1, 1, 0, 0), cos=(0.1,) + (0.0,) * 7, sin=(0.0,) * 8)])
+    bundle = build_bundle(imm, TorusGrid((8,) * 4))
+    assert not bundle.constant_coefficient
+    assert stored_bytes(bundle) <= 1.6 * 2**20, f"{stored_bytes(bundle) / 2**20:.2f} MiB"
 
 
 def test_flat_five_torus_bundle_memory_is_bounded():
     # whole-grid sampling peaked at 412 MB here, and 2048-point blocks at
     # 57.0 MB; 512-point blocks keep the peak to the sampled coarse fields
     # plus one block's temporaries: 35.3 MB with g kept through the build,
-    # and with its range and the coefficient flux taken block by block
-    # (~24 MB of fields, 19 MiB of them kept) measured 32.6 MB: the bound is
-    # that plus 20 %
+    # and 32.6 MB with its range and the coefficient flux taken block by
+    # block; without H and Ric kept (10.25 MiB of fields) it measured 23.5 MB:
+    # the bound is that plus 20 %
     grid = TorusGrid((8,) * 5)
     imm = clifford_torus((1.0,) * 5)
     tracemalloc.start()
@@ -703,4 +713,4 @@ def test_flat_five_torus_bundle_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert bundle.constant_coefficient
-    assert peak < 39.2e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    assert peak < 28.2e6, f"tracemalloc peak {peak / 1e6:.1f} MB"

@@ -110,7 +110,7 @@ def test_ellipse_torus_is_curved_outside_but_flat_inside(ellipse_runs):
     runs, _ = ellipse_runs
     for bundle, _ in runs:
         assert not bundle.constant_coefficient
-        assert np.abs(bundle.curv.ric).max() <= 1e-14
+        assert np.abs(bundle.coeff_flux).max() <= 1e-14
         assert np.abs(bundle.curv.scalar).max() <= 1e-14
         assert np.abs(bundle.q_field).max() <= 1e-14
         assert bundle.curv.mean_sq.min() > 0.25     # |H|^2 spans 0.298 .. 0.357

@@ -221,7 +221,8 @@ def test_grid_replay_reuses_the_bundle_jet(torus_run, monkeypatch):
 
 def _grid_run(radii, amp, k):
     """A torus immersion on 8^n, with amp cos(x_1 + x_2) added to its first
-    coordinate, solved for k pairs."""
+    coordinate, solved for k pairs: its bundle, its spectrum and the
+    immersion."""
     n = len(radii)
     imm = clifford_torus(radii)
     if amp:
@@ -231,7 +232,7 @@ def _grid_run(radii, amp, k):
     grid = TorusGrid((8,) * n)
     bundle = build_bundle(imm, grid)
     return bundle, spectrum(imm, grid, paneitz_coefficients(n), k, bundle=bundle,
-                            solver="lanczos", seed=3)
+                            solver="lanczos", seed=3), imm
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +250,7 @@ def test_curved_torus_chain_fails_only_the_laplacian_coordinate_step(curved_t4_r
     # numerical floor.  laplacian_coordinate_identity compares the band-cut
     # grid Laplacian of y with the uncut n H and reads about -2.8e-2 here
     # (ROADMAP item 4); fixing that step must update this assertion.
-    bundle, result = curved_t4_run
+    bundle, result, _ = curved_t4_run
     rep = replay_proof("thm_1_1", result, bundle)
     failing = {s.name for s in rep.steps if s.slack < -REPLAY_TOL_NUMERICAL}
     assert failing == {"laplacian_coordinate_identity"}
@@ -261,8 +262,10 @@ def test_streamed_inputs_match_the_batched_formulas(run, request):
     # the grid route forms one rotated coordinate at a time; its integrals,
     # pointwise maxima and Gram-Schmidt residual are those of the batched
     # formulas, for the replay's weight and for an excited eigenfunction,
-    # whose gradient enters the flux 2 g(grad z, grad w)
-    bundle, result = request.getfixturevalue(run)
+    # whose gradient enters the flux 2 g(grad z, grad w).  The reference
+    # samples the geometry from the immersion and restates the curvature form
+    # a R g + b Ric, so rayleigh_ibp checks the bundle's coefficient flux
+    bundle, result, imm = request.getfixturevalue(run)
     geo = summarize_bundle(bundle)
     excited = result.eigenfunctions[2]
     lap = apply_laplacian(bundle, excited)
@@ -270,7 +273,7 @@ def test_streamed_inputs_match_the_batched_formulas(run, request):
                U1Data(w=excited, grad_energy=-integrate(bundle, excited * lap), lap=lap))
     for u1 in weights:
         inputs, gs_resid, _ = grid_chain_inputs(bundle, geo, result, u1)
-        for name, want in reference_grid_inputs(bundle, result, u1).items():
+        for name, want in reference_grid_inputs(imm, bundle, result, u1).items():
             got = gs_resid if name == "gram_schmidt_residual" else getattr(inputs, name)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
@@ -282,7 +285,7 @@ def test_flat_five_torus_replay_memory_is_bounded(flat_t5_run):
     # functions, their operator images, fluxes) with one gradient at a time
     # at 33.8 MB; one coordinate's fields at a time, with three running
     # pointwise sums, measured 11.6 MB: the bound is that plus 20 %
-    bundle, result = flat_t5_run
+    bundle, result, _ = flat_t5_run
     tracemalloc.start()
     try:
         rep = replay_proof("thm_1_2", result, bundle)
@@ -310,15 +313,15 @@ def _bound_meets_replay(theorem, bundle, result, u1=None):
 def test_grid_bound_rhs_is_the_replayed_rhs(torus_run, flat_t5_run):
     bundle, solve = torus_run
     assert _bound_meets_replay("thm_1_1", bundle, solve(9))
-    assert _bound_meets_replay("thm_1_1", *_grid_run((1.0,) * 4, 0.05, 9))
-    bundle, result = flat_t5_run
+    assert _bound_meets_replay("thm_1_1", *_grid_run((1.0,) * 4, 0.05, 9)[:2])
+    bundle, result, _ = flat_t5_run
     assert _bound_meets_replay("thm_1_2", bundle, result, u1_from_result(bundle, result))
 
 
 def test_second_value_below_the_first_is_a_clamped_gap(flat_t5_run):
     # lambda_2 moved 1e-2 below lambda_1, past the numerical tol_eq of 1e-4:
     # the gap bound and its replay both clamp the negative gap and say so
-    bundle, result = flat_t5_run
+    bundle, result, _ = flat_t5_run
     values = result.eigenvalues.copy()
     values[1] = values[0] - 1e-2
     low = replace(result, eigenvalues=values)
@@ -331,7 +334,7 @@ def test_second_value_below_the_first_is_a_clamped_gap(flat_t5_run):
 
 
 def test_multiple_ground_state_flag_is_one_name(flat_t5_run, tmp_path, monkeypatch):
-    bundle, result = flat_t5_run
+    bundle, result, _ = flat_t5_run
     (value, count), *rest = result.clusters
     doubled = replace(result, clusters=((value, count + 1), *rest))
     rep = evaluate("thm_1_2", doubled.eigenvalues, summarize_bundle(bundle),
