@@ -99,13 +99,10 @@ class ModelManifold:
     (sum r_i^2 = 1, or r = 1 for a single sphere treated as an equator).
     """
 
-    kind: str
     factors: tuple[SphereFactor, ...]
     ambient: str = "euclidean"
 
     def __post_init__(self):
-        if self.kind not in ("sphere", "sphere_product", "flat_torus"):
-            raise ValueError(f"unknown manifold kind {self.kind!r}")
         if self.ambient not in ("euclidean", "unit_sphere"):
             raise ValueError(f"ambient must be 'euclidean' or 'unit_sphere', got {self.ambient!r}")
         if not self.factors:
@@ -152,19 +149,19 @@ class ModelManifold:
 
 
 def round_sphere(n: int, r: float = 1.0, ambient: str = "euclidean") -> ModelManifold:
-    return ModelManifold(kind="sphere", factors=(SphereFactor(n, r),), ambient=ambient)
+    return ModelManifold(factors=(SphereFactor(n, r),), ambient=ambient)
 
 
 def sphere_product(factors, ambient: str = "euclidean") -> ModelManifold:
     facs = tuple(SphereFactor(int(p), float(r)) for p, r in factors)
     if len(facs) < 2:
         raise ValueError("sphere_product needs at least two factors; use round_sphere otherwise")
-    return ModelManifold(kind="sphere_product", factors=facs, ambient=ambient)
+    return ModelManifold(factors=facs, ambient=ambient)
 
 
 def flat_torus(radii, ambient: str = "euclidean") -> ModelManifold:
     facs = tuple(SphereFactor(1, float(r)) for r in radii)
-    return ModelManifold(kind="flat_torus", factors=facs, ambient=ambient)
+    return ModelManifold(factors=facs, ambient=ambient)
 
 
 # --------------------------------------------------------------------------

@@ -248,18 +248,14 @@ def cmd_verify(args) -> int:
 
 def _run_replay(spec: ManifoldSpec, count: int, seed: int, tol: float | None,
                 timings: dict, sol: Solution | None = None, u1: U1Data | None = None):
-    """The proof chain of spec's dimension: in closed form on a round sphere,
-    else on the grid spectrum, solved here unless sol already holds one; u1
-    is the bounds' ground state of sol, reused by the grid chain."""
+    """The proof chain of spec's dimension: in closed form on its catalog
+    model when spec has no grid, else on the grid spectrum, solved here
+    unless sol already holds one; u1 is the bounds' ground state of sol,
+    reused by the grid chain."""
     theorem = replay_theorem(spec.dim)
-    if spec.model is not None and spec.model.kind == "sphere":
+    if spec.grid is None:
         return replay_proof_analytic(theorem, spec.model,
                                      tol=tol if tol is not None else REPLAY_TOL_ANALYTIC)
-    if spec.model is not None and spec.model.kind == "sphere_product":
-        raise GateError("replay needs a round sphere (closed form) or a "
-                        "gridable torus immersion")
-    if spec.grid is None:
-        raise GateError("numerical replay needs a 'grid' entry in the spec")
     if sol is None or sol.bundle is None:
         sol, u1 = _solve(spec, count, seed, timings, on_grid=True), None
     return replay_proof(theorem, sol.result, sol.bundle,

@@ -11,8 +11,9 @@ of reasoning, not just its conclusion, holds on the given manifold.
 The chain is written once, in ``_chain``, as a function of the integrals and
 pointwise residuals it reads (``ChainInputs``).  Two routes supply them:
 
-* ``replay_proof_analytic`` -- single round spheres, every input an exact
-  expression in (n, r).  The equality case: all slacks vanish.
+* ``replay_proof_analytic`` -- any catalog product of round spheres (flat
+  tori included), every input a factor's closed form in (p, r) against the
+  catalog spectrum.  On the equality cases all slacks vanish.
 * ``replay_proof`` -- any curvature bundle plus a computed spectrum, the
   inputs sampled on the grid.  Needs at least n + 2 eigenpairs; with fewer
   than ambient-dimension many, summed steps degrade to valid partial sums
@@ -41,8 +42,8 @@ import numpy as np
 
 from .bounds import (BOUNDS, GeometrySummary, U1Data, constant_ground_state, optimal_delta,
                      pivot_integrals, snap_kernel, summarize_bundle, summarize_model,
-                     u1_from_result)
-from .catalog import ModelManifold, paneitz_form
+                     u1_from_lines, u1_from_result)
+from .catalog import ModelManifold, expand_lines, paneitz_form, paneitz_spectrum
 from .discrete import CurvatureBundle, PaneitzOperator, packed_flux
 from .eigensolve import SpectrumResult
 from .errors import GateError, InvalidDimensionError
@@ -246,40 +247,42 @@ def _chain(theorem_id: str, route: str, label: str, inp: ChainInputs,
 
 def replay_proof_analytic(theorem_id: str, model: ModelManifold,
                           tol: float = REPLAY_TOL_ANALYTIC) -> ProofChainReport:
-    """Replay on a single round sphere, every input in closed form.
+    """Replay on a catalog product of round spheres, every input in closed form.
 
-    The first harmonics are the coordinates themselves, so the rotation is
-    trivial (z = y), the weight is the constant eigenfunction, and the
-    N = n + 1 trial functions psi_a = y_a / sqrt(vol) are exact eigenfunctions
-    sharing every integral.  The coordinate identities hold at each point,
-    |grad z_a|^2 = 1 - (y_a/r)^2 peaks at 1, and the Gauss integrand is
-    constant.  Anything that is not a single sphere goes through the grid
-    route instead.
+    The p + 1 coordinates of a factor S^p(r) are first harmonics, so the
+    rotation is trivial (z = y) and each is an eigenfunction of value
+    mu^2 + kappa mu + (n - 4) Q / 2, mu = p / r^2, kappa its factor's.  The
+    weight is the bottom line's (`u1_from_lines`, as the bounds read it),
+    the constant: kappa > -mu on every factor keeps all else above it.
+    Sorted by value, the coordinates pair with the true spectrum, the a-th
+    at or above lambda_{a+1}.  Each integral is its factor's closed form,
+    the coordinate identities hold at every point, and |grad y_j|^2 =
+    1 - (y_j/r)^2 peaks at 1.  A round sphere is the one-factor case.
     """
-    if model.kind != "sphere" or len(model.factors) != 1:
-        raise GateError(
-            "closed-form replay covers single round spheres; "
-            "sample the immersion on a grid for anything else")
-    n = model.n
+    n, big_n = model.n, model.ambient_dim
     _check_theorem(theorem_id, n)
-    r = model.factors[0].r
-    kappa = paneitz_form(model).kappas[0]
+    lines = paneitz_spectrum(model, big_n + 1).lines
+    vals = np.array(expand_lines(lines, big_n + 1))
+    geo = summarize_model(model)
+    u1 = u1_from_lines(geo, lines)
+    form = paneitz_form(model)
 
-    mu = n / r**2                        # first nonconstant Laplace eigenvalue
-    gap = mu**2 + kappa * mu             # first fourth-order line minus lam_w
-
-    each = np.ones(n + 1)
-    norm_sq = r**2 / (n + 1)             # int psi^2
-    ddz_sq = n**2 / (r**2 * (n + 1))     # int (w Lap z)^2
-    grad_int = n / (n + 1)               # int w^2 |grad z|^2
+    p = np.array([f.p for f in model.factors])
+    r2 = np.array([f.r**2 for f in model.factors])
+    mu, kappa = p / r2, np.array(form.kappas)
+    # per coordinate, sorted by value: value, mu, kappa, int psi^2, int w^2 |grad z|^2
+    rows = np.repeat([mu**2 + kappa * mu + form.zero_order, mu, kappa, r2 / (p + 1),
+                      p / (p + 1)], p + 1, axis=1)
+    value, mu, kappa, norm_sq, grad_int = rows[:, np.argsort(rows[0], kind="stable")]
+    t1 = mu**2 * norm_sq                 # int (w Lap z)^2
+    gaps = vals[1:] - vals[0]
     inputs = ChainInputs(
-        n=n, norms2=norm_sq * each, rayleigh=gap * norm_sq * each,
-        rayleigh_ibp=(ddz_sq + kappa * grad_int) * each, t1=ddz_sq * each,
-        cross=-mu * norm_sq * each, grad_energy=grad_int * each,
-        gaps=gap * each, root_gaps=math.sqrt(gap) * each,
+        n=n, norms2=norm_sq, rayleigh=(value - vals[0]) * norm_sq,
+        rayleigh_ibp=t1 + kappa * grad_int, t1=t1, cross=-mu * norm_sq,
+        grad_energy=grad_int, gaps=gaps, root_gaps=np.sqrt(gaps),
         orthogonality=0.0, laplacian=0.0, resolution=0.0, energy=0.0,
-        max_grad_sq=1.0, **vars(pivot_integrals(summarize_model(model))))
-    return _chain(theorem_id, "analytic", model.describe(), inputs, 0.0, tol)
+        max_grad_sq=1.0, **vars(pivot_integrals(geo, u1)))
+    return _chain(theorem_id, "analytic", model.describe(), inputs, 0.0, tol, u1.flags)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Top-level keys::
     params:  kind-specific geometry, see below
     fourier: list of {k, amp, trig} extra modes  (fourier_immersion only)
     grid:    points per axis, int or list     (torus kinds only)
-    solver:  lanczos (runs LOBPCG) | dense    (default: lanczos)
+    solver:  lanczos (runs LOBPCG) | dense    (with a grid; default lanczos)
     k:       eigenvalue count                 (default 8)
     seed:    RNG seed for the iterative solver, >= 0
 
@@ -314,6 +314,8 @@ def parse_manifold_spec(text: str, source: str = "<string>") -> ManifoldSpec:
                              f"need |k_i| < m_i / 2 on every axis")
 
     solver = _choice(top["solver"], "solver", SOLVERS) if "solver" in top else None
+    if solver is not None and grid is None:
+        raise _err(top["solver"], "solver does not apply without a grid (closed-form spectrum)")
     count = _int(top["k"], "k") if "k" in top else DEFAULT_COUNT
     if count < 1:
         raise _err(top["k"], f"k must be >= 1, got {count}")

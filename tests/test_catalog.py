@@ -9,7 +9,6 @@ import pytest
 import paneitzlab.catalog as catalog
 from paneitzlab.bounds import constant_ground_state, summarize_model, u1_from_lines
 from paneitzlab.catalog import (
-    ModelManifold,
     SphereFactor,
     SpectralLine,
     expand_lines,
@@ -284,8 +283,6 @@ def test_factor_validation():
         SphereFactor(p=0, r=1.0)
     with pytest.raises(ValueError):
         SphereFactor(p=2, r=-1.0)
-    with pytest.raises(ValueError):
-        ModelManifold(kind="nonsense", factors=(SphereFactor(2, 1.0),))
 
 
 @pytest.mark.parametrize("make", [lambda r: round_sphere(5, r),

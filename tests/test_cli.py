@@ -313,7 +313,7 @@ def _count_calls(monkeypatch, name):
     (T4_GRID, ["replay"], 1, 0),
     (T4_GRID, ["spectrum"], 0, 1),
     (S4, ["verify", "--replay"], 0, 1),
-    (S4, ["replay"], 0, 0),                    # the sphere's chain needs no spectrum
+    (S4, ["replay"], 0, 0),                    # the chain enumerates its lines in replay
 ])
 def test_each_command_solves_once(spec_file, capsys, monkeypatch, text, command,
                                   grid_solves, catalog_solves):
@@ -540,10 +540,13 @@ def test_verify_off_sphere_immersion_declared_in_sphere_is_exit_2(spec_file, cap
     assert "(line 3, column 10)" in err
 
 
-def test_verify_replay_needs_grid(spec_file, capsys):
+def test_verify_replay_without_grid_is_closed_form(spec_file, tmp_path, capsys):
     no_grid = "kind: flat_torus\ndim: 4\nparams:\n  radii: [1.0, 1.0, 1.0, 1.0]\n"
-    assert main(["verify", "--spec", spec_file(no_grid), "--replay"]) == 2
-    assert "needs a 'grid'" in capsys.readouterr().err
+    out = tmp_path / "v.json"
+    assert main(["verify", "--spec", spec_file(no_grid), "--replay", "--out", str(out)]) == 0
+    assert "replay thm_1_1 [analytic]:" in capsys.readouterr().out
+    replay = json.loads(out.read_text())["replay"]
+    assert (replay["final_lhs"], replay["final_rhs"]) == (4.0, 4.0)
 
 
 def test_verify_impossible_tolerance_is_a_finding(spec_file, capsys):
@@ -598,9 +601,13 @@ def test_replay_four_sphere(spec_file, capsys):
         assert name in out
 
 
-def test_replay_product_is_exit_2(spec_file, capsys):
-    assert main(["replay", "--spec", spec_file(CLIFFORD)]) == 2
-    assert "needs a round sphere" in capsys.readouterr().err
+def test_replay_minimal_clifford_in_closed_form(spec_file, tmp_path):
+    out = tmp_path / "r.json"
+    for command in (["replay"], ["verify", "--replay"]):
+        assert main([*command, "--spec", spec_file(CLIFFORD), "--quiet", "--out", str(out)]) == 0
+        replay = json.loads(out.read_text())["replay"]
+        assert replay["route"] == "analytic" and replay["ok"]
+        assert abs(replay["final_rhs"] - replay["final_lhs"]) <= 1e-12 * replay["final_rhs"]
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,20 @@
-"""Property tests of the batched jet and curvature products and of the
-spec parser.
+"""Property tests of the batched jet and curvature products, of the
+closed-form replay and of the spec parser.
 
 Random band-limited immersions of the n-torus, n = 2..5, into R^N with
 N <= 2n + 2: a Clifford torus with random radii in the first 2n coordinates,
 plus up to three random Fourier modes on all N.  The batched products are
 held to the plain forms in `helpers` (a loop over terms, one einsum per
-contraction) and to the Gauss equation.  Spec text is fuzzed by mutating one
-node of a valid spec per kind, and by inserting a character YAML does not
-allow or a byte that is not UTF-8; the spec parser's libyaml engine is held
-to PyYAML's pure-Python one on those texts.  Example counts stay small and the draws are
-derandomized, so the suite stays fast and repeatable.
+contraction) and to the Gauss equation.  Catalog products of 1-3 round
+spheres replay the proof chain in closed form, ending at their bound's own
+sides.  Spec text is fuzzed by mutating one node of a valid spec per kind,
+and by inserting a character YAML does not allow or a byte that is not
+UTF-8; the spec parser's libyaml engine is held to PyYAML's pure-Python one
+on those texts.  Example counts stay small and the draws are derandomized,
+so the suite stays fast and repeatable.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,9 +23,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from paneitzlab import specfile
+from paneitzlab.bounds import evaluate, summarize_model, u1_from_lines
+from paneitzlab.catalog import ModelManifold, SphereFactor, expand_lines, paneitz_spectrum
 from paneitzlab.errors import DegenerateImmersionError, SpecFileError
 from paneitzlab.fourier import FourierImmersion, FourierTerm
 from paneitzlab.geometry import curvature_point, gauss_identity_residual, induced_metric
+from paneitzlab.replay import replay_proof_analytic, replay_theorem
 from paneitzlab.specfile import ManifoldSpec, load_manifold_spec, parse_manifold_spec
 
 from helpers import reference_curvature, reference_jet
@@ -89,6 +96,34 @@ def test_curvature_matches_the_plain_contractions(case):
     # the Gauss equation at roundoff, on the scale of its two sides
     scale = max(np.abs(curv.scalar).max(), np.abs(curv.s_norm).max(), 1.0)
     assert gauss_identity_residual(curv, jet.dim) <= 1e-13 * scale
+
+
+@st.composite
+def catalog_models(draw):
+    """1-3 round-sphere factors (circles included), n = 4..6, radii 0.3-3;
+    a product may be rescaled onto the unit sphere, sum r^2 = 1."""
+    n, count = draw(st.integers(4, 6)), draw(st.integers(1, 3))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=count - 1, max_size=count - 1)))
+    dims = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    radii = [draw(st.floats(0.3, 3.0)) for _ in dims]
+    if count > 1 and draw(st.booleans()):
+        scale = math.sqrt(sum(r * r for r in radii))
+        return ModelManifold(tuple(SphereFactor(p, r / scale) for p, r in zip(dims, radii)),
+                             ambient="unit_sphere")
+    return ModelManifold(tuple(SphereFactor(p, r) for p, r in zip(dims, radii)))
+
+
+@PROPERTY
+@given(catalog_models())
+def test_closed_form_chain_ends_at_the_bound(model):
+    theorem = replay_theorem(model.n)
+    rep = replay_proof_analytic(theorem, model)
+    assert rep.ok and rep.worst_slack >= -1e-12 * max(1.0, rep.final_rhs)
+    lines = paneitz_spectrum(model, model.n + 2).lines
+    geo = summarize_model(model)
+    bound = evaluate(theorem, expand_lines(lines, model.n + 2), geo, u1_from_lines(geo, lines))
+    assert rep.final_rhs == pytest.approx(bound.rhs, rel=1e-12)
+    assert rep.final_lhs == pytest.approx(bound.lhs, rel=1e-9)
 
 
 #: one valid spec per kind; no grid entry exceeds 16, nor may a mutation make it

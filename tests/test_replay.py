@@ -14,6 +14,7 @@ from paneitzlab import (
     InvalidDimensionError,
     TorusGrid,
     clifford_torus,
+    flat_torus,
     paneitz_coefficients,
     replay_proof,
     replay_proof_analytic,
@@ -110,11 +111,21 @@ def test_sphere_chain_is_tight_in_every_dimension(n, r):
     assert rep.final_lhs == pytest.approx(rep.final_rhs, rel=1e-12)
 
 
-def test_closed_form_route_rejects_products():
+def test_closed_form_route_replays_products():
+    # the minimal Clifford S^2 x S^2 in S^5 is a thm_1_1 equality; the minimal
+    # S^1 x S^3 in S^5 is strict, with verify's slack
     half = math.sqrt(0.5)
-    m = sphere_product([(2, half), (2, half)], ambient="unit_sphere")
-    with pytest.raises(GateError, match="single round spheres"):
-        replay_proof_analytic("thm_1_1", m)
+    rep = replay_proof_analytic("thm_1_1", sphere_product([(2, half), (2, half)],
+                                                          ambient="unit_sphere"))
+    assert rep.route == "analytic" and rep.ok and rep.flags == ()
+    assert abs(rep.final_rhs - rep.final_lhs) <= 1e-12 * rep.final_rhs
+    m = sphere_product([(1, math.sqrt(0.25)), (3, math.sqrt(0.75))], ambient="unit_sphere")
+    rep = replay_proof_analytic("thm_1_1", m)
+    values = expand_lines(paneitz_spectrum(m, 6).lines, 6)
+    bound = evaluate("thm_1_1", values, summarize_model(m))
+    assert rep.ok and rep.final_rhs == bound.rhs
+    assert rep.final_rhs - rep.final_lhs == pytest.approx(bound.slack, rel=1e-12)
+    assert rep.final_rhs - rep.final_lhs == pytest.approx(2.475, abs=1e-3)
 
 
 def test_theorem_gates():
@@ -149,10 +160,25 @@ def test_flat_torus_chain_full(torus_run):
 
 
 def test_both_routes_emit_the_same_chain(torus_run):
+    # on a flat torus the closed form and the grid chain on 8^n agree on
+    # every quantity that does not depend on the basis inside a cluster
     bundle, solve = torus_run
-    grid = replay_proof("thm_1_1", solve(9), bundle)
-    closed = replay_proof_analytic("thm_1_1", round_sphere(4, 1.0))
-    assert [s.name for s in closed.steps] == [s.name for s in grid.steps]
+    runs = [((1.0,) * 4, bundle, solve(9))] + [
+        (radii, *_grid_run(radii, 0.0, 2 * len(radii) + 1)[:2])
+        for radii in ((0.5,) * 4, (1.0,) * 5)]
+    for radii, bundle, result in runs:
+        theorem = replay_theorem(len(radii))
+        grid = replay_proof(theorem, result, bundle)
+        closed = replay_proof_analytic(theorem, flat_torus(radii))
+        assert [s.name for s in closed.steps] == [s.name for s in grid.steps]
+        assert closed.ok and grid.ok
+        pairs = [(closed.final_lhs, grid.final_lhs), (closed.final_rhs, grid.final_rhs),
+                 (closed.delta, grid.delta)]
+        for name in ("summed_trace_bound", "summed_gradient_bound"):
+            pairs += [(closed.step(name).lhs, grid.step(name).lhs),
+                      (closed.step(name).rhs, grid.step(name).rhs)]
+        for got, want in pairs:
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_replay_fails_on_eigenvalues_off_by_a_part_in_a_thousand(torus_run):

@@ -339,6 +339,20 @@ def test_solver_and_count_validation():
         "kind: sphere\ndim: 4\nparams:\n  r: 1.0\nk: 0\n"))
 
 
+@pytest.mark.parametrize("kind, params", [("sphere", "  r: 1.0\n"),
+                                           ("flat_torus", "  radii: [1.0, 1.0, 1.0, 1.0]\n")],
+                         ids=["sphere", "flat_torus"])
+def test_solver_without_a_grid_is_located(tmp_path, capsys, kind, params):
+    # a closed-form spectrum runs no solver, so the key would be ignored
+    text = f"kind: {kind}\ndim: 4\nparams:\n{params}solver: dense\n"
+    err = parse_error(text)
+    assert "solver does not apply" in str(err) and (err.line, err.column) == (5, 9)
+    spec = tmp_path / "s.yaml"
+    spec.write_text(text)
+    assert main(["spectrum", "--spec", str(spec), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"paneitz-lab: spec error: {err}\n"
+
+
 def test_declared_unit_sphere_ambient_must_hold_on_the_grid():
     text = (
         "kind: fourier_immersion\n"
